@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
     wrtring::Config config;
     config.rap_policy = wrtring::RapPolicy::kRotating;
     config.auto_rejoin = true;
-    config.sat_loss_prob = loss;
+    config.channel.sat = fault::GeParams::iid(loss);
     wrtring::Engine engine(&topology, config, 43);
     if (!engine.init().ok()) return 1;
     for (NodeId node = 0; node < 10; ++node) {

@@ -28,6 +28,9 @@
 #                                   # the concurrency suite: K engines on K
 #                                   # threads must be race-free AND digest
 #                                   # bit-identical to their serial runs
+#   scripts/check.sh --e2e-smoke    # configure the repo benchmark package
+#                                   # (bench/e2e) into build-e2e/, build it
+#                                   # and run its WrtBenchSmoke ctest
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,6 +41,7 @@ BENCH_SMOKE=0
 CHAOS_SMOKE=0
 FEDERATION_SMOKE=0
 VOICE_SMOKE=0
+E2E_SMOKE=0
 for arg in "$@"; do
   case "$arg" in
     --asan) WITH_ASAN=1 ;;
@@ -47,6 +51,7 @@ for arg in "$@"; do
     --chaos-smoke) CHAOS_SMOKE=1 ;;
     --federation-smoke) FEDERATION_SMOKE=1 ;;
     --voice-smoke) VOICE_SMOKE=1 ;;
+    --e2e-smoke) E2E_SMOKE=1 ;;
     *) echo "unknown option: $arg" >&2; exit 2 ;;
   esac
 done
@@ -80,6 +85,21 @@ if [ "$WITH_TSAN" = 1 ]; then
   build-tsan/tests/test_telemetry
   build-tsan/tests/test_sim --gtest_filter='Replication*'
   echo "TSAN PASSED"
+  exit 0
+fi
+
+if [ "$E2E_SMOKE" = 1 ]; then
+  echo "== e2e smoke: repo benchmark (bench/e2e) =="
+  # Standalone mode: bench/e2e is a CMake package of its own (it compiles
+  # src/ into one archive), so it gets its own build tree.  WrtBenchSmoke
+  # runs every wrt_bench workload for about a second under the invariant
+  # audit (voice-mobile replays traces on WRT-Ring, TPT and Aloha) and
+  # fails on a violation, a federation digest mismatch between worker
+  # counts, or a malformed BENCH_e2e.json.
+  configure build-e2e -S bench/e2e
+  cmake --build build-e2e
+  ctest --test-dir build-e2e --output-on-failure
+  echo "E2E SMOKE PASSED"
   exit 0
 fi
 

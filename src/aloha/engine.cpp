@@ -43,27 +43,15 @@ util::Status AlohaEngine::init() {
   return util::Status::success();
 }
 
-void AlohaEngine::add_source(const traffic::FlowSpec& spec) {
-  sources_.push_back(
-      {traffic::TrafficSource(spec, seed_ ^ (0xA10AA10Au + spec.id)),
-       spec.src});
+std::optional<std::size_t> AlohaEngine::queue_depth(NodeId node,
+                                                    TrafficClass cls) const {
+  const auto it = stations_.find(node);
+  if (it == stations_.end() || !it->second.alive) return std::nullopt;
+  return cls == TrafficClass::kRealTime ? it->second.rt_queue.size()
+                                        : it->second.be_queue.size();
 }
 
-void AlohaEngine::add_saturated_source(const traffic::FlowSpec& spec,
-                                       std::size_t backlog) {
-  saturated_.push_back({traffic::SaturatedSource(spec), spec.src, backlog});
-}
-
-void AlohaEngine::add_trace_source(traffic::Trace trace, FlowId flow,
-                                   NodeId src, NodeId dst,
-                                   std::int64_t deadline_slots) {
-  traces_.push_back(
-      {traffic::TraceSource(std::move(trace), flow, src, dst, deadline_slots),
-       src});
-}
-
-// wrt-lint-allow(by-value-frame-param): deliberate sink, moved into queue
-bool AlohaEngine::inject_packet(traffic::Packet packet) {
+bool AlohaEngine::enqueue(traffic::Packet& packet) {
   const auto it = stations_.find(packet.src);
   if (it == stations_.end() || !it->second.alive) return false;
   auto& queue = packet.cls == TrafficClass::kRealTime ? it->second.rt_queue
@@ -74,36 +62,14 @@ bool AlohaEngine::inject_packet(traffic::Packet packet) {
 }
 
 void AlohaEngine::poll_traffic() {
-  for (auto& bound : sources_) {
-    scratch_.clear();
-    bound.source.poll(now_, scratch_);
-    for (auto& packet : scratch_) {
-      if (!inject_packet(std::move(packet))) {
-        stats_.sink.record_drop(packet);
-      }
-    }
-  }
-  for (auto& bound : traces_) {
-    scratch_.clear();
-    bound.source.poll(now_, scratch_);
-    for (auto& packet : scratch_) {
-      if (!inject_packet(std::move(packet))) {
-        stats_.sink.record_drop(packet);
-      }
-    }
-  }
-  for (auto& bound : saturated_) {
-    const auto it = stations_.find(bound.station);
-    if (it == stations_.end() || !it->second.alive) continue;
-    auto& queue = bound.source.spec().cls == TrafficClass::kRealTime
-                      ? it->second.rt_queue
-                      : it->second.be_queue;
-    if (queue.size() < bound.backlog) {
-      scratch_.clear();
-      bound.source.take_into(now_, bound.backlog - queue.size(), scratch_);
-      for (auto& packet : scratch_) queue.push_back(std::move(packet));
-    }
-  }
+  const auto enqueue = [this](traffic::Packet& packet) {
+    return this->enqueue(packet);
+  };
+  sources_.poll(now_, enqueue, stats_.sink);
+  sources_.top_up_all(
+      now_,
+      [this](NodeId node, TrafficClass cls) { return queue_depth(node, cls); },
+      enqueue);
 }
 
 traffic::Packet* AlohaEngine::head_of_line(StationState& st) {
@@ -240,17 +206,6 @@ void AlohaEngine::kill_station(NodeId node) {
   for (auto& packet : it->second.be_queue) stats_.sink.record_drop(packet);
   it->second.rt_queue.clear();
   it->second.be_queue.clear();
-}
-
-void AlohaEngine::degrade_link(NodeId a, NodeId b,
-                               const fault::GeParams& params) {
-  loss_field_.set_link_params(fault::LossPurpose::kData, a, b, params);
-  loss_field_.set_link_params(fault::LossPurpose::kData, b, a, params);
-}
-
-void AlohaEngine::heal_link(NodeId a, NodeId b) {
-  loss_field_.clear_link_params(fault::LossPurpose::kData, a, b);
-  loss_field_.clear_link_params(fault::LossPurpose::kData, b, a);
 }
 
 util::Status AlohaEngine::check_invariants() const {

@@ -35,11 +35,13 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "fault/gilbert_elliott.hpp"
 #include "phy/topology.hpp"
 #include "sim/stats.hpp"
+#include "traffic/source_set.hpp"
 #include "traffic/trace.hpp"
 #include "traffic/traffic.hpp"
 #include "util/result.hpp"
@@ -85,16 +87,26 @@ class AlohaEngine final {
   /// Registers every alive station as a contender.
   [[nodiscard]] util::Status init();
 
-  void add_source(const traffic::FlowSpec& spec);
+  void add_source(const traffic::FlowSpec& spec) { sources_.add_source(spec); }
   void add_saturated_source(const traffic::FlowSpec& spec,
-                            std::size_t backlog = 4);
+                            std::size_t backlog = 4) {
+    sources_.add_saturated_source(spec, backlog);
+  }
 
   /// Replays a trace as one flow (same semantics as the other engines).
   void add_trace_source(traffic::Trace trace, FlowId flow, NodeId src,
-                        NodeId dst, std::int64_t deadline_slots = 0);
+                        NodeId dst, std::int64_t deadline_slots = 0) {
+    sources_.add_trace_source(std::move(trace), flow, src, dst,
+                              deadline_slots);
+  }
 
   // wrt-lint-allow(by-value-frame-param): deliberate sink, moved into queue
-  bool inject_packet(traffic::Packet packet);
+  bool inject_packet(traffic::Packet packet) { return enqueue(packet); }
+
+  /// Depth of the queue a `cls` packet joins at `node` (real-time, or the
+  /// shared best-effort queue); nullopt when `node` is unknown or dead.
+  [[nodiscard]] std::optional<std::size_t> queue_depth(NodeId node,
+                                                       TrafficClass cls) const;
 
   void step();
   void run_slots(std::int64_t n);
@@ -105,9 +117,12 @@ class AlohaEngine final {
   /// contention MACs have no membership signal to react faster with.
   void kill_station(NodeId node);
 
-  /// Gilbert–Elliott override on a <-> b (both directions, data purpose).
-  void degrade_link(NodeId a, NodeId b, const fault::GeParams& params);
-  void heal_link(NodeId a, NodeId b);
+  /// Gilbert–Elliott override on a <-> b (both directions; Aloha draws
+  /// only for the data purpose).
+  void degrade_link(NodeId a, NodeId b, const fault::GeParams& params) {
+    loss_field_.degrade_pair(a, b, params);
+  }
+  void heal_link(NodeId a, NodeId b) { loss_field_.heal_pair(a, b); }
 
   [[nodiscard]] const AlohaStats& stats() const noexcept { return stats_; }
 
@@ -126,6 +141,9 @@ class AlohaEngine final {
     bool alive = true;
   };
 
+  /// Queues `packet` at its source station; moves from it only on
+  /// acceptance (false: unknown or dead station, or the queue is full).
+  bool enqueue(traffic::Packet& packet);
   void poll_traffic();
   [[nodiscard]] traffic::Packet* head_of_line(StationState& st);
   void pop_head(StationState& st);
@@ -139,24 +157,7 @@ class AlohaEngine final {
 
   std::map<NodeId, StationState> stations_;
   fault::LinkLossField loss_field_;
-
-  struct BoundSource {
-    traffic::TrafficSource source;
-    NodeId station;
-  };
-  struct BoundSaturated {
-    traffic::SaturatedSource source;
-    NodeId station;
-    std::size_t backlog;
-  };
-  struct BoundTrace {
-    traffic::TraceSource source;
-    NodeId station;
-  };
-  std::vector<BoundSource> sources_;
-  std::vector<BoundSaturated> saturated_;
-  std::vector<BoundTrace> traces_;
-  std::vector<traffic::Packet> scratch_;
+  traffic::SourceSet sources_{seed_, 0xA10AA10Au, config_.queue_capacity};
   std::vector<NodeId> transmitters_;  ///< per-slot scratch
 
   AlohaStats stats_;

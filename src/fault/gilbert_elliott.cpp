@@ -117,6 +117,22 @@ void LinkLossField::clear_link_params(LossPurpose purpose, NodeId from,
   processes_[i].erase(k);  // rematerialised from defaults on next offer
 }
 
+void LinkLossField::degrade_pair(NodeId a, NodeId b, const GeParams& params) {
+  for (std::size_t i = 0; i < kLossPurposeCount; ++i) {
+    const auto purpose = static_cast<LossPurpose>(i);
+    set_link_params(purpose, a, b, params);
+    set_link_params(purpose, b, a, params);
+  }
+}
+
+void LinkLossField::heal_pair(NodeId a, NodeId b) {
+  for (std::size_t i = 0; i < kLossPurposeCount; ++i) {
+    const auto purpose = static_cast<LossPurpose>(i);
+    clear_link_params(purpose, a, b);
+    clear_link_params(purpose, b, a);
+  }
+}
+
 bool LinkLossField::offer(LossPurpose purpose, NodeId from, NodeId to) {
   const auto i = static_cast<std::size_t>(purpose);
   if (!default_enabled_[i] && overrides_[i].empty()) return false;

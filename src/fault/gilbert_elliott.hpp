@@ -1,14 +1,13 @@
 // Per-link bursty loss: the Gilbert–Elliott two-state channel.
 //
-// The engine's original channel imperfection model was two global i.i.d.
-// Bernoulli knobs (Config::frame_loss_prob / sat_loss_prob) shared by every
-// link.  Real indoor channels are neither independent nor global: a link in
-// a fade stays bad for a while (bursty loss), and different links fade
-// independently.  The classic two-state Gilbert–Elliott chain captures
-// exactly that: each directed link is in a Good or Bad state with per-state
-// loss probabilities, and flips state with fixed transition probabilities.
-// The i.i.d. knobs survive as the degenerate case (one state, or two
-// identical states).
+// A global i.i.d. Bernoulli loss shared by every link is the simplest
+// channel imperfection model, but real indoor channels are neither
+// independent nor global: a link in a fade stays bad for a while (bursty
+// loss), and different links fade independently.  The classic two-state
+// Gilbert–Elliott chain captures exactly that: each directed link is in a
+// Good or Bad state with per-state loss probabilities, and flips state with
+// fixed transition probabilities.  I.i.d. loss with probability p is the
+// degenerate case, spelled GeParams::iid(p) (one effective state).
 //
 // Determinism contract: every (purpose, directed link) pair owns an
 // independent RngStream derived from (seed, purpose, from, to), and a draw
@@ -139,6 +138,15 @@ class LinkLossField {
   /// Removes a per-link override; the link reverts to the channel default
   /// (link-heal).
   void clear_link_params(LossPurpose purpose, NodeId from, NodeId to);
+
+  /// Overrides the undirected link a <-> b for every purpose: data frames,
+  /// SAT/token hops and control messages degrade together, as a fading
+  /// radio link would.  An engine that never offers a purpose never draws
+  /// from its override.
+  void degrade_pair(NodeId a, NodeId b, const GeParams& params);
+
+  /// Removes a degrade_pair override in both directions and every purpose.
+  void heal_pair(NodeId a, NodeId b);
 
   /// True when offers for this purpose can be lost anywhere.
   [[nodiscard]] bool enabled(LossPurpose purpose) const noexcept {

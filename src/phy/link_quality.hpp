@@ -3,8 +3,9 @@
 // The paper's analysis assumes an error-free channel; real indoor radios
 // are not.  This module provides the standard log-distance path-loss /
 // SNR / BER chain so experiments can derive a principled per-hop frame
-// loss probability (fed into wrtring::Config::frame_loss_prob /
-// sat_loss_prob) instead of picking magic numbers:
+// loss probability p (fed into the channel as
+// `config.channel.data = fault::GeParams::iid(p)`) instead of picking
+// magic numbers:
 //
 //   path loss  PL(d) = PL(d0) + 10 n log10(d / d0)          [dB]
 //   SNR        = P_tx - PL(d) - noise_floor                 [dB]

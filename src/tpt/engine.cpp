@@ -41,23 +41,6 @@ util::Status TptEngine::init() {
   return util::Status::success();
 }
 
-void TptEngine::degrade_link(NodeId a, NodeId b,
-                             const fault::GeParams& params) {
-  for (const auto purpose :
-       {fault::LossPurpose::kData, fault::LossPurpose::kSat}) {
-    loss_field_.set_link_params(purpose, a, b, params);
-    loss_field_.set_link_params(purpose, b, a, params);
-  }
-}
-
-void TptEngine::heal_link(NodeId a, NodeId b) {
-  for (const auto purpose :
-       {fault::LossPurpose::kData, fault::LossPurpose::kSat}) {
-    loss_field_.clear_link_params(purpose, a, b);
-    loss_field_.clear_link_params(purpose, b, a);
-  }
-}
-
 std::int64_t TptEngine::h_sync_for(NodeId node) const {
   if (node < config_.h_sync.size() && config_.h_sync[node] > 0) {
     return config_.h_sync[node];
@@ -82,27 +65,15 @@ analysis::TptParams TptEngine::params() const {
 // Traffic
 // ---------------------------------------------------------------------------
 
-void TptEngine::add_source(const traffic::FlowSpec& spec) {
-  sources_.push_back(
-      {traffic::TrafficSource(spec, seed_ ^ (0x70707070u + spec.id)),
-       spec.src});
+std::optional<std::size_t> TptEngine::queue_depth(NodeId node,
+                                                  TrafficClass cls) const {
+  const auto it = stations_.find(node);
+  if (it == stations_.end()) return std::nullopt;
+  return cls == TrafficClass::kRealTime ? it->second.rt_queue.size()
+                                        : it->second.be_queue.size();
 }
 
-void TptEngine::add_saturated_source(const traffic::FlowSpec& spec,
-                                     std::size_t backlog) {
-  saturated_.push_back({traffic::SaturatedSource(spec), spec.src, backlog});
-}
-
-void TptEngine::add_trace_source(traffic::Trace trace, FlowId flow,
-                                 NodeId src, NodeId dst,
-                                 std::int64_t deadline_slots) {
-  traces_.push_back(
-      {traffic::TraceSource(std::move(trace), flow, src, dst, deadline_slots),
-       src});
-}
-
-// wrt-lint-allow(by-value-frame-param): deliberate sink, moved into queue
-bool TptEngine::inject_packet(traffic::Packet packet) {
+bool TptEngine::enqueue(traffic::Packet& packet) {
   const auto it = stations_.find(packet.src);
   if (it == stations_.end()) return false;
   auto& queue = packet.cls == TrafficClass::kRealTime ? it->second.rt_queue
@@ -113,37 +84,14 @@ bool TptEngine::inject_packet(traffic::Packet packet) {
 }
 
 void TptEngine::poll_traffic() {
-  for (auto& bound : sources_) {
-    scratch_.clear();
-    bound.source.poll(now_, scratch_);
-    for (auto& packet : scratch_) {
-      if (!inject_packet(std::move(packet))) {
-        stats_.sink.record_drop(packet);
-      }
-    }
-  }
-  for (auto& bound : traces_) {
-    scratch_.clear();
-    bound.source.poll(now_, scratch_);
-    for (auto& packet : scratch_) {
-      if (!inject_packet(std::move(packet))) {
-        stats_.sink.record_drop(packet);
-      }
-    }
-  }
-  for (auto& bound : saturated_) {
-    const auto it = stations_.find(bound.station);
-    if (it == stations_.end()) continue;
-    auto& queue = bound.source.spec().cls == TrafficClass::kRealTime
-                      ? it->second.rt_queue
-                      : it->second.be_queue;
-    if (queue.size() < bound.backlog) {
-      for (auto& packet :
-           bound.source.take(now_, bound.backlog - queue.size())) {
-        queue.push_back(std::move(packet));
-      }
-    }
-  }
+  const auto enqueue = [this](traffic::Packet& packet) {
+    return this->enqueue(packet);
+  };
+  sources_.poll(now_, enqueue, stats_.sink);
+  sources_.top_up_all(
+      now_,
+      [this](NodeId node, TrafficClass cls) { return queue_depth(node, cls); },
+      enqueue);
 }
 
 util::Status TptEngine::check_invariants() const {
@@ -163,6 +111,14 @@ util::Status TptEngine::check_invariants() const {
     if (!stations_.contains(member)) {
       return util::Error::protocol_violation(
           "tree member " + std::to_string(member) + " has no state");
+    }
+  }
+  for (const auto& [node, st] : stations_) {
+    if (st.rt_queue.size() > config_.queue_capacity ||
+        st.be_queue.size() > config_.queue_capacity ||
+        st.forward_queue.size() > config_.queue_capacity) {
+      return util::Error::protocol_violation(
+          "station " + std::to_string(node) + " queue over capacity");
     }
   }
   for (const NodeId visited : tour_) {
@@ -236,7 +192,16 @@ void TptEngine::token_arrive() {
     return;
   }
 
-  // Timed-token accounting (FDDI rules): measure TRT, arm budgets.
+  arm_window(holder, st);
+  // A station with nothing to send releases the token immediately; holding
+  // it for an idle slot would inflate every rotation by N slots.
+  if (st.forward_queue.empty() && st.rt_queue.empty() &&
+      (st.be_queue.empty() || async_budget_ <= 0)) {
+    pass_token();
+  }
+}
+
+void TptEngine::arm_window(NodeId holder, StationState& st) {
   std::int64_t trt_slots = config_.ttrt_slots;
   if (st.last_token_arrival != kNeverTick) {
     trt_slots = ticks_to_slots(now_ - st.last_token_arrival);
@@ -249,12 +214,6 @@ void TptEngine::token_arrive() {
   async_budget_ = std::max<std::int64_t>(0, config_.ttrt_slots - trt_slots);
   holder_transmits_ = true;
   state_ = TokenState::kAtStation;
-  // A station with nothing to send releases the token immediately; holding
-  // it for an idle slot would inflate every rotation by N slots.
-  if (st.forward_queue.empty() && st.rt_queue.empty() &&
-      (st.be_queue.empty() || async_budget_ <= 0)) {
-    pass_token();
-  }
 }
 
 void TptEngine::transmit_one(NodeId holder) {
@@ -571,19 +530,7 @@ void TptEngine::finish_rap() {
   }
   // Resume the holder's window (budgets were armed on arrival only when the
   // RAP interrupted a first visit; arm them now for the root's visit).
-  auto& st = stations_.at(at);
-  std::int64_t trt_slots = config_.ttrt_slots;
-  if (st.last_token_arrival != kNeverTick) {
-    trt_slots = ticks_to_slots(now_ - st.last_token_arrival);
-    stats_.token_rotation_slots.add(
-        ticks_to_slots_real(now_ - st.last_token_arrival));
-  }
-  st.last_token_arrival = now_;
-  st.last_round_transmitted = stats_.token_rounds;
-  sync_budget_ = h_sync_for(at);
-  async_budget_ = std::max<std::int64_t>(0, config_.ttrt_slots - trt_slots);
-  holder_transmits_ = true;
-  state_ = TokenState::kAtStation;
+  arm_window(at, stations_.at(at));
 }
 
 void TptEngine::request_join(NodeId node) {

@@ -29,6 +29,7 @@
 
 #include <deque>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "analysis/bounds.hpp"
@@ -37,6 +38,7 @@
 #include "sim/event_trace.hpp"
 #include "sim/stats.hpp"
 #include "tpt/tree.hpp"
+#include "traffic/source_set.hpp"
 #include "traffic/trace.hpp"
 #include "traffic/traffic.hpp"
 #include "util/result.hpp"
@@ -102,17 +104,27 @@ class TptEngine final {
   /// token.
   [[nodiscard]] util::Status init();
 
-  void add_source(const traffic::FlowSpec& spec);
+  void add_source(const traffic::FlowSpec& spec) { sources_.add_source(spec); }
   void add_saturated_source(const traffic::FlowSpec& spec,
-                            std::size_t backlog = 4);
+                            std::size_t backlog = 4) {
+    sources_.add_saturated_source(spec, backlog);
+  }
 
   /// Replays a recorded/synthetic trace as one flow (same semantics as
   /// wrtring::Engine::add_trace_source, for identical-arrival comparisons).
   void add_trace_source(traffic::Trace trace, FlowId flow, NodeId src,
-                        NodeId dst, std::int64_t deadline_slots = 0);
+                        NodeId dst, std::int64_t deadline_slots = 0) {
+    sources_.add_trace_source(std::move(trace), flow, src, dst,
+                              deadline_slots);
+  }
 
   // wrt-lint-allow(by-value-frame-param): deliberate sink, moved into queue
-  bool inject_packet(traffic::Packet packet);
+  bool inject_packet(traffic::Packet packet) { return enqueue(packet); }
+
+  /// Depth of the queue a `cls` packet joins at `node` (real-time, or the
+  /// shared best-effort queue); nullopt when `node` has no station state.
+  [[nodiscard]] std::optional<std::size_t> queue_depth(NodeId node,
+                                                       TrafficClass cls) const;
 
   void step();
   void run_slots(std::int64_t n);
@@ -122,10 +134,12 @@ class TptEngine final {
   void kill_station(NodeId node);
   void drop_token_once() noexcept { drop_token_pending_ = true; }
 
-  /// Gilbert–Elliott override on a <-> b for both purposes the tree uses
+  /// Gilbert–Elliott override on a <-> b for the purposes the tree uses
   /// (data frames and token hops), mirroring wrtring::Engine::degrade_link.
-  void degrade_link(NodeId a, NodeId b, const fault::GeParams& params);
-  void heal_link(NodeId a, NodeId b);
+  void degrade_link(NodeId a, NodeId b, const fault::GeParams& params) {
+    loss_field_.degrade_pair(a, b, params);
+  }
+  void heal_link(NodeId a, NodeId b) { loss_field_.heal_pair(a, b); }
 
   [[nodiscard]] const TptStats& stats() const noexcept { return stats_; }
 
@@ -153,10 +167,17 @@ class TptEngine final {
     std::uint64_t last_round_transmitted = ~std::uint64_t{0};
   };
 
+  /// Queues `packet` at its source station; moves from it only on
+  /// acceptance (false: no station state, or the queue is full).
+  bool enqueue(traffic::Packet& packet);
   void poll_traffic();
   void token_step();
   void check_timers();
   void token_arrive();
+  /// Opens the holder's timed-token window (FDDI rules): measures TRT since
+  /// its previous arrival, then arms the synchronous budget H and the
+  /// asynchronous budget THT = max(0, TTRT - TRT).
+  void arm_window(NodeId holder, StationState& st);
   void pass_token();
   void start_claim(NodeId detector);
   void start_rebuild();
@@ -174,6 +195,7 @@ class TptEngine final {
   Tick now_ = 0;
   bool initialised_ = false;
   fault::LinkLossField loss_field_;
+  traffic::SourceSet sources_{seed_, 0x70707070u, config_.queue_capacity};
 
   Tree tree_;
   std::vector<NodeId> tour_;
@@ -201,24 +223,6 @@ class TptEngine final {
 
   std::map<NodeId, StationState> stations_;
   std::map<NodeId, Tick> pending_joins_;  ///< joiner -> request time
-
-  struct BoundSource {
-    traffic::TrafficSource source;
-    NodeId station;
-  };
-  struct BoundSaturated {
-    traffic::SaturatedSource source;
-    NodeId station;
-    std::size_t backlog;
-  };
-  struct BoundTrace {
-    traffic::TraceSource source;
-    NodeId station;
-  };
-  std::vector<BoundSource> sources_;
-  std::vector<BoundSaturated> saturated_;
-  std::vector<BoundTrace> traces_;
-  std::vector<traffic::Packet> scratch_;
 
   bool drop_token_pending_ = false;
 

@@ -87,29 +87,19 @@ void TrafficSource::poll(Tick now, std::vector<Packet>& out) {
   }
 }
 
-std::vector<Packet> SaturatedSource::take(Tick now, std::size_t count) {
-  std::vector<Packet> packets;
-  packets.reserve(count);
-  take_into(now, count, packets);
-  return packets;
-}
-
-void SaturatedSource::take_into(Tick now, std::size_t count,
-                                std::vector<Packet>& out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    Packet packet;
-    packet.flow = spec_.id;
-    packet.cls = spec_.cls;
-    packet.src = spec_.src;
-    packet.dst = spec_.dst;
-    packet.created = now;
-    packet.sequence = sequence_++;
-    packet.deadline = spec_.cls == TrafficClass::kRealTime &&
-                              spec_.deadline_slots > 0
-                          ? now + slots_to_ticks(spec_.deadline_slots)
-                          : kNeverTick;
-    out.push_back(packet);
-  }
+Packet SaturatedSource::next(Tick now) {
+  Packet packet;
+  packet.flow = spec_.id;
+  packet.cls = spec_.cls;
+  packet.src = spec_.src;
+  packet.dst = spec_.dst;
+  packet.created = now;
+  packet.sequence = sequence_++;
+  packet.deadline =
+      spec_.cls == TrafficClass::kRealTime && spec_.deadline_slots > 0
+          ? now + slots_to_ticks(spec_.deadline_slots)
+          : kNeverTick;
+  return packet;
 }
 
 void Sink::record_delivery(const Packet& packet, Tick now) {

@@ -136,13 +136,8 @@ class SaturatedSource {
  public:
   SaturatedSource(FlowSpec spec) : spec_(std::move(spec)) {}
 
-  /// Produces up to `count` packets stamped at `now`.
-  [[nodiscard]] std::vector<Packet> take(Tick now, std::size_t count);
-
-  /// Allocation-free variant: appends the packets to `out` instead of
-  /// returning a fresh vector.  The engine polls saturated sources every
-  /// slot, so topping up a queue must not cost a heap allocation per slot.
-  void take_into(Tick now, std::size_t count, std::vector<Packet>& out);
+  /// The next packet, stamped at `now`.
+  [[nodiscard]] Packet next(Tick now);
 
   [[nodiscard]] const FlowSpec& spec() const noexcept { return spec_; }
 

@@ -32,12 +32,6 @@ util::Status Config::validate() const {
           "k1_assured exceeds a per-station k quota");
     }
   }
-  if (frame_loss_prob < 0.0 || frame_loss_prob >= 1.0 ||
-      sat_loss_prob < 0.0 || sat_loss_prob >= 1.0 ||
-      control_loss_prob < 0.0 || control_loss_prob >= 1.0) {
-    return util::Error::invalid_argument(
-        "loss probabilities must be in [0, 1)");
-  }
   if (const auto status = channel.validate(); !status.ok()) return status;
   if (join_backoff_base_slots < 1) {
     return util::Error::invalid_argument(

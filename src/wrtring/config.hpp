@@ -69,23 +69,17 @@ struct Config {
   /// invariant is checked once and per-hop delivery is direct.
   bool cdma_fidelity = false;
 
-  /// Channel imperfection injection: independent per-hop loss probability
-  /// for data frames, the SAT control signal, and join-handshake control
-  /// messages.  A lost SAT triggers the full Section-2.5 machinery
-  /// (detection, SAT_REC, cut-out), so this models the "control signal can
-  /// be frequently lost" wireless regime the Section-3.3 reaction-time
-  /// comparison worries about.  These scalars are the degenerate i.i.d.
-  /// form of `channel` below: each is folded into the corresponding
-  /// Gilbert–Elliott process when that process is not itself configured.
-  double frame_loss_prob = 0.0;
-  double sat_loss_prob = 0.0;
-  double control_loss_prob = 0.0;
-
-  /// Bursty per-link loss (src/fault/): the default channel imperfection
-  /// model.  Every (purpose, directed link) pair runs an independent
-  /// seeded Gilbert–Elliott chain, so losses are correlated in time but
-  /// independent across links and purposes — and zero draws happen when
-  /// every process is disabled (the digest-preservation contract).
+  /// Channel imperfection injection (src/fault/): per-hop loss for data
+  /// frames, the SAT control signal, and join-handshake control messages.
+  /// A lost SAT triggers the full Section-2.5 machinery (detection,
+  /// SAT_REC, cut-out), so this models the "control signal can be
+  /// frequently lost" wireless regime the Section-3.3 reaction-time
+  /// comparison worries about.  Every (purpose, directed link) pair runs an
+  /// independent seeded Gilbert–Elliott chain, so losses are correlated in
+  /// time but independent across links and purposes — and zero draws
+  /// happen when every process is disabled (the digest-preservation
+  /// contract).  Independent per-hop loss with probability p is
+  /// `channel.data = fault::GeParams::iid(p)` (likewise `sat`, `control`).
   fault::ChannelConfig channel;
 
   /// Lossy-join retry policy (Section 2.4.1 under loss).  A joiner whose

@@ -44,22 +44,9 @@ util::Status Engine::init() {
   fsm_.bind(this, {config_.guard_slots, config_.wtr_slots, config_.wtb_slots,
                    config_.revertive});
 
-  // Channel model: the scalar i.i.d. knobs are the degenerate form of the
-  // per-link Gilbert–Elliott field; each folds in only when the richer
-  // process for that purpose is not configured.  With everything disabled
-  // the field makes zero RNG draws — behaviour is bit-identical to a build
-  // without the fault plane.
-  fault::ChannelConfig channel = config_.channel;
-  if (!channel.data.enabled() && config_.frame_loss_prob > 0.0) {
-    channel.data = fault::GeParams::iid(config_.frame_loss_prob);
-  }
-  if (!channel.sat.enabled() && config_.sat_loss_prob > 0.0) {
-    channel.sat = fault::GeParams::iid(config_.sat_loss_prob);
-  }
-  if (!channel.control.enabled() && config_.control_loss_prob > 0.0) {
-    channel.control = fault::GeParams::iid(config_.control_loss_prob);
-  }
-  link_loss_.configure(channel, seed_);
+  // With every channel process disabled the loss field makes zero RNG
+  // draws — behaviour is bit-identical to a build without the fault plane.
+  link_loss_.configure(config_.channel, seed_);
   auto ring_result =
       config_.members.empty()
           ? ring::build_ring(*topology_)
@@ -155,15 +142,6 @@ void Engine::erase_member(std::size_t position) {
   rebuild_position_index();
 }
 
-template <typename Bound>
-std::int32_t Engine::bound_position(Bound& bound) {
-  if (bound.epoch != membership_epoch_) {
-    bound.position = station_position(bound.station);
-    bound.epoch = membership_epoch_;
-  }
-  return bound.position;
-}
-
 CdmaCode Engine::allocate_code_for(NodeId node) const {
   std::vector<CdmaCode> used;
   for (const NodeId other : cdma::two_hop_neighbors(*topology_, node)) {
@@ -255,117 +233,35 @@ bool Engine::admission_allows(Quota extra) const {
 // Traffic
 // ---------------------------------------------------------------------------
 
-void Engine::add_source(const traffic::FlowSpec& spec) {
-  sources_.push_back(
-      {traffic::TrafficSource(spec, seed_ ^ (0xABCD1234u + spec.id)),
-       spec.src});
+std::optional<std::size_t> Engine::queue_depth(
+    NodeId node, TrafficClass cls) const noexcept {
+  const std::int32_t position = station_position(node);
+  if (position < 0) return std::nullopt;
+  return kernel_.queue_depth(static_cast<std::size_t>(position), cls);
 }
 
-void Engine::add_saturated_source(const traffic::FlowSpec& spec,
-                                  std::size_t backlog) {
-  for (const auto& other : saturated_) {
-    // Two bounds on one station would need a per-position refill *list*;
-    // keep the drained-position fast poll for the common one-bound shape.
-    if (other.station == spec.src) saturated_fast_ok_ = false;
-  }
-  saturated_.push_back({traffic::SaturatedSource(spec), spec.src, backlog});
-  full_poll_pending_ = true;
-}
-
-void Engine::add_trace_source(traffic::Trace trace, FlowId flow, NodeId src,
-                              NodeId dst, std::int64_t deadline_slots) {
-  traces_.push_back(
-      {traffic::TraceSource(std::move(trace), flow, src, dst, deadline_slots),
-       src});
-}
-
-// wrt-lint-allow(by-value-frame-param): deliberate sink, moved into queue
-bool Engine::inject_packet(traffic::Packet packet) {
+bool Engine::enqueue(traffic::Packet& packet) {
   const std::int32_t position = station_position(packet.src);
-  if (position < 0) return false;
-  return kernel_.enqueue(static_cast<std::size_t>(position),
+  return position >= 0 &&
+         kernel_.enqueue(static_cast<std::size_t>(position),
                          std::move(packet));
 }
 
 void Engine::poll_traffic() {
-  for (auto& bound : sources_) {
-    arrival_scratch_.clear();
-    bound.source.poll(now_, arrival_scratch_);
-    if (arrival_scratch_.empty()) continue;
-    const std::int32_t position = bound_position(bound);
-    for (auto& packet : arrival_scratch_) {
-      // enqueue() moves only on acceptance, so a rejected (queue-full)
-      // packet is still intact for drop attribution.
-      if (position < 0 ||
-          !kernel_.enqueue(static_cast<std::size_t>(position),
-                           std::move(packet))) {
-        stats_.sink.record_drop(packet);
-      }
-    }
-  }
-  for (auto& bound : traces_) {
-    arrival_scratch_.clear();
-    bound.source.poll(now_, arrival_scratch_);
-    if (arrival_scratch_.empty()) continue;
-    const std::int32_t position = bound_position(bound);
-    for (auto& packet : arrival_scratch_) {
-      if (position < 0 ||
-          !kernel_.enqueue(static_cast<std::size_t>(position),
-                           std::move(packet))) {
-        stats_.sink.record_drop(packet);
-      }
-    }
-  }
-  if (saturated_.empty()) return;
-  // A saturated bound needs a refill exactly when its queue depth dropped
-  // below the backlog, and the only depth-reducing operation on the data
-  // path is take_for_transmit — which both data-plane regimes record into
-  // drained_positions_.  So after one full pass has verified every bound is
-  // topped up, later slots refill just the drained stations.  Any escape
-  // hatch (membership change, new bound, a refill that could not reach the
-  // backlog, two bounds on one station) re-arms the full pass.
-  if (!saturated_fast_ok_ || full_poll_pending_ ||
-      poll_epoch_ != membership_epoch_) {
+  const auto enqueue = [this](traffic::Packet& packet) {
+    return this->enqueue(packet);
+  };
+  const auto depth = [this](NodeId node, TrafficClass cls) {
+    return queue_depth(node, cls);
+  };
+  sources_.poll(now_, enqueue, stats_.sink);
+  // A membership change can empty a bound's queue without a transmission
+  // (join, cut-out, re-formation), so it re-verifies every bound.
+  if (poll_epoch_ != membership_epoch_) {
     poll_epoch_ = membership_epoch_;
-    position_to_saturated_.assign(ring_.size(), -1);
-    bool all_full = true;
-    for (std::size_t i = 0; i < saturated_.size(); ++i) {
-      auto& bound = saturated_[i];
-      const std::int32_t position32 = bound_position(bound);
-      if (position32 < 0) continue;
-      const auto position = static_cast<std::size_t>(position32);
-      position_to_saturated_[position] = static_cast<std::int32_t>(i);
-      refill_saturated(bound, position);
-      all_full = all_full &&
-                 kernel_.queue_depth(position, bound.source.spec().cls) >=
-                     bound.backlog;
-    }
-    full_poll_pending_ = !all_full;
-    drained_positions_.clear();
-    return;
-  }
-  for (const std::uint32_t position : drained_positions_) {
-    if (position >= position_to_saturated_.size()) continue;
-    const std::int32_t i = position_to_saturated_[position];
-    if (i < 0) continue;
-    auto& bound = saturated_[static_cast<std::size_t>(i)];
-    refill_saturated(bound, position);
-    if (kernel_.queue_depth(position, bound.source.spec().cls) <
-        bound.backlog) {
-      full_poll_pending_ = true;  // queue at capacity: fall back next slot
-    }
-  }
-  drained_positions_.clear();
-}
-
-void Engine::refill_saturated(BoundSaturated& bound, std::size_t position) {
-  const std::size_t depth =
-      kernel_.queue_depth(position, bound.source.spec().cls);
-  if (depth >= bound.backlog) return;
-  arrival_scratch_.clear();
-  bound.source.take_into(now_, bound.backlog - depth, arrival_scratch_);
-  for (auto& packet : arrival_scratch_) {
-    (void)kernel_.enqueue(position, std::move(packet));
+    sources_.top_up_all(now_, depth, enqueue);
+  } else {
+    sources_.top_up_transmitted(now_, depth, enqueue);
   }
 }
 
@@ -474,6 +370,27 @@ void Engine::refresh_hot_caches() {
   cache_stall_epoch_ = stall_epoch_;
 }
 
+inline traffic::Packet Engine::take_injection(
+    std::size_t p, NodeId node, TrafficClass cls,
+    std::uint64_t (&tx_by_class)[3]) {
+  traffic::Packet packet = kernel_.take_for_transmit(p, cls);
+  sources_.note_transmit(node);
+  const double delay = ticks_to_slots_real(now_ - packet.created);
+  stats_.access_delay_slots.add(delay);
+  if (packet.cls == TrafficClass::kRealTime) {
+    stats_.rt_access_delay_slots.add(delay);
+    WRT_BATCH_OBSERVE(telem_batch_, kRtAccessDelaySlots, delay);
+  } else {
+    WRT_BATCH_OBSERVE(telem_batch_, kBeAccessDelaySlots, delay);
+  }
+  ++tx_by_class[static_cast<std::size_t>(packet.cls)];
+  journal_record(node, telemetry::JournalKind::kTransmit,
+                 static_cast<std::uint32_t>(packet.cls),
+                 static_cast<std::uint64_t>(now_ - packet.created));
+  ++stats_.data_transmissions;
+  return packet;
+}
+
 void Engine::data_plane_step() {
   const std::size_t R = ring_.size();
   if (R == 0) return;
@@ -564,24 +481,7 @@ void Engine::data_plane_step() {
       ++transit_now;
     } else if (injection_allowed && active_cache_[p]) {
       if (const auto cls = kernel_.eligible_class(p)) {
-        traffic::Packet packet = kernel_.take_for_transmit(p, *cls);
-        if (!saturated_.empty()) {
-          drained_positions_.push_back(static_cast<std::uint32_t>(p));
-        }
-        const double delay = ticks_to_slots_real(now_ - packet.created);
-        stats_.access_delay_slots.add(delay);
-        if (packet.cls == TrafficClass::kRealTime) {
-          stats_.rt_access_delay_slots.add(delay);
-          WRT_BATCH_OBSERVE(telem_batch_, kRtAccessDelaySlots, delay);
-        } else {
-          WRT_BATCH_OBSERVE(telem_batch_, kBeAccessDelaySlots, delay);
-        }
-        ++tx_by_class[static_cast<std::size_t>(packet.cls)];
-        journal_record(order[p], telemetry::JournalKind::kTransmit,
-                       static_cast<std::uint32_t>(packet.cls),
-                       static_cast<std::uint64_t>(now_ - packet.created));
-        ++stats_.data_transmissions;
-        inject_scratch.packet = std::move(packet);
+        inject_scratch.packet = take_injection(p, order[p], *cls, tx_by_class);
         inject_scratch.entered_ring = now_;
         inject_scratch.hops = 0;
         inject_scratch.busy = true;
@@ -778,23 +678,8 @@ void Engine::fast_data_plane_step() {
           bits[w] &= ~(std::uint64_t{1} << (p & 63));
           continue;
         }
-        traffic::Packet packet = kernel_.take_for_transmit(p, *cls);
-        if (!saturated_.empty()) {
-          drained_positions_.push_back(static_cast<std::uint32_t>(p));
-        }
-        const double delay = ticks_to_slots_real(now_ - packet.created);
-        stats_.access_delay_slots.add(delay);
-        if (packet.cls == TrafficClass::kRealTime) {
-          stats_.rt_access_delay_slots.add(delay);
-          WRT_BATCH_OBSERVE(telem_batch_, kRtAccessDelaySlots, delay);
-        } else {
-          WRT_BATCH_OBSERVE(telem_batch_, kBeAccessDelaySlots, delay);
-        }
-        ++tx_by_class[static_cast<std::size_t>(packet.cls)];
-        journal_record(order[p], telemetry::JournalKind::kTransmit,
-                       static_cast<std::uint32_t>(packet.cls),
-                       static_cast<std::uint64_t>(now_ - packet.created));
-        ++stats_.data_transmissions;
+        traffic::Packet packet =
+            take_injection(p, order[p], *cls, tx_by_class);
         const std::int32_t pd = station_position(packet.dst);
         LinkFrame& slot = kernel_.link_slots_[c];
         slot.packet = std::move(packet);
@@ -1518,22 +1403,6 @@ void Engine::resume_station(NodeId node) {
     rejoin.quota = config_.default_quota;
     rejoin.requested_at = now_;
     pending_joins_[node] = std::move(rejoin);
-  }
-}
-
-void Engine::degrade_link(NodeId a, NodeId b, const fault::GeParams& params) {
-  for (std::size_t i = 0; i < fault::kLossPurposeCount; ++i) {
-    const auto purpose = static_cast<fault::LossPurpose>(i);
-    link_loss_.set_link_params(purpose, a, b, params);
-    link_loss_.set_link_params(purpose, b, a, params);
-  }
-}
-
-void Engine::heal_link(NodeId a, NodeId b) {
-  for (std::size_t i = 0; i < fault::kLossPurposeCount; ++i) {
-    const auto purpose = static_cast<fault::LossPurpose>(i);
-    link_loss_.clear_link_params(purpose, a, b);
-    link_loss_.clear_link_params(purpose, b, a);
   }
 }
 

@@ -33,14 +33,15 @@
 // and the ring order together and then refreshes `position_index_`
 // (NodeId -> position, -1 when not a member), which serves the by-NodeId
 // control-plane accessors.  `membership_epoch_` increments on each such
-// change; traffic sources cache their station's position keyed by the
-// epoch, and the per-position liveness/reachability caches are keyed by
-// (topology version, membership epoch, stall epoch), so steady-state
-// stepping is lookup-free.
+// change.  Traffic reaches its station's queues through `position_index_`
+// (one vector index), and the per-position liveness/reachability caches are
+// keyed by (topology version, membership epoch, stall epoch), so
+// steady-state stepping does no associative lookup.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cdma/channel.hpp"
@@ -53,6 +54,7 @@
 #include "sim/stats.hpp"
 #include "telemetry/journal.hpp"
 #include "telemetry/metrics.hpp"
+#include "traffic/source_set.hpp"
 #include "traffic/trace.hpp"
 #include "traffic/traffic.hpp"
 #include "util/flat_map.hpp"
@@ -156,22 +158,31 @@ class WRT_SHARD_CONFINED Engine final {
   // -- traffic ------------------------------------------------------------
 
   /// Attaches a stochastic source; packets arrive at spec.src's queues.
-  void add_source(const traffic::FlowSpec& spec);
+  void add_source(const traffic::FlowSpec& spec) { sources_.add_source(spec); }
 
   /// Attaches an always-backlogged source at spec.src (keeps the class
-  /// queue topped up to `backlog` packets every slot).
+  /// queue topped up to min(backlog, queue_capacity) packets every slot).
   void add_saturated_source(const traffic::FlowSpec& spec,
-                            std::size_t backlog = 4);
+                            std::size_t backlog = 4) {
+    sources_.add_saturated_source(spec, backlog);
+  }
 
   /// Replays a recorded/synthetic trace (video GOPs, voice spurts, ...) as
   /// one flow from `src` to `dst`.
   void add_trace_source(traffic::Trace trace, FlowId flow, NodeId src,
-                        NodeId dst, std::int64_t deadline_slots = 0);
+                        NodeId dst, std::int64_t deadline_slots = 0) {
+    sources_.add_trace_source(std::move(trace), flow, src, dst,
+                              deadline_slots);
+  }
 
   /// Direct injection for tests; returns false if the queue is full or the
   /// station is not in the ring.
   // wrt-lint-allow(by-value-frame-param): deliberate sink, moved into queue
-  bool inject_packet(traffic::Packet packet);
+  bool inject_packet(traffic::Packet packet) { return enqueue(packet); }
+
+  /// Depth of `node`'s class queue; nullopt when `node` is not a member.
+  [[nodiscard]] std::optional<std::size_t> queue_depth(
+      NodeId node, TrafficClass cls) const noexcept;
 
   // -- execution ----------------------------------------------------------
 
@@ -231,10 +242,12 @@ class WRT_SHARD_CONFINED Engine final {
   /// Overrides the Gilbert–Elliott loss process on the (undirected) link
   /// a <-> b for every purpose — data frames, SAT hops, and control
   /// messages all degrade together, as a fading radio link would.
-  void degrade_link(NodeId a, NodeId b, const fault::GeParams& params);
+  void degrade_link(NodeId a, NodeId b, const fault::GeParams& params) {
+    link_loss_.degrade_pair(a, b, params);
+  }
 
   /// Removes a degrade_link override; the link reverts to channel defaults.
-  void heal_link(NodeId a, NodeId b);
+  void heal_link(NodeId a, NodeId b) { link_loss_.heal_pair(a, b); }
 
   // -- operator-forced protection switching (RecoveryFsm, DESIGN.md §14) ----
 
@@ -509,10 +522,14 @@ class WRT_SHARD_CONFINED Engine final {
   void insert_member(NodeId ingress, NodeId joiner, Quota quota);
   /// Removes the member at `position` from the ring and all kernel columns.
   void erase_member(std::size_t position);
-  /// Cached ring position for a bound traffic source (epoch-validated);
-  /// -1 when the source's station is not a member.
-  template <typename Bound>
-  [[nodiscard]] std::int32_t bound_position(Bound& bound);
+  /// Queues `packet` at its source station; moves from it only on
+  /// acceptance (false: not a member, or the class queue is full).
+  bool enqueue(traffic::Packet& packet);
+  /// Send-algorithm injection bookkeeping shared by both data-plane
+  /// regimes: pops the head packet of `cls` at position p and records its
+  /// access delay, journal entry, per-class count and the drained station.
+  traffic::Packet take_injection(std::size_t p, NodeId node, TrafficClass cls,
+                                 std::uint64_t (&tx_by_class)[3]);
 
   phy::Topology* topology_;
   Config config_;
@@ -564,15 +581,10 @@ class WRT_SHARD_CONFINED Engine final {
   std::uint64_t fast_membership_epoch_ = 0;
   std::uint64_t fast_stall_epoch_ = 0;
 
-  // Saturated-source fast poll: a bound needs a refill only after its
-  // station transmitted, so the data plane records drained positions and
-  // poll_traffic() visits just those — after one full pass has verified
-  // every bound is topped up (and falls back whenever that base case or the
-  // position map goes stale).
-  std::vector<std::uint32_t> drained_positions_;
-  std::vector<std::int32_t> position_to_saturated_;
-  bool full_poll_pending_ = true;
-  bool saturated_fast_ok_ = true;  ///< false: two bounds share a station
+  // Traffic.  The data plane notes each transmitting station in sources_,
+  // so poll_traffic() refills just those saturated bounds; a membership
+  // change (poll_epoch_ lagging membership_epoch_) refills every bound.
+  traffic::SourceSet sources_{seed_, 0xABCD1234u, config_.queue_capacity};
   std::uint64_t poll_epoch_ = 0;
 
   // SAT state.
@@ -595,35 +607,6 @@ class WRT_SHARD_CONFINED Engine final {
 
   // Joins.  Sorted by NodeId (deterministic NEXT_FREE scan order).
   util::FlatMap<NodeId, PendingJoin> pending_joins_;
-
-  // Traffic.  Each bound source caches its station's ring position keyed by
-  // membership_epoch_, so steady-state polling performs no lookups.
-  struct BoundSource {
-    traffic::TrafficSource source;
-    NodeId station;
-    std::int32_t position = -1;
-    std::uint64_t epoch = 0;
-  };
-  struct BoundSaturated {
-    traffic::SaturatedSource source;
-    NodeId station;
-    std::size_t backlog;
-    std::int32_t position = -1;
-    std::uint64_t epoch = 0;
-  };
-  struct BoundTrace {
-    traffic::TraceSource source;
-    NodeId station;
-    std::int32_t position = -1;
-    std::uint64_t epoch = 0;
-  };
-  /// Tops the bound's class queue back up to its backlog.
-  void refill_saturated(BoundSaturated& bound, std::size_t position);
-
-  std::vector<BoundSource> sources_;
-  std::vector<BoundSaturated> saturated_;
-  std::vector<BoundTrace> traces_;
-  std::vector<traffic::Packet> arrival_scratch_;
 
   // Fault plane.  link_loss_ owns every loss draw (per purpose, per
   // directed link); stalled_ is indexed by NodeId and grown on demand.

@@ -21,17 +21,19 @@
 #include "aloha/engine.hpp"
 #include "fault/gilbert_elliott.hpp"
 #include "phy/topology.hpp"
+#include "tests/mixed_sources.hpp"
 
 namespace wrt::aloha {
 namespace {
 
-enum class Mode { kClean, kChurn, kFault };
+enum class Mode { kClean, kChurn, kFault, kMixed };
 
 const char* mode_name(Mode mode) {
   switch (mode) {
     case Mode::kClean: return "clean";
     case Mode::kChurn: return "churn";
     case Mode::kFault: return "fault";
+    case Mode::kMixed: return "mixed";
   }
   return "?";
 }
@@ -76,7 +78,24 @@ std::string engine_digest(const AlohaEngine& engine) {
   return digest;
 }
 
+/// Every source kind at once (tests/mixed_sources.hpp), with a kill so the
+/// alive check on the traffic path is exercised too.
+std::string mixed_digest(std::size_t n) {
+  phy::Topology topology = room(n);
+  AlohaConfig config;
+  config.queue_capacity = 8;
+  AlohaEngine engine(&topology, config, /*seed=*/7);
+  if (!engine.init().ok()) return "init-failed";
+  test_fixtures::attach_mixed_sources(engine, n, /*horizon_slots=*/2048);
+  engine.run_slots(1024);
+  engine.kill_station(2);
+  engine.run_slots(1024);
+  return engine_digest(engine) +
+         test_fixtures::flow_digest(engine.stats().sink);
+}
+
 std::string scenario_digest(std::size_t n, Mode mode) {
+  if (mode == Mode::kMixed) return mixed_digest(n);
   phy::Topology topology = room(n);
   AlohaConfig config;
   if (mode == Mode::kFault) {
@@ -141,6 +160,9 @@ constexpr Cell kExpected[] = {
      "tx=2650;ok=1160;coll_slots=634;coll_frames=1477;fades=0;unreach=13;retry_drops=0;idle=762;busy=1798;delivered=1160;rt_del=764;be_del=396;rt_miss=318;delay=408568;rt_delay=426294;tries=2083;invariants_ok=1;"},
     {32, Mode::kFault,
      "tx=2515;ok=1167;coll_slots=568;coll_frames=1329;fades=19;unreach=0;retry_drops=0;idle=806;busy=1754;delivered=1167;rt_del=558;be_del=609;rt_miss=248;delay=451461;rt_delay=522865;tries=1941;invariants_ok=1;"},
+    // Recorded before the engines moved onto traffic::SourceSet.
+    {16, Mode::kMixed,
+     "tx=1871;ok=894;coll_slots=435;coll_frames=976;fades=0;unreach=1;retry_drops=0;idle=719;busy=1329;delivered=894;rt_del=637;be_del=148;rt_miss=184;delay=163735;rt_delay=130743;tries=2003;invariants_ok=1;flows=5050dd012764e480;"},
 };
 
 class AlohaDigest : public ::testing::TestWithParam<Cell> {};

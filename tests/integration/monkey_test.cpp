@@ -28,7 +28,7 @@ TEST_P(MonkeyTest, RandomOperationSoup) {
   Config config;
   config.rap_policy = RapPolicy::kRotating;
   config.auto_rejoin = true;
-  config.frame_loss_prob = 0.01;
+  config.channel.data = fault::GeParams::iid(0.01);
   Engine engine(&topology, config, seed);
   ASSERT_TRUE(engine.init().ok());
   for (NodeId n = 0; n < kN; ++n) {

@@ -64,12 +64,12 @@ TEST(ConfigValidate, SplitCheckedAgainstPerStationQuotas) {
 
 TEST(ConfigValidate, LossProbabilityRange) {
   Config config;
-  config.frame_loss_prob = 1.0;
+  config.channel.data = fault::GeParams::iid(1.0);
   EXPECT_FALSE(config.validate().ok());
-  config.frame_loss_prob = -0.1;
+  config.channel.data = fault::GeParams::iid(-0.1);
   EXPECT_FALSE(config.validate().ok());
-  config.frame_loss_prob = 0.5;
-  config.sat_loss_prob = 0.999;
+  config.channel.data = fault::GeParams::iid(0.5);
+  config.channel.sat = fault::GeParams::iid(0.999);
   EXPECT_TRUE(config.validate().ok());
 }
 

@@ -78,7 +78,7 @@ TEST(Determinism, FixedSeedRunsAreBitIdentical) {
     h.engine.add_source(be_flow(4, 9, 12, /*rate_per_slot=*/0.2));
   };
   Config config;
-  config.frame_loss_prob = 0.01;  // exercise the RNG path too
+  config.channel.data = fault::GeParams::iid(0.01);  // exercise the RNG path
   Harness a(12, config, /*seed=*/7);
   Harness b(12, config, /*seed=*/7);
   build(a);

@@ -157,7 +157,7 @@ TEST(FaultPlane, UnusedControlLossIsAPerfectNoOp) {
 }
 
 /// Data loss must never touch the SAT recovery machinery — the bursty
-/// channel analogue of the legacy frame_loss_prob guarantee.
+/// analogue of LossyChannel.FrameLossDoesNotTouchTheSat (i.i.d. loss).
 TEST(FaultPlane, BurstyDataLossDoesNotTouchTheSat) {
   Config config;
   config.channel.data = fault::GeParams::bursty(0.3, 16.0);
@@ -169,26 +169,6 @@ TEST(FaultPlane, BurstyDataLossDoesNotTouchTheSat) {
   EXPECT_GT(h.engine.stats().frames_lost_link, 0u);
   EXPECT_EQ(h.engine.stats().sat_losses_detected, 0u);
   EXPECT_EQ(h.engine.stats().ring_rebuilds, 0u);
-}
-
-/// Legacy scalar knobs remain the degenerate i.i.d. case of the channel.
-TEST(FaultPlane, ScalarKnobsFoldIntoTheChannel) {
-  const auto run = [](Config config) {
-    Harness h(8, config, 17);
-    for (NodeId n = 0; n < 8; ++n) {
-      h.engine.add_source(rt_flow(n, n, 8, 16.0));
-    }
-    h.engine.run_slots(10000);
-    return std::tuple{h.engine.stats().frames_lost_link,
-                      h.engine.stats().sat_losses_detected};
-  };
-  Config scalars;
-  scalars.frame_loss_prob = 0.1;
-  scalars.sat_loss_prob = 0.002;
-  Config channel;
-  channel.channel.data = fault::GeParams::iid(0.1);
-  channel.channel.sat = fault::GeParams::iid(0.002);
-  EXPECT_EQ(run(scalars), run(channel));
 }
 
 TEST(FaultPlane, AccountingIdentityHoldsUnderBurstyLossAndChurn) {

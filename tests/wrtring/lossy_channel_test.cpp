@@ -14,7 +14,7 @@ using testing::rt_flow;
 
 TEST(LossyChannel, FrameLossReducesDeliveries) {
   Config lossy;
-  lossy.frame_loss_prob = 0.2;
+  lossy.channel.data = fault::GeParams::iid(0.2);
   Harness clean(8, Config{}, 3);
   Harness noisy(8, lossy, 3);
   for (NodeId n = 0; n < 8; ++n) {
@@ -30,7 +30,7 @@ TEST(LossyChannel, FrameLossReducesDeliveries) {
 
 TEST(LossyChannel, FrameLossDoesNotTouchTheSat) {
   Config lossy;
-  lossy.frame_loss_prob = 0.3;
+  lossy.channel.data = fault::GeParams::iid(0.3);
   Harness h(8, lossy, 3);
   for (NodeId n = 0; n < 8; ++n) {
     h.engine.add_source(rt_flow(n, n, 8, 16.0));
@@ -42,7 +42,8 @@ TEST(LossyChannel, FrameLossDoesNotTouchTheSat) {
 
 TEST(LossyChannel, SatLossTriggersRepeatedRecoveries) {
   Config config;
-  config.sat_loss_prob = 0.002;  // roughly one loss per ~60 rounds (N=8)
+  // Roughly one loss per ~60 rounds (N=8).
+  config.channel.sat = fault::GeParams::iid(0.002);
   Harness h(8, config, 7);
   h.engine.run_slots(30000);
   const auto& stats = h.engine.stats();
@@ -75,7 +76,7 @@ TEST(LossyChannel, AutoRejoinKeepsLossyRingPopulated) {
   Config config;
   config.rap_policy = RapPolicy::kRotating;
   config.auto_rejoin = true;
-  config.sat_loss_prob = 0.001;
+  config.channel.sat = fault::GeParams::iid(0.001);
   Harness h(8, config, 11);
   h.engine.run_slots(60000);
   // Losses happened, cut-outs happened, rejoins happened — and the ring is
@@ -87,8 +88,8 @@ TEST(LossyChannel, AutoRejoinKeepsLossyRingPopulated) {
 
 TEST(LossyChannel, DeterministicGivenSeed) {
   Config config;
-  config.frame_loss_prob = 0.1;
-  config.sat_loss_prob = 0.001;
+  config.channel.data = fault::GeParams::iid(0.1);
+  config.channel.sat = fault::GeParams::iid(0.001);
   const auto run = [&](std::uint64_t seed) {
     Harness h(8, config, seed);
     for (NodeId n = 0; n < 8; ++n) {

@@ -271,7 +271,7 @@ TEST(MultiRing, RingSeedIsAnchoredOnMembershipNotDiscoveryOrder) {
   world_b.insert(world_b.end(), circle.begin(), circle.end());
 
   Config config;
-  config.frame_loss_prob = 0.05;  // make the RNG stream observable
+  config.channel.data = fault::GeParams::iid(0.05);  // observable RNG stream
 
   const auto run = [&](const std::vector<phy::Vec2>& positions) {
     phy::Topology topology(positions, phy::RadioParams{chord * 2.2, 0.0});

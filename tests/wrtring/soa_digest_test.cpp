@@ -22,18 +22,20 @@
 
 #include "fault/gilbert_elliott.hpp"
 #include "phy/topology.hpp"
+#include "tests/mixed_sources.hpp"
 #include "wrtring/engine.hpp"
 
 namespace wrt::wrtring {
 namespace {
 
-enum class Mode { kClean, kChurn, kFault };
+enum class Mode { kClean, kChurn, kFault, kMixed };
 
 const char* mode_name(Mode mode) {
   switch (mode) {
     case Mode::kClean: return "clean";
     case Mode::kChurn: return "churn";
     case Mode::kFault: return "fault";
+    case Mode::kMixed: return "mixed";
   }
   return "?";
 }
@@ -112,7 +114,26 @@ std::string engine_digest(Engine& engine) {
   return digest;
 }
 
+/// Every source kind at once (tests/mixed_sources.hpp).  The two saturated
+/// bounds on station 2 keep the saturated top-up on its full pass; the kill
+/// moves every later station's ring position under its sources.
+std::string mixed_digest(std::size_t n) {
+  phy::Topology topology = circle_room(n);
+  Config config;
+  config.sat_timeout_slots = static_cast<std::int64_t>(4 * n + 64);
+  config.queue_capacity = 8;
+  Engine engine(&topology, config, /*seed=*/7);
+  test_fixtures::attach_mixed_sources(engine, n, /*horizon_slots=*/2048);
+  if (!engine.init().ok()) return "init-failed";
+  engine.run_slots(1024);
+  engine.kill_station(engine.virtual_ring().station_at(9));
+  engine.run_slots(1024);
+  return engine_digest(engine) +
+         test_fixtures::flow_digest(engine.stats().sink);
+}
+
 std::string scenario_digest(std::size_t n, Mode mode) {
+  if (mode == Mode::kMixed) return mixed_digest(n);
   phy::Topology topology = circle_room(n);
   Config config;
   // Explicit SAT timeout: keeps the cut-out recovery length O(n) rather
@@ -197,6 +218,8 @@ constexpr Cell kExpected[] = {
      "ring=4095;rounds=4;hops=9789;tx=12860;transit=21585903;delivered=7729;lost_link=3083;lost_teardown=0;stale=0;rt_del=5153;as_del=0;be_del=2576;joins=0;leaves=0;recoveries=0;losses_detected=0;rebuilds=1;raps=0;ctrl_lost=0;qdrops=0;delay=12572769;rt_delay=12569653;rotation=4095006;hold=0;util=153;invariants_ok=1;"},
     {4096, Mode::kFault,
      "ring=4095;rounds=5;hops=17983;tx=22056;transit=471249;delivered=0;lost_link=22009;lost_teardown=22;stale=0;rt_del=0;as_del=0;be_del=0;joins=0;leaves=0;recoveries=1;losses_detected=1;rebuilds=0;raps=0;ctrl_lost=0;qdrops=0;delay=19102373;rt_delay=19102583;rotation=4627023;hold=0;util=3;invariants_ok=1;"},
+    // Recorded before the engines moved onto traffic::SourceSet.
+    {32, Mode::kMixed, "ring=31;rounds=60;hops=1871;tx=1807;transit=26003;delivered=1742;lost_link=27;lost_teardown=17;stale=10;rt_del=1133;as_del=270;be_del=339;joins=0;leaves=0;recoveries=1;losses_detected=1;rebuilds=0;raps=0;ctrl_lost=0;qdrops=759;delay=123622;rt_delay=164474;rotation=34352;hold=14000;util=430;invariants_ok=1;flows=58be02bfbef1e764;"},
 };
 
 class SoaDigest : public ::testing::TestWithParam<Cell> {};

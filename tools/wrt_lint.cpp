@@ -126,6 +126,7 @@ struct LintContext {
 const std::vector<std::string> kHotPathFiles = {
     "wrtring/engine.hpp", "wrtring/engine.cpp", "wrtring/station.hpp",
     "wrtring/station.cpp", "traffic/traffic.hpp", "traffic/traffic.cpp",
+    "traffic/source_set.hpp", "traffic/source_set.cpp",
     "ring/frame.hpp",      "ring/frame.cpp"};
 
 // Files implementing the slot-kernel passes: all per-station state must be
