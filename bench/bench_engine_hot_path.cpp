@@ -2,7 +2,8 @@
 //
 // Measures steady-state slot throughput of the position-indexed engine on
 // the 32-station reference ring (the restructure's acceptance criterion is
-// >= 2x over the map-indexed baseline), plus the membership-churn path that
+// >= 2x over the map-indexed baseline), the same load over a lossy channel
+// (the data plane's per-hop visit), plus the membership-churn path that
 // exercises the dense-vector repack.
 //
 // `--digest` runs a fixed-seed 32-station scenario instead and prints the
@@ -17,6 +18,7 @@
 #include "analysis/bounds.hpp"
 #include "bench/bench_common.hpp"
 #include "bench/bench_gbench.hpp"
+#include "fault/gilbert_elliott.hpp"
 #include "wrtring/engine.hpp"
 
 namespace wrt {
@@ -58,6 +60,25 @@ BENCHMARK(BM_HotPathSteadyState)
     ->Arg(256)
     ->Arg(1024)
     ->Arg(4096);
+
+/// Steady state over a bursty lossy channel: each slot makes one loss draw
+/// per frame on a link, the per-hop work the data plane's rotation calendar
+/// cannot schedule ahead.
+void BM_HotPathLossy(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  phy::Topology topology = bench::ring_room(n);
+  wrtring::Config config;
+  config.channel.data = fault::GeParams::bursty(0.001, 8.0);
+  wrtring::Engine engine(&topology, config, 1);
+  if (!saturate_engine(engine, n)) {
+    state.SkipWithError("init failed");
+    return;
+  }
+  engine.run_slots(256);
+  for (auto _ : state) engine.step();
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_HotPathLossy)->Arg(32)->Arg(1024);
 
 /// Mixed CBR + Poisson load (the common experiment shape) rather than full
 /// saturation: stresses poll_traffic()'s bound-source cache.

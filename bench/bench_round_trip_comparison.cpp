@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
     for (const std::int64_t t_sig : {1, 2, 4}) {
       phy::Topology ring_topology = bench::ring_room(n);
       wrtring::Config ring_config;
-      ring_config.hop_latency_slots = 1;
       ring_config.sat_hop_latency_slots = t_sig;
       wrtring::Engine ring(&ring_topology, ring_config, 1);
       if (!ring.init().ok()) return 1;

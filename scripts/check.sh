@@ -229,7 +229,7 @@ echo "== engine hot-path smoke =="
 # Fixed-seed behaviour digest (deterministic) + a short throughput sample.
 build/bench/bench_engine_hot_path --digest
 build/bench/bench_engine_hot_path --benchmark_min_time=0.05 \
-  --benchmark_filter='BM_HotPathSteadyState/32' > /dev/null
+  --benchmark_filter='BM_HotPathSteadyState/32|BM_HotPathLossy/32' > /dev/null
 
 echo "== benches =="
 for b in build/bench/bench_*; do

@@ -141,11 +141,10 @@ void InvariantAuditor::check_ring_lockstep(Details& out) const {
                   std::to_string(k.last_sat_arrival_.size()));
     return;  // positional comparison below would be meaningless
   }
-  if (k.link_columns() != R || k.transit_.size() != R) {
-    out.push_back("link structures out of lockstep with ring: ring=" +
+  if (k.link_columns() != R) {
+    out.push_back("link columns out of lockstep with ring: ring=" +
                   std::to_string(R) + " links=" +
-                  std::to_string(k.link_columns()) + " transit=" +
-                  std::to_string(k.transit_.size()));
+                  std::to_string(k.link_columns()));
   }
   for (std::size_t p = 0; p < R; ++p) {
     const NodeId expected = e.ring_.station_at(p);
@@ -209,7 +208,7 @@ void InvariantAuditor::check_single_sat(Details& out) const {
                       std::to_string(e.sat_arrival_tick_) +
                       " is in the past (now=" + std::to_string(e.now_) + ")");
       } else if (e.sat_arrival_tick_ - e.now_ >
-                 slots_to_ticks(e.config_.effective_sat_hop_latency())) {
+                 slots_to_ticks(e.config_.sat_hop_latency_slots)) {
         out.push_back("SAT arrival tick " +
                       std::to_string(e.sat_arrival_tick_) +
                       " is further out than one hop latency");
@@ -285,43 +284,34 @@ void InvariantAuditor::check_quota_conservation(Details& out) const {
 
 void InvariantAuditor::check_link_pipeline(Details& out) const {
   const wrtring::Engine& e = engine_;
-  // Frame hops/arrival fields lag behind the engine's rotation fast regime;
-  // materialize them before reading (no-op outside that regime).
-  e.sync_frame_view();
   const wrtring::SlotKernel& k = e.kernel_;
-  const auto depth = static_cast<std::size_t>(e.config_.hop_latency_slots);
-  // The depth is one shared column attribute in the SoA layout, but the
-  // per-link message shape is kept for continuity with recorded violations.
-  for (std::size_t p = 0; p < k.link_columns(); ++p) {
-    if (k.link_depth() != depth) {
-      out.push_back("link " + std::to_string(p) + " pipeline depth " +
-                    std::to_string(k.link_depth()) + " != hop latency " +
-                    std::to_string(depth));
-    }
-    if (k.link_size(p) > k.link_depth()) {
-      out.push_back("link " + std::to_string(p) + " overfull: " +
-                    std::to_string(k.link_size(p)) + " frames in depth " +
-                    std::to_string(k.link_depth()));
-    }
-    if (!k.link_empty(p)) {
-      if (!k.link_front(p).busy) {
-        out.push_back("link " + std::to_string(p) +
-                      " front frame is not marked busy");
-      } else if (k.link_front(p).arrival < e.now_) {
-        out.push_back("link " + std::to_string(p) +
-                      " front frame arrival " +
-                      std::to_string(k.link_front(p).arrival) +
-                      " is in the past (now=" + std::to_string(e.now_) + ")");
+  // The rotation calendar ends every flight at exactly one scheduled
+  // arrival.  Entries left behind by frames lost to a channel draw carry a
+  // tag their column no longer holds and do not count.
+  std::vector<std::uint32_t> pending(k.link_columns(), 0);
+  for (const auto& bucket : e.calendar_) {
+    for (const auto& event : bucket) {
+      if (event.column < pending.size() &&
+          k.link_tag_[event.column] == event.tag) {
+        ++pending[event.column];
       }
     }
   }
-  // Transit registers are filled and drained within the same slot; a busy
-  // one between slots means a frame was parked and never forwarded.
-  for (std::size_t p = 0; p < k.transit_.size(); ++p) {
-    if (k.transit_[p].busy) {
-      out.push_back("transit register " + std::to_string(p) +
-                    " busy between slots");
+  std::uint64_t occupied = 0;
+  for (std::size_t p = 0; p < k.link_columns(); ++p) {
+    const std::size_t c = k.link_col(p);
+    if (k.link_tag_[c] == 0) continue;
+    ++occupied;
+    if (pending[c] != 1) {
+      out.push_back("link " + std::to_string(p) + " carries a frame with " +
+                    std::to_string(pending[c]) +
+                    " pending terminal events (expected 1)");
     }
+  }
+  if (occupied != e.in_flight_) {
+    out.push_back("engine counts " + std::to_string(e.in_flight_) +
+                  " frames in flight but " + std::to_string(occupied) +
+                  " link columns are occupied");
   }
 }
 

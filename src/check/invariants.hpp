@@ -1,7 +1,7 @@
 // Runtime protocol-invariant auditor.
 //
-// PR 1 made the engine hot path position-indexed and documented its
-// structural invariants (dense vectors in lockstep with the ring order, a
+// The engine hot path is position-indexed, with documented structural
+// invariants (dense vectors in lockstep with the ring order, a
 // NodeId->position bijection, epoch-keyed caches); the paper's Section 2.6
 // worst-case analysis additionally gives *analytic oracles* — Theorem 1
 // (Eq 1) bounds every SAT rotation, Theorem 2 (Eq 3) every n-rotation span
@@ -9,7 +9,7 @@
 // This module turns both into a registry of named, individually reportable
 // checks that run against a live Engine:
 //
-//   ring-lockstep       stations_/control_/links_/transit_regs_ sized and
+//   ring-lockstep       station, control and link columns sized and
 //                       ordered exactly like the virtual ring
 //   position-bijection  NodeId -> position index is a bijection onto the
 //                       current members
@@ -20,9 +20,10 @@
 //                       dangles on a departed station
 //   quota-conservation  per-round RT_PCK/NRT_PCK counters within (l, k),
 //                       Diffserv split within k, deliveries <= transmissions
-//   link-pipeline       per-link FIFO depth bounded by the hop latency, no
-//                       in-flight frame with an arrival in the past, no
-//                       transit register left busy between slots
+//   link-pipeline       every occupied link column has exactly one pending
+//                       terminal event in the rotation calendar, and the
+//                       engine's in-flight count equals the number of
+//                       occupied columns
 //   theorem1-oracle     observed SAT inter-arrival < Eq (1) bound (strict)
 //   theorem2-oracle     every window of n rotations <= Eq (3) bound
 //   guard_no_stale_rec  RecoveryFsm never starts a recovery inside its own

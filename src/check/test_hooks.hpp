@@ -102,10 +102,12 @@ struct EngineTestHook {
   }
 
   // --- link-pipeline ------------------------------------------------------
-  /// Parks a phantom frame in a transit register between slots.
-  static void mark_transit_busy(wrtring::Engine& engine,
-                                std::size_t position) {
-    engine.kernel_.transit_[position].busy = true;
+  /// Puts a phantom frame on link `position`: an occupied column with no
+  /// pending terminal event, outside the engine's in-flight count.
+  static void phantom_link_frame(wrtring::Engine& engine,
+                                 std::size_t position) {
+    wrtring::SlotKernel& k = engine.kernel_;
+    (void)k.occupy(k.link_col(position), traffic::Packet{}, engine.now_);
   }
 
   // --- theorem1-oracle / theorem2-oracle ----------------------------------

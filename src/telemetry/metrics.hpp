@@ -38,7 +38,8 @@ enum class CounterId : std::uint16_t {
   kTxBestEffort,          ///< local injections, best-effort (k2 share)
   kTransitForwards,       ///< frames forwarded in transit
   kDeliveries,            ///< frames absorbed by their destination
-  kFramesLost,            ///< frames dropped on a broken/lossy hop
+  kFramesLost,            ///< lost on a hop: silent station, unreachable
+                          ///< hop, or channel loss (frames_lost_link)
   kFramesLostRebuild,     ///< in-flight frames discarded by a teardown
   kFramesLostChurn,       ///< in-flight frames discarded by a join update
   kControlMsgsLost,       ///< lost NEXT_FREE / JOIN_REQ / JOIN_ACK

@@ -3,12 +3,8 @@
 namespace wrt::wrtring {
 
 util::Status Config::validate() const {
-  if (hop_latency_slots < 1) {
-    return util::Error::invalid_argument("hop_latency_slots must be >= 1");
-  }
-  if (sat_hop_latency_slots < 0) {
-    return util::Error::invalid_argument(
-        "sat_hop_latency_slots must be >= 0 (0 = inherit)");
+  if (sat_hop_latency_slots < 1) {
+    return util::Error::invalid_argument("sat_hop_latency_slots must be >= 1");
   }
   if (rap_policy != RapPolicy::kDisabled) {
     // The earing phase must fit the NEXT_FREE / JOIN_REQ / JOIN_ACK

@@ -35,10 +35,10 @@ struct Config {
   /// k1 = 0 disables the split (plain two-class WRT-Ring).
   std::uint32_t k1_assured = 0;
 
-  /// Data-frame per-hop latency in slots (>= 1).  The SAT inherits this
-  /// unless `sat_hop_latency_slots` > 0.  Ring latency S = N * hop latency.
-  std::int64_t hop_latency_slots = 1;
-  std::int64_t sat_hop_latency_slots = 0;  ///< 0 = same as hop_latency_slots
+  /// SAT per-hop latency in slots (>= 1): the control transfer time
+  /// T_proc + T_prop of Section 3.3.  Ring latency S = N * this.  Data
+  /// frames always advance one link per slot (the rotating slot structure).
+  std::int64_t sat_hop_latency_slots = 1;
 
   /// RAP timing (Section 2.4.1): T_rap = T_ear + T_update.  T_ear must be
   /// >= 3 slots for the NEXT_FREE / JOIN_REQ / JOIN_ACK exchange.
@@ -121,11 +121,6 @@ struct Config {
   /// so rotation history and the Theorem 1/2 bounds survive the blip.
   /// Non-revertive (default) keeps the arbitrary-ingress legacy behaviour.
   bool revertive = false;
-
-  [[nodiscard]] std::int64_t effective_sat_hop_latency() const noexcept {
-    return sat_hop_latency_slots > 0 ? sat_hop_latency_slots
-                                     : hop_latency_slots;
-  }
 
   [[nodiscard]] std::int64_t t_rap_slots() const noexcept {
     return rap_policy == RapPolicy::kDisabled ? 0

@@ -24,7 +24,6 @@ bool sorted_contains(const std::vector<NodeId>& sorted, NodeId node) {
 Engine::Engine(phy::Topology* topology, Config config, std::uint64_t seed)
     : topology_(topology), config_(std::move(config)), seed_(seed) {
   assert(topology_ != nullptr);
-  assert(config_.hop_latency_slots >= 1);
 #if WRT_TELEMETRY_LEVEL
   // Snapshots drain this batch, so registry totals stay exact even for
   // drivers that call bare step() between flush boundaries.
@@ -115,12 +114,11 @@ void Engine::rebuild_position_index() {
 }
 
 void Engine::reset_data_plane() {
-  kernel_.reset_links(static_cast<std::size_t>(config_.hop_latency_slots));
-  // Every teardown funnels through here: the slot calendar now describes
-  // frames that no longer exist.
-  fast_valid_ = false;
-  frames_view_stale_ = false;
-  fast_in_flight_ = 0;
+  kernel_.reset_links();
+  // Every teardown funnels through here: the calendar now describes frames
+  // that no longer exist.
+  calendar_stale_ = true;
+  in_flight_ = 0;
 }
 
 void Engine::insert_member(NodeId ingress, NodeId joiner, Quota quota) {
@@ -195,7 +193,7 @@ void Engine::set_station_split(NodeId node, std::uint32_t k1_assured) {
 analysis::RingParams Engine::ring_params() const {
   analysis::RingParams params;
   params.ring_latency_slots = static_cast<std::int64_t>(ring_.size()) *
-                              config_.effective_sat_hop_latency();
+                              config_.sat_hop_latency_slots;
   params.t_rap_slots = config_.t_rap_slots();
   params.quotas = kernel_.quotas();
   return params;
@@ -204,7 +202,7 @@ analysis::RingParams Engine::ring_params() const {
 telemetry::RingMeta Engine::journal_meta() const {
   telemetry::RingMeta meta;
   meta.ring_latency_slots = static_cast<std::int64_t>(ring_.size()) *
-                            config_.effective_sat_hop_latency();
+                            config_.sat_hop_latency_slots;
   meta.t_rap_slots = config_.t_rap_slots();
   meta.quotas.reserve(ring_.size());
   for (std::size_t p = 0; p < ring_.size(); ++p) {
@@ -224,7 +222,7 @@ const std::vector<Tick>& Engine::sat_arrival_history(NodeId node) const {
 bool Engine::admission_allows(Quota extra) const {
   if (max_sat_time_goal_ <= 0) return true;
   analysis::RingParams params = ring_params();
-  params.ring_latency_slots += config_.effective_sat_hop_latency();
+  params.ring_latency_slots += config_.sat_hop_latency_slots;
   params.quotas.push_back(extra);
   return analysis::sat_time_bound(params) <= max_sat_time_goal_;
 }
@@ -336,8 +334,8 @@ bool Engine::data_allowed() const noexcept {
 // ---------------------------------------------------------------------------
 
 void Engine::deliver(LinkFrame& frame, NodeId at) {
-  // Deliveries are counted per slot (WRT_COUNT_N in data_plane_step), not
-  // here: one batched atomic per slot instead of one per absorbed frame.
+  // Deliveries are counted per slot (WRT_BATCH_COUNT_N in data_plane_step),
+  // not here: one batched count per slot instead of one per absorbed frame.
   stats_.sink.record_delivery(frame.packet, now_);
   journal_record(at, telemetry::JournalKind::kDeliver, frame.packet.src);
   if (delivery_tap_) delivery_tap_(frame.packet, at, now_);
@@ -354,17 +352,25 @@ void Engine::refresh_hot_caches() {
   const std::vector<NodeId>& order = ring_.order();
   active_cache_.resize(R);
   link_ok_cache_.resize(R);
-  bool all_active = true;
-  bool all_links = true;
   for (std::size_t p = 0; p < R; ++p) {
     active_cache_[p] = station_active(order[p]) ? 1 : 0;
     link_ok_cache_[p] =
         topology_->reachable(order[p], order[p + 1 == R ? 0 : p + 1]) ? 1 : 0;
-    all_active = all_active && active_cache_[p] != 0;
-    all_links = all_links && link_ok_cache_[p] != 0;
   }
-  all_active_ok_ = all_active;
-  all_links_ok_ = all_links;
+  // Distance to the next barrier: sweep backward around the ring twice; the
+  // first lap only carries the distance across the wrap.
+  next_barrier_.resize(R);
+  std::uint32_t distance = kNoBarrier;
+  for (std::size_t k = 2 * R; k-- > 0;) {
+    const std::size_t q = k < R ? k : k - R;
+    if (active_cache_[q] == 0 || link_ok_cache_[q] == 0) {
+      distance = 0;
+    } else if (distance != kNoBarrier) {
+      ++distance;
+    }
+    if (k < R) next_barrier_[q] = distance;
+  }
+  calendar_stale_ = true;
   cache_topology_version_ = topology_version;
   cache_membership_epoch_ = membership_epoch_;
   cache_stall_epoch_ = stall_epoch_;
@@ -391,277 +397,155 @@ inline traffic::Packet Engine::take_injection(
   return packet;
 }
 
+// ---------------------------------------------------------------------------
+// Data plane: the rotation calendar
+//
+// Fixed slots rotate one position per slot with destination release
+// (Section 2.2, Figure 1).  Every in-flight frame advances one link per
+// slot, so one rotation of the kernel's logical->physical column map moves
+// all of them at once, and a frame's physical column never changes during
+// its flight.  Given the ring's silent stations and unreachable hops, the
+// arrival that ends a flight is known when the frame enters the ring: the
+// first arrival that is
+//
+//   kSilent       at a dead or stalled station (the frame is lost),
+//   kDeliver      at its destination (destination release),
+//   kStale        number R + 2, once the destination has left the ring, or
+//   kUnreachable  at a station whose outgoing hop is unreachable (the frame
+//                 is forwarded, then lost on that hop),
+//
+// with ties at one arrival broken in that order.  schedule_flight_end()
+// files that one event into calendar_ at injection, so a slot's work is
+// O(flight ends + injections), independent of ring size and in-flight
+// count; the barrier table next_barrier_ makes the silent and unreachable
+// cases O(1) per frame.  A change of the liveness/reachability key rebuilds
+// the table and the calendar in O(R + in-flight).
+//
+// The per-hop work that cannot be scheduled ahead — the kData loss draw
+// and, in fidelity mode, the header round trip and Channel::transmit — is
+// one visit per frame on a link after the injections.  Each (purpose,
+// directed link) loss stream is independent and draws at most once per
+// slot, so the visit order cannot change any draw.
+//
+// Effect order within a slot:
+//   1. flight ends at arrivals, ascending position: deliveries, stale
+//      purges, losses at silent stations;
+//   2. injections, ascending position;
+//   3. hop losses: unreachable hops, then channel draws.  A frame lost on
+//      its outgoing hop still counts as forwarded, and its station does not
+//      inject in its place.
+// ---------------------------------------------------------------------------
+
+void Engine::schedule_flight_end(std::uint32_t column, std::uint32_t tag,
+                                 std::int64_t slot, std::size_t arrive,
+                                 std::int64_t age,
+                                 std::int32_t dst_position) {
+  const auto R = static_cast<std::int64_t>(ring_.size());
+  const auto a = static_cast<std::int64_t>(arrive);
+  // The flight ends `ahead` arrivals after the next one: in slot + ahead,
+  // at position arrive + ahead.  Arrival number R + 2 takes the hop count
+  // past R + 1: the stale purge.
+  std::int64_t ahead = std::max<std::int64_t>(R + 2 - age, 0);
+  FlightEnd end = FlightEnd::kStale;
+  if (dst_position >= 0) {
+    const std::int64_t to_dst = (dst_position - a + R) % R;
+    if (to_dst <= ahead) {
+      ahead = to_dst;
+      end = FlightEnd::kDeliver;
+    }
+  }
+  const std::uint32_t barrier = next_barrier_[arrive];
+  if (barrier != kNoBarrier) {
+    const bool silent =
+        active_cache_[static_cast<std::size_t>((a + barrier) % R)] == 0;
+    if (barrier < ahead || (barrier == ahead && silent)) {
+      ahead = barrier;
+      end = silent ? FlightEnd::kSilent : FlightEnd::kUnreachable;
+    }
+  }
+  const auto buckets = static_cast<std::int64_t>(calendar_.size());
+  calendar_[static_cast<std::size_t>((slot + ahead) % buckets)].push_back(
+      {column, static_cast<std::uint32_t>((a + ahead) % R), tag, end});
+}
+
+void Engine::replan_calendar() {
+  const std::size_t R = ring_.size();
+  calendar_.resize(R + 3);
+  for (auto& bucket : calendar_) bucket.clear();
+  const std::int64_t now_slot = now_slots();
+  for (std::size_t p = 0; p < R; ++p) {
+    const std::size_t c = kernel_.link_col(p);
+    const std::uint32_t tag = kernel_.link_tag_[c];
+    if (tag == 0) continue;
+    // The frame on link p reaches position p+1 this slot as its arrival
+    // number `age`: it has advanced one link per slot since it entered.
+    const LinkFrame& frame = kernel_.link_slots_[c];
+    schedule_flight_end(static_cast<std::uint32_t>(c), tag, now_slot,
+                        p + 1 == R ? 0 : p + 1,
+                        now_slot - ticks_to_slots(frame.entered_ring),
+                        station_position(frame.packet.dst));
+  }
+  calendar_stale_ = false;
+}
+
 void Engine::data_plane_step() {
   const std::size_t R = ring_.size();
   if (R == 0) return;
-  const Tick hop_ticks = slots_to_ticks(config_.hop_latency_slots);
   const std::vector<NodeId>& order = ring_.order();
   refresh_hot_caches();
-  // Hoisted per slot: with the data-loss purpose entirely disabled, offer()
-  // makes no RNG draw, so skipping the call is behaviour-identical.
-  const bool data_loss_possible =
-      link_loss_.enabled(fault::LossPurpose::kData);
-
-  // Event-driven fast regime: with no fault machinery armed and a one-slot
-  // hop, every clean slot is a pure rotation plus its scheduled events —
-  // see the comment at the private method block.  Any premise breaking
-  // falls through to the literal per-position loops below.
-  const bool fast_ok = !config_.cdma_fidelity && !data_loss_possible &&
-                       all_active_ok_ && all_links_ok_ &&
-                       config_.hop_latency_slots == 1 &&
-                       kernel_.link_depth() == 1 && kernel_.link_columns() == R;
-  if (fast_ok) {
-    if (!fast_valid_ || fast_membership_epoch_ != membership_epoch_ ||
-        fast_topology_version_ != cache_topology_version_ ||
-        fast_stall_epoch_ != stall_epoch_) {
-      build_fast_plan();
-    }
-    if (fast_valid_) {
-      fast_data_plane_step();
-      return;
-    }
-  } else if (fast_valid_) {
-    materialize_frame_view();
-    fast_valid_ = false;
-  }
-
+  if (calendar_stale_) replan_calendar();
+  const std::int64_t now_slot = now_slots();
   if (config_.cdma_fidelity) channel_->begin_slot(now_);
 
-  // Phase 1: arrivals.  A frame sent last slot reaches the next station now;
-  // the destination absorbs it (destination release, enabling spatial
-  // reuse), everything else becomes this slot's transit load.
-  std::uint64_t delivered_now = 0;
-  for (std::size_t p = 0; p < R; ++p) {
-    const std::size_t upstream = p == 0 ? R - 1 : p - 1;
-    if (kernel_.link_empty(upstream)) continue;
-    LinkFrame& frame = kernel_.link_front(upstream);
-    if (frame.arrival > now_) continue;
-    if (!active_cache_[p]) {
-      kernel_.link_pop(upstream);
-      ++stats_.frames_lost_link;
-      continue;
-    }
-    const NodeId here = order[p];
-    if (frame.packet.dst == here) {
-      deliver(frame, here);
-      ++delivered_now;
-      kernel_.link_pop(upstream);
-      continue;
-    }
-    ++frame.hops;
-    if (frame.hops > R + 1) {
-      // Destination is no longer a ring member; purge the stale frame.
-      ++stats_.frames_dropped_stale;
-      stats_.sink.record_drop(frame.packet);
-      kernel_.link_pop(upstream);
-      continue;
-    }
-    // One move, link slot -> transit register; the pop only rewinds the
-    // cursor of the (now moved-from) slot.
-    kernel_.transit(p) = std::move(frame);
-    kernel_.transit(p).busy = true;
-    kernel_.link_pop(upstream);
-  }
-
-  // Phase 2: transmissions.  A slot carrying transit is forwarded in the
-  // same slot time (the slot structure rotates one position per slot); an
-  // empty slot may be filled by a local packet per the Send algorithm.
-  const bool injection_allowed = data_allowed();
-  std::size_t busy_links_now = 0;
-  // Per-slot telemetry accumulators: one relaxed atomic per class per slot
-  // instead of one per transmission (dead code when WRT_TELEMETRY=OFF).
-  std::uint64_t tx_by_class[3] = {0, 0, 0};
-  std::uint64_t transit_now = 0;
-  LinkFrame inject_scratch;
-  for (std::size_t p = 0; p < R; ++p) {
-    LinkFrame* out = nullptr;
-    if (kernel_.transit(p).busy) {
-      out = &kernel_.transit(p);
-      ++stats_.transit_forwards;
-      ++transit_now;
-    } else if (injection_allowed && active_cache_[p]) {
-      if (const auto cls = kernel_.eligible_class(p)) {
-        inject_scratch.packet = take_injection(p, order[p], *cls, tx_by_class);
-        inject_scratch.entered_ring = now_;
-        inject_scratch.hops = 0;
-        inject_scratch.busy = true;
-        out = &inject_scratch;
-      }
-    }
-    if (out == nullptr) continue;
-
-    if (!link_ok_cache_[p]) {
-      out->busy = false;
-      ++stats_.frames_lost_link;
-      WRT_BATCH_COUNT(telem_batch_, kFramesLost);
-      continue;
-    }
-    const NodeId sender = order[p];
-    const NodeId receiver = order[p + 1 == R ? 0 : p + 1];
-    if (data_loss_possible &&
-        link_loss_.offer(fault::LossPurpose::kData, sender, receiver)) {
-      out->busy = false;
-      ++stats_.frames_lost_link;
-      WRT_BATCH_COUNT(telem_batch_, kFramesLost);
-      continue;
-    }
-    if (config_.cdma_fidelity) {
-      // Fidelity mode also exercises the wire format: every hop's header
-      // is serialised and re-parsed exactly as a receiver would.
-      const auto decoded =
-          ring::decode_header(ring::encode_packet_header(out->packet));
-      if (!decoded.has_value()) ++stats_.header_decode_failures;
-      channel_->transmit(sender, codes_[receiver], out->packet);
-    }
-    out->arrival = now_ + hop_ticks;
-    // One move into the link column; the frame keeps busy=true there and
-    // the moved-from register/scratch is cleared right after.
-    if (!kernel_.link_push(p, std::move(*out))) {
-      // Unreachable while the depth invariant holds; account, don't corrupt.
-      out->busy = false;
-      ++stats_.frames_lost_link;
-      continue;
-    }
-    out->busy = false;
-    ++busy_links_now;
-  }
-  stats_.busy_links.update(
-      now_, static_cast<double>(busy_links_now) / static_cast<double>(R));
-  WRT_BATCH_COUNT_N(telem_batch_, kTxRealTime, tx_by_class[0]);
-  WRT_BATCH_COUNT_N(telem_batch_, kTxAssured, tx_by_class[1]);
-  WRT_BATCH_COUNT_N(telem_batch_, kTxBestEffort, tx_by_class[2]);
-  WRT_BATCH_COUNT_N(telem_batch_, kTransitForwards, transit_now);
-  WRT_BATCH_COUNT_N(telem_batch_, kDeliveries, delivered_now);
-
-  if (config_.cdma_fidelity) {
-    stats_.cdma_collisions += channel_->end_slot();
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Data plane, event-driven fast regime
-//
-// Premise (checked every slot): hop latency one slot, depth-1 links, every
-// member active, every hop reachable, no data-loss process, no fidelity
-// channel.  Then each slot the slow loops above do exactly three things:
-// advance every in-flight frame one link, absorb the frames whose terminal
-// event (delivery, stale purge) falls due, and inject per the Send
-// algorithm.  The advance becomes one rotation of the kernel's
-// logical->physical column map; the terminal events were precomputed into
-// calendar_ when the frame entered the ring (its physical column never
-// changes under the rotation, so the event can name it years in advance);
-// injections walk the kernel's Send-eligibility bitmap.  Per-slot work is
-// O(deliveries + injections), independent of ring size and in-flight count.
-//
-// Digest equivalence is structural, not approximate: the fast step performs
-// the same stats/journal/telemetry mutations in the same order as the slow
-// loops (deliveries in ascending arrival-position order, then injections in
-// ascending position order), makes zero RNG draws — just like the slow path
-// under the same premises — and every slot where a premise fails runs the
-// literal loops.  Frame hops/arrival fields are not maintained while the
-// regime is active; materialize_frame_view() restores them (they are pure
-// functions of entered_ring and now_) before anyone looks.
-// ---------------------------------------------------------------------------
-
-void Engine::build_fast_plan() {
-  fast_valid_ = false;
-  // Frames' cached view must be consistent before (or after) any regime
-  // change; cheap no-op unless a fast regime just ended.
-  materialize_frame_view();
-  const std::size_t R = ring_.size();
-  // A busy transit register between slots only exists via test-hook state
-  // corruption; the rotation regime cannot represent it, so stay slow.
-  for (std::size_t p = 0; p < R; ++p) {
-    if (kernel_.transit_[p].busy) return;
-  }
-  const std::size_t buckets = R + 3;
-  if (calendar_.size() != buckets) calendar_.resize(buckets);
-  for (auto& bucket : calendar_) bucket.clear();
-
-  const std::int64_t now_slot = now_slots();
-  const auto sr = static_cast<std::int64_t>(R);
-  fast_in_flight_ = 0;
-  for (std::size_t p = 0; p < R; ++p) {
-    if (kernel_.link_empty(p)) continue;
-    const LinkFrame& frame = kernel_.link_front(p);
-    // The frame on logical link p arrives at position p+1 this slot; that
-    // arrival is its number `age` (it entered the ring `age` slots ago and
-    // advances one link per slot).  The slow loop purges a frame at arrival
-    // R+2 (hops would exceed R+1) and checks delivery before the hop count,
-    // so when both fall on the same arrival the delivery wins.
-    const std::int64_t arrive = p + 1 == R ? 0 : static_cast<std::int64_t>(p) + 1;
-    const std::int64_t age = now_slot - ticks_to_slots(frame.entered_ring);
-    std::int64_t j_stale = sr + 2 - age;
-    if (j_stale < 0) j_stale = 0;
-    const std::int32_t pd = station_position(frame.packet.dst);
-    std::int64_t j;
-    bool stale;
-    if (pd >= 0 && (j = (pd - arrive + sr) % sr) <= j_stale) {
-      stale = false;
-    } else {
-      j = j_stale;
-      stale = true;
-    }
-    calendar_[static_cast<std::size_t>((now_slot + j) %
-                                       static_cast<std::int64_t>(buckets))]
-        .push_back({static_cast<std::uint32_t>(kernel_.link_col(p)),
-                    static_cast<std::uint32_t>((arrive + j) % sr), stale});
-    ++fast_in_flight_;
-  }
-  if (kernel_.eligible_bits_dirty_) kernel_.rebuild_eligible();
-  fast_membership_epoch_ = membership_epoch_;
-  fast_topology_version_ = cache_topology_version_;
-  fast_stall_epoch_ = stall_epoch_;
-  fast_valid_ = true;
-}
-
-void Engine::fast_data_plane_step() {
-  const std::size_t R = ring_.size();
-  const std::vector<NodeId>& order = ring_.order();
-  const std::size_t buckets = R + 3;
-  const std::int64_t now_slot = now_slots();
-
-  // Every in-flight frame advances one link: rotate the column map.
+  // Every in-flight frame advances one link.
   kernel_.rotate_links_one();
 
-  // Terminal events due this slot.  Arrival positions within a slot are
-  // unique (each column feeds one position), and the slow loop visits
-  // arrivals in ascending position order — sort to reproduce its stats and
-  // journal ordering exactly.
+  // 1. Flight ends at this slot's arrivals.  Each column feeds one position
+  // per slot; sorting visits the arrivals in ascending position.
   std::uint64_t delivered_now = 0;
+  std::uint64_t lost_now = 0;
   auto& bucket =
-      calendar_[static_cast<std::size_t>(now_slot) % buckets];
-  if (!bucket.empty()) {
+      calendar_[static_cast<std::size_t>(now_slot) % calendar_.size()];
+  if (bucket.size() > 1) {
     std::sort(bucket.begin(), bucket.end(),
               [](const DataEvent& a, const DataEvent& b) {
                 return a.position < b.position;
               });
-    for (const DataEvent& ev : bucket) {
-      LinkFrame& frame = kernel_.link_slots_[ev.column];  // depth 1
-      if (ev.stale) {
-        ++stats_.frames_dropped_stale;
-        stats_.sink.record_drop(frame.packet);
-      } else {
+  }
+  for (const DataEvent& ev : bucket) {
+    std::uint32_t& tag = kernel_.link_tag_[ev.column];
+    if (tag != ev.tag) continue;  // that frame was lost to a channel draw
+    LinkFrame& frame = kernel_.link_slots_[ev.column];
+    switch (ev.end) {
+      case FlightEnd::kSilent:
+        ++stats_.frames_lost_link;
+        ++lost_now;
+        break;
+      case FlightEnd::kDeliver:
         deliver(frame, order[ev.position]);
         ++delivered_now;
-      }
-      frame.busy = false;
-      kernel_.link_count_[ev.column] = 0;
-      --fast_in_flight_;
+        break;
+      case FlightEnd::kStale:
+        ++stats_.frames_dropped_stale;
+        stats_.sink.record_drop(frame.packet);
+        break;
+      case FlightEnd::kUnreachable:
+        continue;  // forwarded: the hop kills it after the injections
     }
-    bucket.clear();
+    tag = 0;
+    --in_flight_;
   }
 
-  // Every surviving frame was forwarded by the station it just reached.
-  stats_.transit_forwards += fast_in_flight_;
-  const std::uint64_t transit_now = fast_in_flight_;
+  // Every frame still on a link was forwarded by the station it reached.
+  const std::uint64_t transit_now = in_flight_;
+  stats_.transit_forwards += transit_now;
 
-  // Injections: walk the Send-eligibility bitmap in ascending position
+  // 2. Injections: walk the Send-eligibility bitmap in ascending position
   // order (word snapshot; set bits are re-verified so a stale bit can only
   // cost a check, never a wrong transmission).
   std::uint64_t tx_by_class[3] = {0, 0, 0};
-  std::uint64_t injected_now = 0;
   if (data_allowed()) {
+    if (kernel_.eligible_bits_dirty_) kernel_.rebuild_eligible();
     auto& bits = kernel_.eligible_bits_;
     for (std::size_t w = 0; w < bits.size(); ++w) {
       std::uint64_t word = bits[w];
@@ -671,7 +555,8 @@ void Engine::fast_data_plane_step() {
         word &= word - 1;
         if (p >= R) break;
         const std::size_t c = kernel_.link_col(p);
-        if (kernel_.link_count_[c] != 0) continue;  // carrying transit
+        if (kernel_.link_tag_[c] != 0) continue;  // forwarding a frame
+        if (active_cache_[p] == 0) continue;      // silent: sends nothing
         const auto cls = kernel_.eligible_class(p);
         if (!cls) {
           // Stale bit (test hooks mutate Send state behind the mutators).
@@ -680,64 +565,73 @@ void Engine::fast_data_plane_step() {
         }
         traffic::Packet packet =
             take_injection(p, order[p], *cls, tx_by_class);
-        const std::int32_t pd = station_position(packet.dst);
-        LinkFrame& slot = kernel_.link_slots_[c];
-        slot.packet = std::move(packet);
-        slot.entered_ring = now_;
-        slot.hops = 0;
-        slot.arrival = now_ + kTicksPerSlot;
-        slot.busy = true;
-        kernel_.link_count_[c] = 1;
-        ++fast_in_flight_;
-        ++injected_now;
-        // Schedule the frame's terminal event: delivery after the hop count
-        // to its destination (a full circle when dst == src), or the stale
-        // purge at arrival R+2 when the destination is not a member.
-        const auto sr = static_cast<std::int64_t>(R);
-        std::int64_t j;
-        bool stale_ev;
-        if (pd >= 0) {
-          j = (pd - static_cast<std::int64_t>(p) - 1 + sr) % sr + 1;
-          stale_ev = false;
-        } else {
-          j = sr + 2;
-          stale_ev = true;
+        if (link_ok_cache_[p] == 0) {  // lost on its first hop
+          ++stats_.frames_lost_link;
+          ++lost_now;
+          continue;
         }
-        calendar_[static_cast<std::size_t>(
-                      (now_slot + j) % static_cast<std::int64_t>(buckets))]
-            .push_back({static_cast<std::uint32_t>(c),
-                        static_cast<std::uint32_t>(
-                            (static_cast<std::int64_t>(p) + j) % sr),
-                        stale_ev});
+        const std::int32_t dst_position = station_position(packet.dst);
+        const std::uint32_t tag = kernel_.occupy(c, std::move(packet), now_);
+        ++in_flight_;
+        schedule_flight_end(static_cast<std::uint32_t>(c), tag, now_slot + 1,
+                            p + 1 == R ? 0 : p + 1, 1, dst_position);
       }
     }
   }
 
-  stats_.busy_links.update(now_,
-                           static_cast<double>(transit_now + injected_now) /
-                               static_cast<double>(R));
+  // 3. Hop losses: frames forwarded onto an unreachable hop...
+  for (const DataEvent& ev : bucket) {
+    if (ev.end != FlightEnd::kUnreachable ||
+        kernel_.link_tag_[ev.column] != ev.tag) {
+      continue;
+    }
+    kernel_.link_tag_[ev.column] = 0;
+    --in_flight_;
+    ++stats_.frames_lost_link;
+    ++lost_now;
+  }
+  bucket.clear();
+  // ...then the per-hop visit.  With the data-loss purpose disabled offer()
+  // makes no RNG draw, so skipping the call is behaviour-identical.
+  const bool data_loss_possible =
+      link_loss_.enabled(fault::LossPurpose::kData);
+  if (data_loss_possible || config_.cdma_fidelity) {
+    for (std::size_t p = 0; p < R; ++p) {
+      const std::size_t c = kernel_.link_col(p);
+      if (kernel_.link_tag_[c] == 0) continue;
+      const NodeId sender = order[p];
+      const NodeId receiver = order[p + 1 == R ? 0 : p + 1];
+      if (data_loss_possible &&
+          link_loss_.offer(fault::LossPurpose::kData, sender, receiver)) {
+        kernel_.link_tag_[c] = 0;  // its calendar entry goes stale
+        --in_flight_;
+        ++stats_.frames_lost_link;
+        ++lost_now;
+        continue;
+      }
+      if (config_.cdma_fidelity) {
+        // Fidelity mode also exercises the wire format: every hop's header
+        // is serialised and re-parsed exactly as a receiver would.
+        const traffic::Packet& packet = kernel_.link_slots_[c].packet;
+        const auto decoded =
+            ring::decode_header(ring::encode_packet_header(packet));
+        if (!decoded.has_value()) ++stats_.header_decode_failures;
+        channel_->transmit(sender, codes_[receiver], packet);
+      }
+    }
+  }
+
+  stats_.busy_links.update(
+      now_, static_cast<double>(in_flight_) / static_cast<double>(R));
   WRT_BATCH_COUNT_N(telem_batch_, kTxRealTime, tx_by_class[0]);
   WRT_BATCH_COUNT_N(telem_batch_, kTxAssured, tx_by_class[1]);
   WRT_BATCH_COUNT_N(telem_batch_, kTxBestEffort, tx_by_class[2]);
   WRT_BATCH_COUNT_N(telem_batch_, kTransitForwards, transit_now);
   WRT_BATCH_COUNT_N(telem_batch_, kDeliveries, delivered_now);
-  frames_view_stale_ = true;
-}
+  WRT_BATCH_COUNT_N(telem_batch_, kFramesLost, lost_now);
 
-void Engine::materialize_frame_view() {
-  if (!frames_view_stale_) return;
-  frames_view_stale_ = false;
-  // Under the rotation regime a frame's hop count and arrival tick are pure
-  // functions of when it entered the ring: it advances one link per slot,
-  // so by `now_` it has completed (now - entered)/slot - 1 forwarding hops
-  // and its pending arrival is due now.
-  const std::size_t columns = kernel_.link_columns();
-  for (std::size_t c = 0; c < columns; ++c) {
-    if (kernel_.link_count_[c] == 0) continue;
-    LinkFrame& frame = kernel_.link_slots_[c];  // depth 1 in this regime
-    frame.hops = static_cast<std::uint32_t>(
-        ticks_to_slots(now_ - frame.entered_ring) - 1);
-    frame.arrival = now_;
+  if (config_.cdma_fidelity) {
+    stats_.cdma_collisions += channel_->end_slot();
   }
 }
 
@@ -989,7 +883,7 @@ void Engine::sat_release(NodeId from) {
   sat_state_ = SatState::kInTransit;
   sat_location_ = target;
   sat_arrival_tick_ =
-      now_ + slots_to_ticks(config_.effective_sat_hop_latency());
+      now_ + slots_to_ticks(config_.sat_hop_latency_slots);
   ++stats_.sat_hops;
   WRT_BATCH_COUNT(telem_batch_, kSatHandoffs);
   journal_record(from, telemetry::JournalKind::kSatRelease, target);
@@ -1121,7 +1015,7 @@ void Engine::drop_in_flight_frames(TeardownCause cause) {
   // Frames abandoned by a ring teardown are a different casualty class than
   // channel losses: they indict the recovery path (or, for a join's update
   // phase, planned churn), not the link quality.
-  const std::uint64_t dropped = kernel_.frames_in_flight();
+  const std::uint64_t dropped = in_flight_;
   if (dropped > 0) {
     if (cause == TeardownCause::kJoin) {
       stats_.frames_lost_churn += dropped;
@@ -1244,8 +1138,8 @@ util::Status Engine::check_invariants() const {
     return util::Error::protocol_violation(
         "station/control columns do not match ring size");
   }
-  if (kernel_.link_columns() != R || kernel_.transit_.size() != R) {
-    return util::Error::protocol_violation("link structures out of sync");
+  if (kernel_.link_columns() != R) {
+    return util::Error::protocol_violation("link columns out of sync");
   }
   for (std::size_t p = 0; p < R; ++p) {
     const NodeId node = ring_.station_at(p);
@@ -1266,13 +1160,6 @@ util::Status Engine::check_invariants() const {
     if (kernel_.k1_assured_[p] > kernel_.quota_[p].k) {
       return util::Error::protocol_violation(
           "k1 split exceeds k at station " + std::to_string(node));
-    }
-    // Per-link pipeline depth is bounded by the hop latency.
-    if (kernel_.link_size(p) >
-            static_cast<std::size_t>(config_.hop_latency_slots) ||
-        kernel_.link_depth() !=
-            static_cast<std::size_t>(config_.hop_latency_slots)) {
-      return util::Error::protocol_violation("link pipeline overfull");
     }
   }
   switch (sat_state_) {
@@ -1407,7 +1294,7 @@ void Engine::resume_station(NodeId node) {
 }
 
 std::uint64_t Engine::frames_in_flight() const noexcept {
-  return kernel_.frames_in_flight();
+  return in_flight_;
 }
 
 void Engine::begin_rap(NodeId ingress) {

@@ -21,21 +21,22 @@
 //
 // Storage layout: the per-slot hot path is position-indexed,
 // structure-of-arrays.  All per-station state — quota/split counters,
-// per-class backlog queues, link-pipeline cursors, transit registers, SAT
-// timers and rotation history — lives in `kernel_` (wrtring::SlotKernel),
-// one dense column per field, indexed by ring position: entry p always
-// describes the station at ring_.station_at(p) and the link from position p
-// to p+1.  data_plane_step() and check_sat_timers() are contiguous passes
-// over exactly the columns they touch, with no associative lookups and no
-// per-station object hops; the OO accessors (station(), Station) are views
-// into the same columns.  Every membership path (init, join, SAT_REC
+// per-class backlog queues, SAT timers and rotation history — and the
+// one-frame link columns live in `kernel_` (wrtring::SlotKernel), one dense
+// column per field, indexed by ring position: entry p always describes the
+// station at ring_.station_at(p).  The data plane is a rotation calendar
+// over the link columns (see data_plane_step), and check_sat_timers() is a
+// contiguous pass over the timer column, with no associative lookups and
+// no per-station object hops; the OO accessors (station(), Station) are
+// views into the same columns.  Every membership path (init, join, SAT_REC
 // cut-out, graceful leave, ring re-formation) mutates the kernel columns
 // and the ring order together and then refreshes `position_index_`
 // (NodeId -> position, -1 when not a member), which serves the by-NodeId
 // control-plane accessors.  `membership_epoch_` increments on each such
 // change.  Traffic reaches its station's queues through `position_index_`
-// (one vector index), and the per-position liveness/reachability caches are
-// keyed by (topology version, membership epoch, stall epoch), so
+// (one vector index), and the per-position liveness/reachability caches —
+// with the calendar's distance-to-next-barrier table derived from them —
+// are keyed by (topology version, membership epoch, stall epoch), so
 // steady-state stepping does no associative lookup.
 #pragma once
 
@@ -84,7 +85,9 @@ struct EngineStats {
   std::uint64_t sat_rounds = 0;          ///< completed rotations (station 0)
   std::uint64_t data_transmissions = 0;  ///< local injections
   std::uint64_t transit_forwards = 0;
-  std::uint64_t frames_lost_link = 0;    ///< frames dropped on a broken hop
+  /// Frames lost on a hop: arriving at a silent (dead or stalled) station,
+  /// forwarded onto an unreachable hop, or dropped by the channel.
+  std::uint64_t frames_lost_link = 0;
   /// In-flight frames discarded when a re-formation (join update phase,
   /// cut-out, ring rebuild) resets the data plane — kept apart from
   /// frames_lost_link so link-quality metrics aren't inflated by
@@ -326,14 +329,12 @@ class WRT_SHARD_CONFINED Engine final {
     membership_callback_ = std::move(callback);
   }
 
-  /// Delivery observation hook: invoked after every frame absorption (both
-  /// the literal slot loop and the event-driven fast regime route through
-  /// the same deliver()) with the absorbed packet, the absorbing station
-  /// and the current tick.  The federation layer uses it to tap
-  /// gateway-bound crossings without polling per-station sinks.  Unset
-  /// (the default) it costs one branch per delivery.  Pure observation:
-  /// the callback must not re-enter the engine, and in a federation it
-  /// must touch only its own shard's state.
+  /// Delivery observation hook: invoked after every frame absorption with
+  /// the absorbed packet, the absorbing station and the current tick.  The
+  /// federation layer uses it to tap gateway-bound crossings without
+  /// polling per-station sinks.  Unset (the default) it costs one branch
+  /// per delivery.  Pure observation: the callback must not re-enter the
+  /// engine, and in a federation it must touch only its own shard's state.
   using DeliveryTap = std::function<void(const traffic::Packet&, NodeId, Tick)>;
   void set_delivery_tap(DeliveryTap tap) { delivery_tap_ = std::move(tap); }
 
@@ -362,8 +363,8 @@ class WRT_SHARD_CONFINED Engine final {
   /// evaluation; Journal::set_meta + save make a self-contained artifact.
   [[nodiscard]] telemetry::RingMeta journal_meta() const;
 
-  /// Frames currently travelling ring links (plus any busy transit
-  /// register).  Closes the accounting identity the chaos soak asserts:
+  /// Frames currently travelling ring links.  Closes the accounting
+  /// identity the chaos soak asserts:
   /// data_transmissions == delivered + frames_lost_link +
   /// frames_lost_rebuild + frames_lost_churn + frames_dropped_stale +
   /// frames_in_flight().
@@ -420,34 +421,26 @@ class WRT_SHARD_CONFINED Engine final {
   void rap_step();
   void check_sat_timers();
 
-  // --- event-driven data-plane fast regime ---
-  //
-  // While the data plane is fault-free (every member active, every hop
-  // reachable, no data-loss process armed, no fidelity channel) and the hop
-  // latency is one slot, "every in-flight frame advances one link per slot"
-  // is a global rotation: rotating the kernel's logical->physical column
-  // map stands in for moving the frames, and the only per-slot work left is
-  // the slot's events — deliveries/stale purges (precomputed into a slot
-  // calendar at injection time) and Send-algorithm injections (walked off
-  // the kernel's eligibility bitmap).  Per-slot cost is O(events), not
-  // O(ring + in-flight).  Any premise breaking (fault, stall, churn,
-  // depth > 1) falls back to the per-position loops below, which reproduce
-  // the protocol literally — so fault slots are byte-identical by
-  // construction, and clean slots are checked against the same --digest
-  // oracle.
-  void fast_data_plane_step();
-  /// (Re)derives the slot calendar and eligibility bitmap from the current
-  /// in-flight frames; stamps the epoch key the fast regime is valid for.
-  void build_fast_plan();
-  /// Restores per-frame hops/arrival (not maintained while the rotation
-  /// regime is active) from entered_ring and now_; idempotent, called when
-  /// falling back to the per-position loops and before any external
-  /// observer reads frame state.
-  void materialize_frame_view();
-  /// Observer-facing materialization (see check::InvariantAuditor).
-  void sync_frame_view() const {
-    const_cast<Engine*>(this)->materialize_frame_view();
-  }
+  // --- data plane: the rotation calendar (see data_plane_step) ---
+  /// How a frame's flight ends, in tie-break order: at one arrival a silent
+  /// station swallows the frame before its destination can absorb it, the
+  /// destination absorbs it before the hop limit purges it, and only a
+  /// frame that survives all three is forwarded onto the outgoing hop.
+  enum class FlightEnd : std::uint8_t {
+    kSilent,       ///< arrives at a dead or stalled station: lost
+    kDeliver,      ///< arrives at its destination: absorbed
+    kStale,        ///< arrival R + 2 (hops > R + 1): destination gone
+    kUnreachable,  ///< forwarded onto an unreachable hop: lost
+  };
+  /// Schedules the end of the flight of the frame on `column` (tag `tag`)
+  /// whose next arrival is at position `arrive`, in `slot`, as its arrival
+  /// number `age`; `dst_position` is -1 when the destination is no member.
+  void schedule_flight_end(std::uint32_t column, std::uint32_t tag,
+                           std::int64_t slot, std::size_t arrive,
+                           std::int64_t age, std::int32_t dst_position);
+  /// Re-derives the calendar from the frames in flight (after a change of
+  /// the liveness/reachability key or a data-plane reset).
+  void replan_calendar();
 
   // --- SAT handling ---
   void sat_arrive(NodeId at);
@@ -478,8 +471,9 @@ class WRT_SHARD_CONFINED Engine final {
   }
   void maybe_sample_queues();
   void maybe_periodic_audit();
-  /// Rebuilds the per-position liveness/reachability caches when their
-  /// (topology version, membership epoch, stall epoch) key went stale.
+  /// Rebuilds the per-position liveness/reachability caches and the
+  /// barrier table when their (topology version, membership epoch, stall
+  /// epoch) key went stale, and marks the calendar for a replan.
   void refresh_hot_caches();
   /// Which casualty counter a data-plane teardown charges its in-flight
   /// frames to: recovery paths (cut-out, ring re-formation) indict the
@@ -515,7 +509,8 @@ class WRT_SHARD_CONFINED Engine final {
   [[nodiscard]] std::int32_t station_position(NodeId node) const noexcept;
   /// Rebuilds position_index_ from ring_ and bumps membership_epoch_.
   void rebuild_position_index();
-  /// Resizes links_/transit_regs_ to the ring and empties them.
+  /// Re-sizes the link columns to the ring, empties them and marks the
+  /// calendar for a replan.
   void reset_data_plane();
   /// Inserts `joiner` (with its station/control state) right after
   /// `ingress`, keeping kernel columns and ring order aligned.
@@ -525,9 +520,9 @@ class WRT_SHARD_CONFINED Engine final {
   /// Queues `packet` at its source station; moves from it only on
   /// acceptance (false: not a member, or the class queue is full).
   bool enqueue(traffic::Packet& packet);
-  /// Send-algorithm injection bookkeeping shared by both data-plane
-  /// regimes: pops the head packet of `cls` at position p and records its
-  /// access delay, journal entry, per-class count and the drained station.
+  /// Send-algorithm injection bookkeeping: pops the head packet of `cls` at
+  /// position p and records its access delay, journal entry, per-class
+  /// count and the drained station.
   traffic::Packet take_injection(std::size_t p, NodeId node, TrafficClass cls,
                                  std::uint64_t (&tx_by_class)[3]);
 
@@ -541,9 +536,9 @@ class WRT_SHARD_CONFINED Engine final {
   cdma::CodeMap codes_;
 
   // Structure-of-arrays per-position storage (see the header comment):
-  // station counters, class queues, SAT timers, link pipelines and transit
-  // registers, one dense column per field, all kept in lockstep with the
-  // ring order by the membership paths.
+  // station counters, class queues, SAT timers and link columns, one dense
+  // column per field, all kept in lockstep with the ring order by the
+  // membership paths.
   SlotKernel kernel_;
   std::vector<std::int32_t> position_index_;  ///< NodeId -> position, -1 out
   std::uint64_t membership_epoch_ = 1;
@@ -552,34 +547,32 @@ class WRT_SHARD_CONFINED Engine final {
   // topology so the data plane does not re-derive unit-disk geometry and
   // failed-link sets every slot.  Exact: keyed on (topology version,
   // membership epoch, stall epoch), all of which bump on every mutation
-  // the cached predicates depend on.
+  // the cached predicates depend on.  next_barrier_[p] is the distance from
+  // position p to the first position at or after it that is silent or has
+  // an unreachable outgoing hop (kNoBarrier when there is none).
+  static constexpr std::uint32_t kNoBarrier = ~std::uint32_t{0};
   std::vector<std::uint8_t> active_cache_;
   std::vector<std::uint8_t> link_ok_cache_;
+  std::vector<std::uint32_t> next_barrier_;
   std::uint64_t cache_topology_version_ = ~std::uint64_t{0};
   std::uint64_t cache_membership_epoch_ = 0;
   std::uint64_t cache_stall_epoch_ = ~std::uint64_t{0};
   std::uint64_t stall_epoch_ = 0;  ///< bumped by stall/resume
-  bool all_active_ok_ = false;     ///< refresh_hot_caches: no stalled/dead member
-  bool all_links_ok_ = false;      ///< refresh_hot_caches: every hop reachable
 
-  // Event-driven fast regime (see the private-method comment block).
-  // calendar_[slot % (R + 3)] holds the frames whose one terminal event
-  // (delivery at the destination, or stale purge after R + 1 hops) lands in
-  // that slot; `column` is the frame's physical link column, fixed for its
-  // whole flight under the rotation representation.
+  // Rotation calendar.  calendar_[slot % (R + 3)] holds the arrivals that
+  // end a flight in that slot; `column` is the frame's physical link
+  // column, fixed for its whole flight under the rotation.  A frame lost
+  // to a channel draw leaves its entry behind: the tag no longer matches
+  // the column, so the entry is skipped.
   struct DataEvent {
     std::uint32_t column;
-    std::uint32_t position;  ///< arrival position (slow-loop visit order)
-    bool stale;
+    std::uint32_t position;  ///< arrival position (the visit order)
+    std::uint32_t tag;
+    FlightEnd end;
   };
   std::vector<std::vector<DataEvent>> calendar_;
-  std::uint64_t fast_in_flight_ = 0;
-  bool fast_valid_ = false;
-  /// True while frames' hops/arrival fields lag behind the rotation regime.
-  bool frames_view_stale_ = false;
-  std::uint64_t fast_topology_version_ = 0;
-  std::uint64_t fast_membership_epoch_ = 0;
-  std::uint64_t fast_stall_epoch_ = 0;
+  std::uint64_t in_flight_ = 0;
+  bool calendar_stale_ = true;  ///< replan before the next data-plane step
 
   // Traffic.  The data plane notes each transmitting station in sources_,
   // so poll_traffic() refills just those saturated bounds; a membership

@@ -21,10 +21,7 @@ void SlotKernel::clear() {
   rounds_since_rap_.clear();
   arrival_history_.clear();
   link_slots_.clear();
-  link_head_.clear();
-  link_count_.clear();
-  transit_.clear();
-  link_depth_ = 0;
+  link_tag_.clear();
   rot_ = 0;
   eligible_bits_.clear();
   eligible_bits_dirty_ = true;
@@ -112,13 +109,9 @@ void SlotKernel::adopt_station(SlotKernel& other, std::size_t from) {
   eligible_bits_dirty_ = true;
 }
 
-void SlotKernel::reset_links(std::size_t depth) {
-  const std::size_t R = size();
-  link_depth_ = depth;
-  link_slots_.assign(R * depth, LinkFrame{});
-  link_head_.assign(R, 0);
-  link_count_.assign(R, 0);
-  transit_.assign(R, LinkFrame{});
+void SlotKernel::reset_links() {
+  link_slots_.assign(size(), LinkFrame{});
+  link_tag_.assign(size(), 0);
   rot_ = 0;
 }
 
@@ -210,15 +203,6 @@ void SlotKernel::set_quota(std::size_t p, Quota quota) noexcept {
   assured_sent_[p] = std::min(assured_sent_[p], nrt_pck_[p]);
   k1_assured_[p] = std::min(k1_assured_[p], quota.k);
   refresh_eligible(p);
-}
-
-std::uint64_t SlotKernel::frames_in_flight() const noexcept {
-  std::uint64_t in_flight = 0;
-  for (const std::uint32_t count : link_count_) in_flight += count;
-  for (const LinkFrame& reg : transit_) {
-    if (reg.busy) ++in_flight;
-  }
-  return in_flight;
 }
 
 }  // namespace wrt::wrtring

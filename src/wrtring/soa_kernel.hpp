@@ -1,29 +1,24 @@
 // Structure-of-arrays slot kernel: the dense per-position state the per-slot
 // hot path sweeps over.
 //
-// One engine slot touches every ring position a handful of times — arrival
-// check, transit forward, Send-algorithm gate, SAT-timer expiry — and the
-// old layout paid for that with an array-of-structs walk (one Station, one
-// PerStationControl, one heap-backed LinkPipeline per position), so each
-// pass hopped between allocations and dragged cold fields through the
-// cache.  SlotKernel flips the layout: every per-station field lives in its
-// own dense vector indexed by ring position, so each pass of
-// data_plane_step() / check_sat_timers() streams exactly the arrays it
-// needs and nothing else.
+// Every per-station field — quota and Send-algorithm counters, class
+// queues, SAT timers, rotation history — lives in its own dense vector
+// indexed by ring position, so each pass of data_plane_step() /
+// check_sat_timers() streams exactly the arrays it needs and nothing else.
 //
 // The OO surface survives as views: wrtring::Station is a (kernel,
 // position) handle whose accessors read/write these arrays, so tests and
 // cold-path callers keep the Section-2.2 vocabulary while the hot path
 // indexes the arrays directly.
 //
-// Position discipline: entry p of every array describes the station at ring
-// position p; the link arrays describe the link from position p to p+1.
-// Membership paths (join, cut-out, leave, re-formation) mutate the arrays
-// and the ring order together — push/insert/erase/adopt keep all columns in
-// lockstep, and reset_links() re-sizes the link columns to the current
-// station count.  The link columns deliberately keep their previous length
-// until reset_links() runs so a teardown can still count the in-flight
-// frames of the outgoing ring.
+// Position discipline: entry p of every station array describes the station
+// at ring position p.  The link columns hold one frame slot per ring link;
+// logical link p (position p -> p+1) is physical column link_col(p), and
+// the engine's rotation calendar advances every in-flight frame at once by
+// rotating that map (see Engine::data_plane_step).  Membership paths (join,
+// cut-out, leave, re-formation) mutate the arrays and the ring order
+// together — push/insert/erase/adopt keep all station columns in lockstep,
+// and reset_links() re-sizes the link columns to the current station count.
 #pragma once
 
 #include <cstdint>
@@ -44,14 +39,10 @@ namespace wrt::wrtring {
 class Engine;
 class Station;
 
-/// One data frame in flight on a ring link, or parked in a transit register
-/// within the current slot.
+/// One data frame in flight on a ring link.
 struct LinkFrame {
   traffic::Packet packet;
   Tick entered_ring = 0;
-  Tick arrival = 0;
-  std::uint32_t hops = 0;
-  bool busy = false;
 };
 
 /// Shard-confined: the kernel's dense arrays are the per-shard mutable
@@ -86,9 +77,9 @@ class WRT_SHARD_CONFINED SlotKernel final {
   /// control state (ring re-formation re-pack).
   void adopt_station(SlotKernel& other, std::size_t from);
 
-  /// Re-sizes the link columns to the current station count with `depth`
-  /// slots per link, emptying every pipeline and transit register.
-  void reset_links(std::size_t depth);
+  /// Re-sizes the link columns to the current station count and empties
+  /// them.
+  void reset_links();
 
   // --- Send / SAT algorithms (Section 2.2/2.3), by position ---------------
 
@@ -160,73 +151,39 @@ class WRT_SHARD_CONFINED SlotKernel final {
     return queues_[static_cast<std::size_t>(cls)][p].size();
   }
 
-  // --- link pipelines (fixed-depth FIFOs over one flat allocation) --------
+  // --- link columns (one frame slot per link) -----------------------------
   //
   // Logical link p (position p -> p+1) lives in physical column
-  // link_col(p) = (p + rot_) mod R.  With depth 1 every in-flight frame
-  // advances exactly one link per slot, so the engine's event-driven fast
-  // regime "moves" all of them at once by decrementing rot_ — a frame's
-  // physical slot never changes between injection and delivery.  Outside
-  // that regime rot_ stays 0 and the translation is the identity.
+  // link_col(p) = (p + rot_) mod R.  Every in-flight frame advances exactly
+  // one link per slot, so rotate_links_one() "moves" all of them at once by
+  // decrementing rot_: a frame's physical column never changes between
+  // injection and the end of its flight.  link_tag_[c] is 0 for a free
+  // column, else the tag of the frame on it.
 
   [[nodiscard]] std::size_t link_col(std::size_t p) const noexcept {
     const std::size_t c = p + rot_;
-    const std::size_t columns = link_head_.size();
+    const std::size_t columns = link_tag_.size();
     return c >= columns ? c - columns : c;
   }
-  /// Advances every in-flight frame one link (depth-1 fast regime only).
+  /// Advances every in-flight frame one link.
   void rotate_links_one() noexcept {
-    rot_ = (rot_ == 0 ? static_cast<std::uint32_t>(link_head_.size()) : rot_) -
+    rot_ = (rot_ == 0 ? static_cast<std::uint32_t>(link_tag_.size()) : rot_) -
            1;
   }
-
   [[nodiscard]] std::size_t link_columns() const noexcept {
-    return link_head_.size();
-  }
-  [[nodiscard]] std::size_t link_depth() const noexcept { return link_depth_; }
-  [[nodiscard]] bool link_empty(std::size_t p) const noexcept {
-    return link_count_[link_col(p)] == 0;
-  }
-  [[nodiscard]] std::size_t link_size(std::size_t p) const noexcept {
-    return link_count_[link_col(p)];
-  }
-  [[nodiscard]] LinkFrame& link_front(std::size_t p) noexcept {
-    const std::size_t c = link_col(p);
-    return link_slots_[c * link_depth_ + link_head_[c]];
-  }
-  [[nodiscard]] const LinkFrame& link_front(std::size_t p) const noexcept {
-    const std::size_t c = link_col(p);
-    return link_slots_[c * link_depth_ + link_head_[c]];
-  }
-  void link_pop(std::size_t p) noexcept {
-    const std::size_t c = link_col(p);
-    link_slots_[c * link_depth_ + link_head_[c]].busy = false;
-    const std::uint32_t next = link_head_[c] + 1;
-    link_head_[c] =
-        next == static_cast<std::uint32_t>(link_depth_) ? 0 : next;
-    --link_count_[c];
-  }
-  /// False when the pipeline is full (cannot happen while the depth
-  /// invariant holds; callers treat it as a lost frame defensively).
-  [[nodiscard]] bool link_push(std::size_t p, LinkFrame&& frame) noexcept {
-    const std::size_t c = link_col(p);
-    if (link_count_[c] == link_depth_) return false;
-    std::size_t tail = link_head_[c] + link_count_[c];
-    if (tail >= link_depth_) tail -= link_depth_;
-    link_slots_[c * link_depth_ + tail] = std::move(frame);
-    ++link_count_[c];
-    return true;
+    return link_tag_.size();
   }
 
-  [[nodiscard]] LinkFrame& transit(std::size_t p) noexcept {
-    return transit_[p];
+  /// Puts a frame on free column `c`; returns its tag, never 0 and distinct
+  /// from every other tag the column carries within a ring circulation.
+  std::uint32_t occupy(std::size_t c, traffic::Packet&& packet,
+                       Tick entered) noexcept {
+    link_slots_[c].packet = std::move(packet);
+    link_slots_[c].entered_ring = entered;
+    next_tag_ = next_tag_ == ~std::uint32_t{0} ? 1 : next_tag_ + 1;
+    link_tag_[c] = next_tag_;
+    return next_tag_;
   }
-  [[nodiscard]] const LinkFrame& transit(std::size_t p) const noexcept {
-    return transit_[p];
-  }
-
-  /// Frames on links plus busy transit registers (accounting identity).
-  [[nodiscard]] std::uint64_t frames_in_flight() const noexcept;
 
   // --- cold-path column accessors -----------------------------------------
 
@@ -263,14 +220,12 @@ class WRT_SHARD_CONFINED SlotKernel final {
   std::vector<std::int64_t> rounds_since_rap_;
   std::vector<std::vector<Tick>> arrival_history_;  ///< bounded, oldest first
 
-  // Data plane: logical link p -> p+1 is a ring buffer over link_depth_
-  // slots at physical column link_col(p); transit_[p] holds the frame
-  // position p must forward next (absolute priority over local injection).
+  // Data plane: logical link p -> p+1 is physical column link_col(p).  The
+  // tags stay 32-bit: the injection scan stores into link_tag_ and a char
+  // store would alias every kernel field it reads afterwards.
   std::vector<LinkFrame> link_slots_;
-  std::vector<std::uint32_t> link_head_;
-  std::vector<std::uint32_t> link_count_;
-  std::vector<LinkFrame> transit_;
-  std::size_t link_depth_ = 0;
+  std::vector<std::uint32_t> link_tag_;
+  std::uint32_t next_tag_ = 0;
   std::uint32_t rot_ = 0;  ///< logical->physical column rotation offset
 
   // Send-eligibility bitmap (see refresh_eligible); rebuilt lazily after

@@ -112,9 +112,9 @@ TEST_F(InvariantAuditorTest, OverQuotaCounterTripsQuotaConservation) {
   expect_only("quota-conservation");
 }
 
-TEST_F(InvariantAuditorTest, BusyTransitRegisterTripsLinkPipeline) {
+TEST_F(InvariantAuditorTest, PhantomLinkFrameTripsLinkPipeline) {
   ASSERT_EQ(auditor_.run("baseline"), 0u);
-  EngineTestHook::mark_transit_busy(harness_.engine, 5);
+  EngineTestHook::phantom_link_frame(harness_.engine, 5);
   expect_only("link-pipeline");
 }
 
@@ -182,14 +182,14 @@ TEST_F(InvariantAuditorTest, MismatchedAnchorTripsRevertivePositionRestored) {
 
 TEST_F(InvariantAuditorTest, ViolationRecordsCarryContext) {
   ASSERT_EQ(auditor_.run("baseline"), 0u);
-  EngineTestHook::mark_transit_busy(harness_.engine, 2);
+  EngineTestHook::phantom_link_frame(harness_.engine, 2);
   ASSERT_GT(auditor_.run("tagged-event"), 0u);
   ASSERT_FALSE(auditor_.violations().empty());
   const Violation& violation = auditor_.violations().front();
   EXPECT_EQ(violation.check, "link-pipeline");
   EXPECT_EQ(violation.event, "tagged-event");
   EXPECT_EQ(violation.at, harness_.engine.now());
-  EXPECT_NE(violation.detail.find("transit register 2"), std::string::npos);
+  EXPECT_NE(violation.detail.find("link 2 carries a frame"), std::string::npos);
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
-// Differential test: the fast data-plane path (direct per-hop delivery,
-// justified by the verified distance-2 code assignment) and the full CDMA
-// interference simulation must produce IDENTICAL protocol behaviour when
-// the code assignment is valid — same deliveries, same delays, same SAT
-// dynamics.  Any divergence means one of the two models is wrong.
+// Differential test: direct per-hop delivery (justified by the verified
+// distance-2 code assignment) and the full CDMA interference simulation
+// must produce IDENTICAL protocol behaviour when the code assignment is
+// valid — same deliveries, same losses, same delays, same SAT dynamics.
+// Any divergence means one of the two models is wrong.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
+#include "fault/gilbert_elliott.hpp"
 #include "tests/wrtring/test_helpers.hpp"
 #include "wrtring/engine.hpp"
 
@@ -16,6 +17,7 @@ namespace {
 struct RunDigest {
   std::uint64_t delivered = 0;
   std::uint64_t transmissions = 0;
+  std::uint64_t lost = 0;
   std::uint64_t sat_rounds = 0;
   std::uint64_t collisions = 0;
   double rt_delay_mean = 0.0;
@@ -25,10 +27,11 @@ struct RunDigest {
 };
 
 RunDigest run(bool fidelity, std::size_t n, std::uint64_t seed,
-              bool with_faults) {
+              bool with_faults, bool lossy = false) {
   Config config;
   config.default_quota = {2, 1};
   config.cdma_fidelity = fidelity;
+  if (lossy) config.channel.data = fault::GeParams::bursty(0.05, 8.0);
   testing::Harness h(n, config, seed);
   for (NodeId node = 0; node < n; ++node) {
     h.engine.add_source(testing::rt_flow(node, node, n, 12.0));
@@ -44,6 +47,7 @@ RunDigest run(bool fidelity, std::size_t n, std::uint64_t seed,
   const auto& stats = h.engine.stats();
   digest.delivered = stats.sink.total_delivered();
   digest.transmissions = stats.data_transmissions;
+  digest.lost = stats.frames_lost_link;
   digest.sat_rounds = stats.sat_rounds;
   digest.collisions = stats.cdma_collisions;
   digest.rt_delay_mean =
@@ -63,7 +67,7 @@ TEST_P(FidelityDifferential, FastPathMatchesFullCdma) {
   full.collisions = 0;
   // Wire-format check rides along in fidelity mode.
   // (header_decode_failures is asserted via the digest being equal: the
-  // fast path never encodes, so both must report zero.)
+  // direct path never encodes, so both must report zero.)
   EXPECT_EQ(fast, full) << "N=" << n << " seed=" << seed;
 }
 
@@ -72,6 +76,20 @@ TEST_P(FidelityDifferential, MatchesThroughRecoveryToo) {
   const RunDigest fast = run(false, static_cast<std::size_t>(n), seed, true);
   RunDigest full = run(true, static_cast<std::size_t>(n), seed, true);
   full.collisions = 0;
+  EXPECT_EQ(fast, full) << "N=" << n << " seed=" << seed;
+}
+
+// Bursty data loss: every forwarded frame both draws its loss and, in
+// fidelity mode, crosses the CDMA channel, so the per-hop work must agree
+// with and without the interference model.
+TEST_P(FidelityDifferential, MatchesUnderBurstyDataLoss) {
+  const auto [n, seed] = GetParam();
+  const RunDigest fast =
+      run(false, static_cast<std::size_t>(n), seed, false, true);
+  RunDigest full = run(true, static_cast<std::size_t>(n), seed, false, true);
+  EXPECT_EQ(full.collisions, 0u) << "valid codes must never collide";
+  full.collisions = 0;
+  EXPECT_GT(fast.lost, 0u) << "the channel lost nothing";
   EXPECT_EQ(fast, full) << "N=" << n << " seed=" << seed;
 }
 

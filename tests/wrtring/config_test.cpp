@@ -11,14 +11,10 @@ TEST(ConfigValidate, DefaultIsValid) {
   EXPECT_TRUE(Config{}.validate().ok());
 }
 
-TEST(ConfigValidate, HopLatencyPositive) {
-  Config config;
-  config.hop_latency_slots = 0;
-  EXPECT_FALSE(config.validate().ok());
-}
-
 TEST(ConfigValidate, NegativeSatHopRejected) {
   Config config;
+  config.sat_hop_latency_slots = 0;
+  EXPECT_FALSE(config.validate().ok());
   config.sat_hop_latency_slots = -1;
   EXPECT_FALSE(config.validate().ok());
 }

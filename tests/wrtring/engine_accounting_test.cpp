@@ -10,6 +10,9 @@
 //   3. The stale-frame purge (hops > R + 1) is reachable: after a graceful
 //      leave, frames addressed to the ex-member keep entering the ring and
 //      must be purged instead of circulating forever.
+//   4. Every frame the data plane loses on a hop — at a silent station, on
+//      an unreachable hop, or to the channel — is one frames_lost count in
+//      the registry, matching EngineStats::frames_lost_link.
 #include <cstdint>
 
 #include <gtest/gtest.h>
@@ -74,24 +77,23 @@ TEST(EngineAccounting, BareStepTotalsVisibleInSnapshot) {
 }
 
 // Satellite 2: join-path drops are churn, not rebuild.  The RAP halts
-// injections, so with 1-slot hops the ring would drain before the update
-// phase; 4-slot hop pipelines keep frames in flight across the RAP, and
-// the splice at join completion must charge them to frames_lost_churn
-// while the teardown counter stays zero (nothing was rebuilt or
-// recovered).
+// injections for T_rap slots, so only frames with a long way to go are
+// still in flight at the update phase: every flow is addressed 14 hops
+// downstream.  The splice at join completion must charge them to
+// frames_lost_churn while the teardown counter stays zero (nothing was
+// rebuilt or recovered).
 TEST(EngineAccounting, JoinDropsChargeChurnNotRebuild) {
-  const std::size_t n = 8;
+  const std::size_t n = 16;
   phy::Topology topology = small_room(n);
   Config config;
   config.rap_policy = RapPolicy::kRotating;
   config.s_round_min = 4;
-  config.hop_latency_slots = 4;
   config.members.resize(n - 1);
   for (std::size_t i = 0; i + 1 < n; ++i) {
     config.members[i] = static_cast<NodeId>(i);
   }
   Engine engine(&topology, config, /*seed=*/3);
-  saturate_all(engine, n - 1, static_cast<NodeId>(n / 2));
+  saturate_all(engine, n - 1, static_cast<NodeId>(n - 2));
   ASSERT_TRUE(engine.init().ok());
 
   engine.run_slots(256);
@@ -134,6 +136,49 @@ TEST(EngineAccounting, StalePurgeReachableAfterLeave) {
   EXPECT_GT(stats.frames_dropped_stale, 0u);
   EXPECT_EQ(stats.data_transmissions, accounted(engine));
   EXPECT_TRUE(engine.check_invariants().ok());
+}
+
+// Item 4: a hard link break and a stall under saturated traffic.
+// Frames forwarded onto the broken hop and frames arriving at the wedged
+// station are both frames_lost_link; the registry must count each one.
+TEST(EngineAccounting, FramesLostTelemetryMatchesStats) {
+  if (!telemetry::kTelemetryEnabled) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
+  const std::size_t n = 16;
+  phy::Topology topology = small_room(n);
+  Engine engine(&topology, Config{}, /*seed=*/3);
+  saturate_all(engine, n, static_cast<NodeId>(n / 2));
+  ASSERT_TRUE(engine.init().ok());
+  engine.run_slots(128);
+
+  const auto& registry = telemetry::MetricRegistry::instance();
+  const telemetry::RegistrySnapshot before = registry.snapshot();
+  const std::uint64_t lost_before = engine.stats().frames_lost_link;
+
+  const NodeId from = engine.virtual_ring().station_at(9);
+  const NodeId to = engine.virtual_ring().station_at(10);
+  topology.fail_link(from, to);
+  engine.run_slots(8);
+  topology.restore_link(from, to);
+  engine.run_slots(256);
+  const std::uint64_t lost_to_break =
+      engine.stats().frames_lost_link - lost_before;
+
+  const NodeId wedged = engine.virtual_ring().station_at(5);
+  engine.stall_station(wedged);
+  engine.run_slots(40);
+  engine.resume_station(wedged);
+  engine.run_slots(64);
+
+  const std::uint64_t lost = engine.stats().frames_lost_link - lost_before;
+  EXPECT_GT(lost_to_break, 0u);
+  EXPECT_GT(lost, lost_to_break);
+  const telemetry::RegistrySnapshot after = registry.snapshot();
+  EXPECT_EQ(after.counter(telemetry::CounterId::kFramesLost) -
+                before.counter(telemetry::CounterId::kFramesLost),
+            lost);
+  EXPECT_EQ(engine.stats().data_transmissions, accounted(engine));
 }
 
 }  // namespace

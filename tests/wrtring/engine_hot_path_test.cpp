@@ -141,18 +141,5 @@ TEST(PositionIndex, StaysAlignedAcrossMembershipChurn) {
   }
 }
 
-TEST(LinkPipeline, DeepHopLatencyKeepsInvariants) {
-  Config config;
-  config.hop_latency_slots = 3;
-  Harness h(8, config);
-  auto spec = rt_flow(1, 0, 8, /*period_slots=*/2.0);
-  h.engine.add_saturated_source(spec);
-  for (int i = 0; i < 500; ++i) {
-    h.engine.step();
-    ASSERT_TRUE(h.engine.check_invariants().ok()) << "slot " << i;
-  }
-  EXPECT_GT(h.engine.stats().sink.total_delivered(), 0u);
-}
-
 }  // namespace
 }  // namespace wrt::wrtring

@@ -7,6 +7,11 @@
 // including the floating-point means, whose accumulation order is part of
 // the contract — across clean, membership-churn, and bursty-loss runs.
 //
+// The kStall cells were recorded later, against the engine that still ran
+// the literal per-position loops whenever a member was silent or a hop was
+// unreachable: they pin the silent-station and unreachable-hop cases under
+// saturated traffic.
+//
 // Regenerating after a *deliberate* protocol change:
 //   WRT_DIGEST_CAPTURE=1 ./test_wrtring --gtest_filter='SoaDigest*' 2>,out
 // and paste the printed table back into kExpected.
@@ -28,7 +33,7 @@
 namespace wrt::wrtring {
 namespace {
 
-enum class Mode { kClean, kChurn, kFault, kMixed };
+enum class Mode { kClean, kChurn, kFault, kMixed, kStall };
 
 const char* mode_name(Mode mode) {
   switch (mode) {
@@ -36,6 +41,7 @@ const char* mode_name(Mode mode) {
     case Mode::kChurn: return "churn";
     case Mode::kFault: return "fault";
     case Mode::kMixed: return "mixed";
+    case Mode::kStall: return "stall";
   }
   return "?";
 }
@@ -161,6 +167,11 @@ std::string scenario_digest(std::size_t n, Mode mode) {
     // one-shot SAT drop: exercises loss accounting and a full recovery.
     config.channel.data = fault::GeParams::bursty(0.05, 8.0);
   }
+  if (mode == Mode::kStall) {
+    // A station cut out by the long stall re-enters through the RAP.
+    config.rap_policy = RapPolicy::kRotating;
+    config.auto_rejoin = true;
+  }
   Engine engine(&topology, config, /*seed=*/7);
   saturate(engine, n, members);
   if (!engine.init().ok()) return "init-failed";
@@ -180,6 +191,29 @@ std::string scenario_digest(std::size_t n, Mode mode) {
   } else if (mode == Mode::kFault) {
     engine.drop_sat_once();
     engine.run_slots(2 * config.sat_timeout_slots + 512);
+  } else if (mode == Mode::kStall) {
+    // 1. A short wedge, resumed well inside the SAT timeout: frames
+    //    arriving at the silent station are lost.
+    const NodeId brief = engine.virtual_ring().station_at(3);
+    engine.stall_station(brief);
+    engine.run_slots(24);
+    engine.resume_station(brief);
+    engine.run_slots(256);
+    // 2. One ring hop hard-fails for a few slots: frames forwarded onto
+    //    it are lost.
+    const NodeId from = engine.virtual_ring().station_at(7);
+    const NodeId to = engine.virtual_ring().station_at(8);
+    topology.fail_link(from, to);
+    engine.run_slots(6);
+    topology.restore_link(from, to);
+    engine.run_slots(256);
+    // 3. A wedge that outlasts the SAT timeout: the ring cuts the station
+    //    out, and on resume it asks to rejoin.
+    const NodeId long_stall = engine.virtual_ring().station_at(13);
+    engine.stall_station(long_stall);
+    engine.run_slots(2 * config.sat_timeout_slots + 512);
+    engine.resume_station(long_stall);
+    engine.run_slots(1024);
   } else {
     engine.run_slots(1024);
   }
@@ -220,6 +254,9 @@ constexpr Cell kExpected[] = {
      "ring=4095;rounds=5;hops=17983;tx=22056;transit=471249;delivered=0;lost_link=22009;lost_teardown=22;stale=0;rt_del=0;as_del=0;be_del=0;joins=0;leaves=0;recoveries=1;losses_detected=1;rebuilds=0;raps=0;ctrl_lost=0;qdrops=0;delay=19102373;rt_delay=19102583;rotation=4627023;hold=0;util=3;invariants_ok=1;"},
     // Recorded before the engines moved onto traffic::SourceSet.
     {32, Mode::kMixed, "ring=31;rounds=60;hops=1871;tx=1807;transit=26003;delivered=1742;lost_link=27;lost_teardown=17;stale=10;rt_del=1133;as_del=270;be_del=339;joins=0;leaves=0;recoveries=1;losses_detected=1;rebuilds=0;raps=0;ctrl_lost=0;qdrops=759;delay=123622;rt_delay=164474;rotation=34352;hold=14000;util=430;invariants_ok=1;flows=58be02bfbef1e764;"},
+    // Silent stations and an unreachable hop under saturated traffic.
+    {32, Mode::kStall, "ring=31;rounds=77;hops=2367;tx=2391;transit=35456;delivered=2219;lost_link=32;lost_teardown=39;stale=89;rt_del=1438;as_del=0;be_del=781;joins=1;leaves=0;recoveries=2;losses_detected=2;rebuilds=0;raps=46;ctrl_lost=0;qdrops=0;delay=147711;rt_delay=147373;rotation=38668;hold=6000;util=413;invariants_ok=1;"},
+    {256, Mode::kStall, "ring=255;rounds=7;hops=1256;tx=1437;transit=162617;delivered=1139;lost_link=42;lost_teardown=127;stale=1;rt_del=757;as_del=0;be_del=382;joins=0;leaves=0;recoveries=1;losses_detected=2;rebuilds=1;raps=0;ctrl_lost=0;qdrops=0;delay=2106006;rt_delay=2106058;rotation=281177;hold=0;util=134;invariants_ok=1;"},
 };
 
 class SoaDigest : public ::testing::TestWithParam<Cell> {};
