@@ -2,6 +2,10 @@
 // determines how large an experiment sweep the harness can afford.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <numbers>
+#include <vector>
+
 #include "bench/bench_common.hpp"
 #include "bench/bench_gbench.hpp"
 #include "cdma/channel.hpp"
@@ -94,6 +98,61 @@ void BM_BuildRing(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildRing)->Arg(8)->Arg(32)->Arg(128);
+
+// BM_BuildRing never gets past the angular heuristic: the angular ring is
+// valid on every ring_room circle.  These two time the backtracking search.
+
+/// ring-partition's split (bench/e2e): a 64-station ring_room with an arc of
+/// 9 stations walled off.  The search over the 55-station side fails after
+/// its whole default budget of 200,000 steps.
+void BM_RingSearchFailed(benchmark::State& state) {
+  phy::Topology topology = bench::ring_room(64);
+  std::vector<NodeId> arc;
+  for (NodeId node = 0; node < 64 / 7; ++node) arc.push_back(node);
+  topology.set_partition({arc});
+  const std::vector<NodeId> members = ring::largest_component(topology);
+  if (ring::build_ring_over(topology, members).ok()) {
+    state.SkipWithError("the search found a ring");
+    return;
+  }
+  for (auto _ : state) {
+    auto result = ring::build_ring_over(topology, members);
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_RingSearchFailed);
+
+/// Two 24-station cliques 16 m apart, joined by a band of 24 bridge
+/// stations above them.  The angular order steps from one clique straight
+/// to the other below the band, so only the search finds the ring.
+void BM_RingSearchFound(benchmark::State& state) {
+  util::RngStream rng(2, 0xC1A5);
+  std::vector<phy::Vec2> positions;
+  for (const double cx : {0.0, 16.0}) {
+    for (int i = 0; i < 24; ++i) {
+      const double r = 3.0 * std::sqrt(rng.uniform());
+      const double a = rng.uniform(0.0, 2.0 * std::numbers::pi);
+      positions.push_back({cx + r * std::cos(a), r * std::sin(a)});
+    }
+  }
+  for (int i = 0; i < 24; ++i) {
+    positions.push_back({rng.uniform(2.0, 14.0), rng.uniform(3.0, 8.0)});
+  }
+  const phy::Topology topology(std::move(positions),
+                               phy::RadioParams{10.0, 0.0});
+  const std::vector<NodeId> members = ring::largest_component(topology);
+  // A zero budget leaves only the angular heuristic.
+  if (ring::build_ring_over(topology, members, 0).ok() ||
+      !ring::build_ring_over(topology, members).ok()) {
+    state.SkipWithError("the layout no longer needs a successful search");
+    return;
+  }
+  for (auto _ : state) {
+    auto result = ring::build_ring_over(topology, members);
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_RingSearchFound);
 
 void BM_CodeAssignmentGreedy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

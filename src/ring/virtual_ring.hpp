@@ -74,9 +74,11 @@ class VirtualRing {
 [[nodiscard]] util::Result<VirtualRing> build_ring(
     const phy::Topology& topology, std::size_t backtrack_budget = 200000);
 
-/// Same, restricted to the given member set (all must be alive).  Used by
-/// ring re-formation, which can only recruit stations that heard the
-/// broadcast — i.e. the initiator's connected component.
+/// Same, restricted to the given member set.  Used by ring re-formation,
+/// which can only recruit stations that heard the broadcast — i.e. the
+/// initiator's connected component.  Fails with kInvalidArgument when a
+/// member is not a node of `topology`, is dead, or is named twice.  The
+/// search starts from members.front().
 [[nodiscard]] util::Result<VirtualRing> build_ring_over(
     const phy::Topology& topology, std::vector<NodeId> members,
     std::size_t backtrack_budget = 200000);

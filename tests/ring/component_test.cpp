@@ -58,6 +58,22 @@ TEST(BuildRingOver, RejectsDeadMember) {
   EXPECT_EQ(result.error().code, util::Error::Code::kInvalidArgument);
 }
 
+TEST(BuildRingOver, RejectsDuplicateMember) {
+  const phy::Topology t(phy::placement::circle(6, 10.0),
+                        phy::RadioParams{11.0, 0.0});
+  const auto result = build_ring_over(t, {0, 1, 2, 3, 2});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, util::Error::Code::kInvalidArgument);
+}
+
+TEST(BuildRingOver, RejectsUnknownMember) {
+  const phy::Topology t(phy::placement::circle(6, 10.0),
+                        phy::RadioParams{11.0, 0.0});
+  const auto result = build_ring_over(t, {0, 1, 2, 6});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, util::Error::Code::kInvalidArgument);
+}
+
 TEST(BuildRingOver, FailsOnDisconnectedMembers) {
   std::vector<phy::Vec2> positions{{0, 0}, {5, 0}, {0, 5},
                                    {100, 100}, {105, 100}, {100, 105}};

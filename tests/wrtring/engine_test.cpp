@@ -29,6 +29,18 @@ TEST(EngineInit, FailsWithoutRing) {
   EXPECT_EQ(status.error().code, util::Error::Code::kNoRingPossible);
 }
 
+TEST(EngineInit, RejectsMalformedMemberSet) {
+  // Config::validate does not look at members; build_ring_over does, and
+  // init returns its error instead of letting an exception escape.
+  phy::Topology topology = circle_topology(8);
+  Config config;
+  config.members = {0, 1, 2, 2, 3};
+  Engine engine(&topology, config, 1);
+  const auto status = engine.init();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, util::Error::Code::kInvalidArgument);
+}
+
 TEST(EngineIdle, SatCirculatesAtRingLatency) {
   Harness h(10, Config{});
   h.engine.run_slots(200);
