@@ -162,7 +162,29 @@ void BM_CodeAssignmentGreedy(benchmark::State& state) {
     benchmark::DoNotOptimize(codes);
   }
 }
-BENCHMARK(BM_CodeAssignmentGreedy)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_CodeAssignmentGreedy)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
+
+// Engine::init's distance-2 check of the greedy map.
+void BM_CodeVerify(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const phy::Topology topology = bench::ring_room(n);
+  const auto codes = cdma::assign_greedy_two_hop(topology);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cdma::verify_two_hop_distinct(topology, codes));
+  }
+}
+BENCHMARK(BM_CodeVerify)->Arg(64)->Arg(1024);
+
+// The x-sweep every whole-graph pass starts from.
+void BM_NeighborTable(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const phy::Topology topology = bench::ring_room(n);
+  for (auto _ : state) {
+    auto table = topology.neighbor_table();
+    benchmark::DoNotOptimize(table);
+  }
+}
+BENCHMARK(BM_NeighborTable)->Arg(64)->Arg(1024);
 
 void BM_ChannelSlotResolution(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

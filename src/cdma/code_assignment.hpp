@@ -30,7 +30,8 @@ namespace wrt::cdma {
 /// (kBroadcastCode = 0 is reserved).
 using CodeMap = std::vector<CdmaCode>;
 
-/// Greedy distance-2 colouring in node-id order.
+/// Greedy distance-2 colouring in node-id order: each alive node takes the
+/// smallest free code (see smallest_free_code).
 [[nodiscard]] CodeMap assign_greedy_two_hop(const phy::Topology& topology);
 
 /// Simulated distributed assignment: random node order per round, each node
@@ -42,15 +43,23 @@ using CodeMap = std::vector<CdmaCode>;
                                          std::size_t* rounds_out = nullptr);
 
 /// Verifies the distance-2 condition: no two distinct alive nodes within two
-/// hops share a code, and no node uses the broadcast code.
+/// hops share a code, and no node uses the broadcast code.  False when an
+/// alive node has no entry in `codes` (it joined after the assignment).
 [[nodiscard]] bool verify_two_hop_distinct(const phy::Topology& topology,
                                            const CodeMap& codes);
 
 /// Number of distinct codes used (the "spreading-code budget").
 [[nodiscard]] std::size_t codes_used(const CodeMap& codes);
 
-/// Collects the 2-hop neighbourhood of `node` (excluding `node` itself).
+/// Collects the 2-hop neighbourhood of `node` (excluding `node` itself), in
+/// ascending id order.  A one-off query through Topology::neighbors().
 [[nodiscard]] std::vector<NodeId> two_hop_neighbors(
     const phy::Topology& topology, NodeId node);
+
+/// The rule every assignment here uses: the smallest code >= 1 that no
+/// station within two hops of `node` holds in `codes` (a station past the
+/// end of `codes` holds none).  A one-off query, for a joining station.
+[[nodiscard]] CdmaCode smallest_free_code(const phy::Topology& topology,
+                                          const CodeMap& codes, NodeId node);
 
 }  // namespace wrt::cdma

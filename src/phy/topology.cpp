@@ -100,6 +100,54 @@ std::vector<NodeId> Topology::neighbors(NodeId node) const {
   return result;
 }
 
+NeighborTable Topology::neighbor_table() const {
+  const std::size_t n = positions_.size();
+  // A NaN position reaches nothing, and would break the sort.
+  std::vector<NodeId> by_x;
+  for (NodeId i = 0; i < n; ++i) {
+    if (alive_[i] && !std::isnan(positions_[i].x)) by_x.push_back(i);
+  }
+  std::sort(by_x.begin(), by_x.end(), [this](NodeId a, NodeId b) {
+    return positions_[a].x < positions_[b].x;
+  });
+  // reachable() needs distance <= effective_range(), which never exceeds
+  // max(range, 0), and a pair's x gap never exceeds its distance.  The
+  // factor 2 is a margin for rounding: the window drops no edge.
+  const double window = 2.0 * std::max(0.0, radio_.range);
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (std::size_t a = 0; a < by_x.size(); ++a) {
+    const double x = positions_[by_x[a]].x;
+    for (std::size_t b = a + 1;
+         b < by_x.size() && positions_[by_x[b]].x - x <= window; ++b) {
+      if (reachable(by_x[a], by_x[b])) edges.emplace_back(by_x[a], by_x[b]);
+    }
+  }
+
+  NeighborTable table;
+  table.offsets_.assign(n + 1, 0);
+  for (const auto& [a, b] : edges) {
+    ++table.offsets_[a + 1];
+    ++table.offsets_[b + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    table.offsets_[i + 1] += table.offsets_[i];
+  }
+  table.ids_.resize(table.offsets_[n]);
+  std::vector<std::size_t> cursor(table.offsets_.begin(),
+                                  table.offsets_.end() - 1);
+  for (const auto& [a, b] : edges) {
+    table.ids_[cursor[a]++] = b;
+    table.ids_[cursor[b]++] = a;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    std::sort(table.ids_.begin() +
+                  static_cast<std::ptrdiff_t>(table.offsets_[i]),
+              table.ids_.begin() +
+                  static_cast<std::ptrdiff_t>(table.offsets_[i + 1]));
+  }
+  return table;
+}
+
 bool Topology::hidden_pair(NodeId a, NodeId c, NodeId receiver) const {
   return reachable(a, receiver) && reachable(c, receiver) && !reachable(a, c);
 }
@@ -116,6 +164,7 @@ bool Topology::connected() const {
   }
   if (alive_count <= 1) return true;
 
+  const NeighborTable table = neighbor_table();
   std::vector<bool> seen(n, false);
   std::queue<NodeId> frontier;
   frontier.push(start);
@@ -124,8 +173,8 @@ bool Topology::connected() const {
   while (!frontier.empty()) {
     const NodeId u = frontier.front();
     frontier.pop();
-    for (NodeId v = 0; v < n; ++v) {
-      if (!seen[v] && reachable(u, v)) {
+    for (const NodeId v : table.row(u)) {
+      if (!seen[v]) {
         seen[v] = true;
         ++visited;
         frontier.push(v);
@@ -136,9 +185,10 @@ bool Topology::connected() const {
 }
 
 bool Topology::min_degree_at_least(std::size_t min_degree) const {
+  const NeighborTable table = neighbor_table();
   for (NodeId i = 0; i < positions_.size(); ++i) {
     if (!alive_[i]) continue;
-    if (neighbors(i).size() < min_degree) return false;
+    if (table.row(i).size() < min_degree) return false;
   }
   return true;
 }

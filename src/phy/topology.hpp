@@ -9,6 +9,7 @@
 #pragma once
 
 #include <set>
+#include <span>
 #include <vector>
 
 #include "phy/geometry.hpp"
@@ -24,6 +25,26 @@ namespace wrt::phy {
 struct RadioParams {
   double range = 30.0;          ///< metres
   double shadowing_sigma = 0.0; ///< std-dev of per-link range shrink (m)
+};
+
+/// Every node's one-hop neighbours as flat rows (offsets + ids), built by
+/// Topology::neighbor_table() for the passes that walk the whole graph.
+/// Row i lists exactly what Topology::neighbors(i) returns, in ascending id
+/// order.  A snapshot: it does not follow later changes to the topology.
+class NeighborTable {
+ public:
+  [[nodiscard]] std::size_t node_count() const noexcept {
+    return offsets_.size() - 1;
+  }
+  /// The neighbours of `node`, which must be < node_count().
+  [[nodiscard]] std::span<const NodeId> row(NodeId node) const noexcept {
+    return {ids_.data() + offsets_[node], ids_.data() + offsets_[node + 1]};
+  }
+
+ private:
+  friend class Topology;
+  std::vector<std::size_t> offsets_{0};  ///< row i is [offsets_[i], [i+1])
+  std::vector<NodeId> ids_;
 };
 
 /// A static snapshot of who-can-hear-whom.  Recomputed after mobility steps
@@ -71,8 +92,16 @@ class Topology {
   /// True iff a and b can communicate over a single hop right now.
   [[nodiscard]] bool reachable(NodeId a, NodeId b) const;
 
-  /// All current one-hop neighbours of `node`.
+  /// All current one-hop neighbours of `node`: one scan over every node,
+  /// for one-off queries.
   [[nodiscard]] std::vector<NodeId> neighbors(NodeId node) const;
+
+  /// Every node's neighbours at once, for passes over the whole graph.  One
+  /// sweep over the alive nodes sorted by x tests a pair with reachable()
+  /// only when its x gap is at most 2 * range: reachable() implies
+  /// distance <= range, so the window drops no edge, and reachable() still
+  /// decides every pair.  Built on each call; the topology keeps no cache.
+  [[nodiscard]] NeighborTable neighbor_table() const;
 
   /// Hidden-terminal test: c is hidden from a w.r.t. receiver b when both
   /// a and c reach b but a and c do not reach each other.

@@ -88,8 +88,9 @@ namespace {
 /// each step is then word operations on the rows.  What fixes the search's
 /// trace (the cycle found, or the failure, at every budget), which
 /// RingSearchDigest pins cell by cell:
-///  - bit j of member i's row is topology.reachable(member i, member j), so
-///    failed links, partitions, liveness and shadowing are the topology's;
+///  - bit j of member i's row is topology.reachable(member i, member j),
+///    read from the topology's neighbour table, so failed links, partitions,
+///    liveness and shadowing are the topology's;
 ///  - members are ranked by ascending NodeId, so a row's set bits, walked
 ///    low to high, list a tail's candidates in ascending NodeId order;
 ///  - a candidate's key is its free degree, every node it reaches that is
@@ -117,9 +118,9 @@ class HamiltonianSearch {
     }
     rows_.assign(by_rank_.size() * words_, 0);
     outside_.assign(by_rank_.size(), 0);
+    const phy::NeighborTable table = topology.neighbor_table();
     for (std::uint32_t r = 0; r < by_rank_.size(); ++r) {
-      for (NodeId other = 0; other < topology.node_count(); ++other) {
-        if (!topology.reachable(by_rank_[r], other)) continue;
+      for (const NodeId other : table.row(by_rank_[r])) {
         if (rank_of[other] == kNotMember) {
           ++outside_[r];
         } else {
@@ -233,6 +234,7 @@ util::Result<VirtualRing> build_ring(const phy::Topology& topology,
 
 std::vector<NodeId> largest_component(const phy::Topology& topology) {
   const std::size_t n = topology.node_count();
+  const phy::NeighborTable table = topology.neighbor_table();
   std::vector<bool> seen(n, false);
   std::vector<NodeId> best;
   for (NodeId start = 0; start < n; ++start) {
@@ -244,7 +246,7 @@ std::vector<NodeId> largest_component(const phy::Topology& topology) {
       const NodeId u = frontier.back();
       frontier.pop_back();
       component.push_back(u);
-      for (const NodeId v : topology.neighbors(u)) {
+      for (const NodeId v : table.row(u)) {
         if (!seen[v]) {
           seen[v] = true;
           frontier.push_back(v);

@@ -15,6 +15,7 @@ util::Result<Tree> Tree::build(const phy::Topology& topology, NodeId root) {
   tree.parent_.assign(topology.node_count(), kInvalidNode);
   tree.children_.assign(topology.node_count(), {});
 
+  const phy::NeighborTable table = topology.neighbor_table();
   std::vector<bool> seen(topology.node_count(), false);
   std::queue<NodeId> frontier;
   frontier.push(root);
@@ -23,9 +24,7 @@ util::Result<Tree> Tree::build(const phy::Topology& topology, NodeId root) {
   while (!frontier.empty()) {
     const NodeId u = frontier.front();
     frontier.pop();
-    std::vector<NodeId> neighbors = topology.neighbors(u);
-    std::sort(neighbors.begin(), neighbors.end());
-    for (const NodeId v : neighbors) {
+    for (const NodeId v : table.row(u)) {
       if (seen[v]) continue;
       seen[v] = true;
       tree.parent_[v] = u;

@@ -140,22 +140,6 @@ void Engine::erase_member(std::size_t position) {
   rebuild_position_index();
 }
 
-CdmaCode Engine::allocate_code_for(NodeId node) const {
-  std::vector<CdmaCode> used;
-  for (const NodeId other : cdma::two_hop_neighbors(*topology_, node)) {
-    if (other < codes_.size() && codes_[other] != kInvalidCode) {
-      used.push_back(codes_[other]);
-    }
-  }
-  std::sort(used.begin(), used.end());
-  CdmaCode code = 1;
-  for (const CdmaCode taken : used) {
-    if (taken > code) break;      // smallest free code found
-    if (taken == code) ++code;    // duplicates in `used` just re-test `code`
-  }
-  return code;
-}
-
 Station Engine::station(NodeId node) const {
   const std::int32_t position = station_position(node);
   if (position < 0) {
@@ -1108,6 +1092,17 @@ void Engine::finish_rebuild() {
     for (const NodeId node : joined) membership_callback_(node, true);
   }
   assign_codes();
+  if (channel_) {
+    // Every station re-coloured: register the new ring's codes as init()
+    // does, and silence everyone else, whose codes went stale.
+    for (NodeId node = 0; node < topology_->node_count(); ++node) {
+      if (station_position(node) >= 0) {
+        channel_->set_listen_codes(node, {codes_[node], kBroadcastCode});
+      } else {
+        channel_->set_listen_codes(node, {});
+      }
+    }
+  }
   reset_data_plane();
   rotation_anchor_ = ring_.station_at(0);
   // The re-formation may have recruited stations that were waiting to
@@ -1484,7 +1479,7 @@ void Engine::complete_join(NodeId joiner, NodeId ingress) {
     fsm_.record_revert_outcome(joiner, revert_anchor, membership_epoch_);
   }
   if (codes_.size() <= joiner) codes_.resize(joiner + 1, kInvalidCode);
-  codes_[joiner] = allocate_code_for(joiner);
+  codes_[joiner] = cdma::smallest_free_code(*topology_, codes_, joiner);
   reset_data_plane();
   if (channel_) {
     channel_->set_listen_codes(joiner, {codes_[joiner], kBroadcastCode});

@@ -1,7 +1,6 @@
 #include "wrtring/multiring.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "ring/virtual_ring.hpp"
 #include "util/log.hpp"
@@ -30,9 +29,12 @@ MultiRingCoordinator::MultiRingCoordinator(phy::Topology* topology,
                                            Config config, std::uint64_t seed)
     : topology_(topology), config_(std::move(config)), seed_(seed) {}
 
-void MultiRingCoordinator::form_rings_over(std::vector<NodeId> component) {
+void MultiRingCoordinator::form_rings_over(const phy::NeighborTable& table,
+                                           std::vector<NodeId> component) {
   std::vector<NodeId> group = std::move(component);
   std::vector<NodeId> peeled;
+  std::vector<bool> in_group(topology_->node_count(), false);
+  for (const NodeId member : group) in_group[member] = true;
   while (group.size() >= 3) {
     if (ring::build_ring_over(*topology_, group).ok()) {
       Config ring_config = config_;
@@ -50,7 +52,7 @@ void MultiRingCoordinator::form_rings_over(std::vector<NodeId> component) {
             });
         memberships_.push_back(group);
         engines_.push_back(std::move(engine));
-        if (!peeled.empty()) form_rings_over(std::move(peeled));
+        if (!peeled.empty()) form_rings_over(table, std::move(peeled));
         return;
       }
     }
@@ -58,11 +60,10 @@ void MultiRingCoordinator::form_rings_over(std::vector<NodeId> component) {
     // Hamiltonicity blocker — and retry with the rest.
     std::size_t worst_index = 0;
     std::size_t worst_degree = ~std::size_t{0};
-    const std::set<NodeId> in_group(group.begin(), group.end());
     for (std::size_t i = 0; i < group.size(); ++i) {
       std::size_t degree = 0;
-      for (const NodeId neighbor : topology_->neighbors(group[i])) {
-        if (in_group.contains(neighbor)) ++degree;
+      for (const NodeId neighbor : table.row(group[i])) {
+        if (in_group[neighbor]) ++degree;
       }
       if (degree < worst_degree) {
         worst_degree = degree;
@@ -70,6 +71,7 @@ void MultiRingCoordinator::form_rings_over(std::vector<NodeId> component) {
       }
     }
     peeled.push_back(group[worst_index]);
+    in_group[group[worst_index]] = false;
     group.erase(group.begin() + static_cast<std::ptrdiff_t>(worst_index));
   }
   unserved_.insert(unserved_.end(), group.begin(), group.end());
@@ -78,6 +80,7 @@ void MultiRingCoordinator::form_rings_over(std::vector<NodeId> component) {
 
 util::Status MultiRingCoordinator::init() {
   // Enumerate connected components of the alive graph.
+  const phy::NeighborTable table = topology_->neighbor_table();
   std::vector<bool> seen(topology_->node_count(), false);
   for (NodeId start = 0; start < topology_->node_count(); ++start) {
     if (seen[start] || !topology_->alive(start)) continue;
@@ -88,7 +91,7 @@ util::Status MultiRingCoordinator::init() {
       const NodeId u = frontier.back();
       frontier.pop_back();
       component.push_back(u);
-      for (const NodeId v : topology_->neighbors(u)) {
+      for (const NodeId v : table.row(u)) {
         if (!seen[v]) {
           seen[v] = true;
           frontier.push_back(v);
@@ -96,7 +99,7 @@ util::Status MultiRingCoordinator::init() {
       }
     }
     std::sort(component.begin(), component.end());
-    form_rings_over(std::move(component));
+    form_rings_over(table, std::move(component));
   }
   std::sort(unserved_.begin(), unserved_.end());
   util::log(util::LogLevel::kInfo,

@@ -72,8 +72,9 @@ class MultiRingCoordinator {
   /// Splits a connected component into ring-able groups: tries the whole
   /// component first, then greedily peels off stations that block the
   /// Hamiltonian search (lowest-degree first) until a ring forms or the
-  /// group is too small.
-  void form_rings_over(std::vector<NodeId> component);
+  /// group is too small.  `table` is the topology's neighbour table.
+  void form_rings_over(const phy::NeighborTable& table,
+                       std::vector<NodeId> component);
 
   /// Membership-callback body: keeps `ring_index_` and `unserved_`
   /// consistent as engine `index` gains or loses `node` (joins, cut-outs,

@@ -97,6 +97,36 @@ TEST(Verify, RejectsBroadcastCodeUse) {
   EXPECT_FALSE(verify_two_hop_distinct(t, codes));
 }
 
+TEST(Verify, ShortCodeMapFailsInBounds) {
+  // A station added after the assignment is alive and within two hops of
+  // earlier stations, but has no entry in the map: the map is incomplete,
+  // and the walk must not read past its end.
+  phy::Topology t = circle_topology(8);
+  const CodeMap codes = assign_greedy_two_hop(t);
+  const phy::Vec2 a = t.position(0);
+  const phy::Vec2 b = t.position(1);
+  const NodeId late = t.add_node((a + b) * 0.5);
+  ASSERT_TRUE(t.reachable(late, 0));
+  ASSERT_EQ(codes.size(), 8u);
+  EXPECT_FALSE(verify_two_hop_distinct(t, codes));
+}
+
+TEST(SmallestFreeCode, SkipsEveryCodeWithinTwoHops) {
+  const phy::Topology t = circle_topology(12);
+  CodeMap codes = assign_greedy_two_hop(t);
+  // Station 0's two-hop set is {1, 2, 10, 11}.
+  codes[1] = 1;
+  codes[2] = 2;
+  codes[10] = 4;
+  codes[11] = 5;
+  EXPECT_EQ(smallest_free_code(t, codes, 0), 3);
+  codes[10] = 3;
+  EXPECT_EQ(smallest_free_code(t, codes, 0), 4);
+  // Stations past the end of the map hold no code.
+  codes.resize(2);
+  EXPECT_EQ(smallest_free_code(t, codes, 0), 2);
+}
+
 TEST(TwoHopNeighbors, CircleHasFour) {
   const phy::Topology t = circle_topology(12);
   const auto n2 = two_hop_neighbors(t, 0);

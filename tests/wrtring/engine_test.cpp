@@ -259,6 +259,40 @@ TEST(EngineCdmaFidelity, NoCollisionsWithValidCodes) {
   EXPECT_GT(h.engine.stats().sink.total_delivered(), 0u);
 }
 
+TEST(EngineCdmaFidelity, RebuildRegistersTheNewCodes) {
+  // A re-formation re-colours every station.  The channel must then listen
+  // on the new codes: stale registrations make the new ring's frames
+  // collide at stations whose old code a neighbour now holds.
+  Config config;
+  config.cdma_fidelity = true;
+  Harness h(24, config);
+  for (NodeId n = 6; n < 24; ++n) {
+    auto spec = rt_flow(n, n, 24);
+    spec.dst = static_cast<NodeId>(6 + (n - 6 + 9) % 18);
+    h.engine.add_saturated_source(spec, 4);
+  }
+  h.engine.run_slots(500);
+  ASSERT_EQ(h.engine.stats().cdma_collisions, 0u);
+
+  // Six stations walled off: no cut-out bridges the gap, so the ring
+  // re-forms over the other eighteen.
+  h.topology.set_partition({{0, 1, 2, 3, 4, 5}});
+  for (int i = 0; i < 200 && (h.engine.virtual_ring().size() != 18 ||
+                              h.engine.sat_state() == SatState::kRebuilding);
+       ++i) {
+    h.engine.run_slots(100);
+  }
+  ASSERT_GE(h.engine.stats().ring_rebuilds, 1u);
+  ASSERT_EQ(h.engine.virtual_ring().size(), 18u);
+  ASSERT_TRUE(cdma::verify_two_hop_distinct(h.topology, h.engine.codes()));
+
+  const auto collisions = h.engine.stats().cdma_collisions;
+  const auto delivered = h.engine.stats().sink.total_delivered();
+  h.engine.run_slots(2000);
+  EXPECT_EQ(h.engine.stats().cdma_collisions, collisions);
+  EXPECT_GT(h.engine.stats().sink.total_delivered(), delivered);
+}
+
 TEST(EngineAccessDelay, RecordedOnInjection) {
   Harness h(6, Config{});
   auto spec = rt_flow(1, 0, 6, 32.0);

@@ -122,14 +122,16 @@ struct LintContext {
   std::vector<Suppression> suppressions;
 };
 
-// Files whose per-slot code, or the ring re-formation search, must stay
-// free of associative lookups.
+// Files whose per-slot code, or the code every ring re-formation runs (the
+// search and the CDMA code assignment), must stay free of associative
+// lookups.
 const std::vector<std::string> kHotPathFiles = {
     "wrtring/engine.hpp", "wrtring/engine.cpp", "wrtring/station.hpp",
     "wrtring/station.cpp", "traffic/traffic.hpp", "traffic/traffic.cpp",
     "traffic/source_set.hpp", "traffic/source_set.cpp",
     "ring/frame.hpp",      "ring/frame.cpp",
-    "ring/virtual_ring.hpp", "ring/virtual_ring.cpp"};
+    "ring/virtual_ring.hpp", "ring/virtual_ring.cpp",
+    "cdma/code_assignment.hpp", "cdma/code_assignment.cpp"};
 
 // Files implementing the slot-kernel passes: all per-station state must be
 // reached through the SlotKernel arrays, never a station-object vector.
