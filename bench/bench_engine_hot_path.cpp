@@ -3,8 +3,9 @@
 // Measures steady-state slot throughput of the position-indexed engine on
 // the 32-station reference ring (the restructure's acceptance criterion is
 // >= 2x over the map-indexed baseline), the same load over a lossy channel
-// (the data plane's per-hop visit), plus the membership-churn path that
-// exercises the dense-vector repack.
+// (the data plane's per-hop visit), the repo benchmark's sparse CBR shape
+// from 64 to 4096 stations (the traffic poll's cost against ring size),
+// plus the membership-churn path that exercises the dense-vector repack.
 //
 // `--digest` runs a fixed-seed 32-station scenario instead and prints the
 // protocol counters; the output must be bit-identical across builds of the
@@ -108,6 +109,46 @@ void BM_HotPathMixedLoad(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_HotPathMixedLoad)->Arg(32)->Arg(128);
+
+/// The repo benchmark's ring-clean traffic shape: every station sources one
+/// real-time CBR flow to the opposite station at period 4N, start slots
+/// spread evenly over the period, and odd stations keep a best-effort
+/// queue of 8 backlogged.  About one source is due every fourth slot
+/// whatever N is, so the per-slot time shows what the traffic poll costs
+/// as the ring grows.
+void BM_HotPathSparseCbr(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  phy::Topology topology = bench::ring_room(n);
+  wrtring::Engine engine(&topology, wrtring::Config{}, 1);
+  if (!engine.init().ok()) {
+    state.SkipWithError("init failed");
+    return;
+  }
+  const auto period = static_cast<std::int64_t>(4 * n);
+  for (NodeId node = 0; node < n; ++node) {
+    traffic::FlowSpec rt;
+    rt.id = node;
+    rt.src = node;
+    rt.dst = static_cast<NodeId>((node + n / 2) % n);
+    rt.cls = TrafficClass::kRealTime;
+    rt.kind = traffic::ArrivalKind::kCbr;
+    rt.period_slots = static_cast<double>(period);
+    rt.start_slot = 4 * static_cast<std::int64_t>(node);
+    engine.add_source(rt);
+    if (node % 2 == 1) {
+      traffic::FlowSpec be;
+      be.id = static_cast<FlowId>(n + node);
+      be.src = node;
+      be.dst = static_cast<NodeId>((node + 1) % n);
+      be.cls = TrafficClass::kBestEffort;
+      engine.add_saturated_source(be, 8);
+    }
+  }
+  engine.run_slots(period);  // every source has started
+  for (auto _ : state) engine.step();
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_HotPathSparseCbr)->Arg(64)->Arg(1024)->Arg(4096);
 
 /// Membership churn: a graceful leave plus the SAT_REC cut-out machinery
 /// every iteration — the slow path the dense repack must not regress.

@@ -5,8 +5,10 @@
 namespace wrt::traffic {
 
 void SourceSet::add_source(const FlowSpec& spec) {
+  const auto key = static_cast<std::uint32_t>(sources_.size());
   sources_.emplace_back(spec,
                         seed_ ^ static_cast<std::uint32_t>(salt_ + spec.id));
+  schedule(sources_.back().next_arrival(), key);
 }
 
 void SourceSet::add_saturated_source(const FlowSpec& spec,
@@ -24,7 +26,9 @@ void SourceSet::add_saturated_source(const FlowSpec& spec,
 
 void SourceSet::add_trace_source(Trace trace, FlowId flow, NodeId src,
                                  NodeId dst, std::int64_t deadline_slots) {
+  const auto key = static_cast<std::uint32_t>(traces_.size()) | kTraceBit;
   traces_.emplace_back(std::move(trace), flow, src, dst, deadline_slots);
+  schedule(traces_.back().next_arrival(), key);
 }
 
 }  // namespace wrt::traffic

@@ -12,6 +12,11 @@
 // one seed, and each keeps the streams its fixed-seed digests were recorded
 // with.
 //
+// Poll cost.  A binary min-heap of (next arrival, source) indexes the
+// stochastic and trace sources, so a poll visits only the sources with an
+// arrival due: a slot in which nothing arrives costs one comparison,
+// however many sources there are.
+//
 // Engine hooks are callables passed on each call as template parameters;
 // the set stores no engine pointer (shard confinement, DESIGN.md §11):
 //  * `enqueue(Packet&) -> bool` queues the packet at its source station
@@ -21,6 +26,7 @@
 //    traffic (not a ring member, dead, unknown).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -47,10 +53,29 @@ class SourceSet {
   /// Hands every packet arriving by `now` to `enqueue`: stochastic sources
   /// in registration order, then traces.  A refused packet is recorded as
   /// a drop in `sink`.
+  ///
+  /// Only the sources due by `now` are visited: they are popped off the
+  /// due-time index, sorted back into that order, drained, and pushed back
+  /// under their next arrival.  A source that is not due makes no draw and
+  /// no packet, so every enqueue, refusal and draw happens as if every
+  /// source were visited.
   template <typename Enqueue>
   void poll(Tick now, Enqueue&& enqueue, Sink& sink) {
-    for (TrafficSource& source : sources_) drain(source, now, enqueue, sink);
-    for (TraceSource& source : traces_) drain(source, now, enqueue, sink);
+    if (due_.empty() || due_.front().at > now) return;
+    popped_.clear();
+    do {
+      std::pop_heap(due_.begin(), due_.end(), later);
+      popped_.push_back(due_.back().source);
+      due_.pop_back();
+    } while (!due_.empty() && due_.front().at <= now);
+    std::sort(popped_.begin(), popped_.end());
+    for (const std::uint32_t key : popped_) {
+      if ((key & kTraceBit) != 0) {
+        drain(traces_[key & ~kTraceBit], key, now, enqueue, sink);
+      } else {
+        drain(sources_[key], key, now, enqueue, sink);
+      }
+    }
   }
 
   /// Tops every saturated bound's class queue up to min(backlog, queue
@@ -92,13 +117,36 @@ class SourceSet {
     std::size_t target;  ///< min(backlog, queue capacity)
   };
 
+  /// One due-time index entry.  `source` indexes sources_, or traces_
+  /// with kTraceBit set, so ascending keys list the stochastic sources in
+  /// registration order and then the traces.
+  struct Due {
+    Tick at;
+    std::uint32_t source;
+  };
+  static constexpr std::uint32_t kTraceBit = 1u << 31;
+
+  /// Heap order for a min-heap on the due tick.
+  static bool later(const Due& a, const Due& b) noexcept {
+    return a.at > b.at;
+  }
+
+  /// Indexes `key` under `at`; a source with no arrival left stays out.
+  void schedule(Tick at, std::uint32_t key) {
+    if (at == kNeverTick) return;
+    due_.push_back({at, key});
+    std::push_heap(due_.begin(), due_.end(), later);
+  }
+
   template <typename Source, typename Enqueue>
-  void drain(Source& source, Tick now, Enqueue& enqueue, Sink& sink) {
+  void drain(Source& source, std::uint32_t key, Tick now, Enqueue& enqueue,
+             Sink& sink) {
     scratch_.clear();
     source.poll(now, scratch_);
     for (Packet& packet : scratch_) {
       if (!enqueue(packet)) sink.record_drop(packet);
     }
+    schedule(source.next_arrival(), key);
   }
 
   template <typename Depth, typename Enqueue>
@@ -117,6 +165,8 @@ class SourceSet {
   std::size_t queue_capacity_;
   std::vector<TrafficSource> sources_;
   std::vector<TraceSource> traces_;
+  std::vector<Due> due_;              ///< min-heap on `at` (later)
+  std::vector<std::uint32_t> popped_;  ///< keys due in the current poll
   std::vector<Saturated> saturated_;
   std::vector<std::int32_t> bound_at_;     ///< NodeId -> bound index, -1 none
   std::vector<std::uint32_t> transmitted_;  ///< bound indices to refill

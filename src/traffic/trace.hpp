@@ -71,6 +71,11 @@ class TraceSource {
     return cursor_ >= trace_.size();
   }
 
+  /// The tick of the next entry poll() replays; kNeverTick once exhausted.
+  [[nodiscard]] Tick next_arrival() const noexcept {
+    return exhausted() ? kNeverTick : trace_.entries()[cursor_].at;
+  }
+
  private:
   Trace trace_;
   FlowId flow_;

@@ -25,8 +25,12 @@ double FlowSpec::offered_load() const noexcept {
 TrafficSource::TrafficSource(FlowSpec spec, std::uint64_t seed)
     : spec_(std::move(spec)),
       rng_(seed, 0xF10B + spec_.id),
-      next_arrival_(slots_to_ticks(spec_.start_slot)) {
-  if (spec_.kind == ArrivalKind::kOnOff) {
+      // A spec that offers no load (a CBR period, a rate or a duty cycle
+      // that is not > 0, or NaN) never arrives.
+      next_arrival_(spec_.offered_load() > 0.0
+                        ? slots_to_ticks(spec_.start_slot)
+                        : kNeverTick) {
+  if (spec_.kind == ArrivalKind::kOnOff && next_arrival_ != kNeverTick) {
     phase_end_ = next_arrival_ +
                  static_cast<Tick>(rng_.exponential(
                      static_cast<double>(slots_to_ticks(1)) * spec_.on_mean_slots));

@@ -115,6 +115,12 @@ class TrafficSource {
   /// created/deadline from arrival time.
   void poll(Tick now, std::vector<Packet>& out);
 
+  /// The first tick at which poll() has work: an arrival, or an on-off
+  /// phase boundary.  poll(now) makes no draw and no packet while
+  /// now < next_arrival().  kNeverTick when no arrival is left, and from
+  /// the start when the spec's offered_load() is not > 0.
+  [[nodiscard]] Tick next_arrival() const noexcept { return next_arrival_; }
+
   [[nodiscard]] const FlowSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] std::uint64_t generated() const noexcept { return sequence_; }
 

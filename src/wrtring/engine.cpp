@@ -740,7 +740,10 @@ void Engine::sat_release(NodeId from) {
     stats_.sat_hold_slots.add(ticks_to_slots_real(now_ - sat_hold_started_));
     sat_hold_started_ = kNeverTick;
   }
-  const auto from_position = static_cast<std::size_t>(ring_.position_of(from));
+  // Every caller has checked that `from` is a member.
+  const std::int32_t from_position32 = station_position(from);
+  assert(from_position32 >= 0);
+  const auto from_position = static_cast<std::size_t>(from_position32);
   kernel_.on_sat_release(from_position);
   kernel_.last_sat_departure_[from_position] = now_;
   ++kernel_.rounds_since_rap_[from_position];

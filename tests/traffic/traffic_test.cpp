@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 namespace wrt::traffic {
@@ -127,6 +128,41 @@ TEST(FlowSpec, OfferedLoadFormulas) {
   onoff.on_mean_slots = 100.0;
   onoff.off_mean_slots = 100.0;
   EXPECT_DOUBLE_EQ(onoff.offered_load(), 0.2);
+}
+
+TEST(TrafficSource, ZeroOfferedLoadEmitsNothing) {
+  // A spec whose offered_load() is not > 0 must agree with it: no packet,
+  // and no next arrival (CBR period 0 used to clamp to a 1-tick gap).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<FlowSpec> specs;
+  for (const double period : {0.0, -4.0, nan, inf}) {
+    FlowSpec cbr = cbr_spec(period);
+    specs.push_back(cbr);
+  }
+  for (const ArrivalKind kind : {ArrivalKind::kPoisson, ArrivalKind::kOnOff}) {
+    for (const double rate : {0.0, -0.5, nan}) {
+      FlowSpec spec = cbr_spec();
+      spec.kind = kind;
+      spec.rate_per_slot = rate;
+      specs.push_back(spec);
+    }
+  }
+  FlowSpec never_on = cbr_spec();
+  never_on.kind = ArrivalKind::kOnOff;
+  never_on.rate_per_slot = 0.5;
+  never_on.on_mean_slots = 0.0;
+  specs.push_back(never_on);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    FlowSpec spec = specs[i];
+    spec.start_slot = 5;
+    ASSERT_FALSE(spec.offered_load() > 0.0) << i;
+    TrafficSource source(spec, 1);
+    EXPECT_EQ(source.next_arrival(), kNeverTick) << i;
+    std::vector<Packet> packets;
+    source.poll(slots_to_ticks(1000), packets);
+    EXPECT_TRUE(packets.empty()) << i << ": " << packets.size() << " packets";
+  }
 }
 
 TEST(SaturatedSource, ProducesRequestedCount) {

@@ -129,6 +129,7 @@ const std::vector<std::string> kHotPathFiles = {
     "wrtring/engine.hpp", "wrtring/engine.cpp", "wrtring/station.hpp",
     "wrtring/station.cpp", "traffic/traffic.hpp", "traffic/traffic.cpp",
     "traffic/source_set.hpp", "traffic/source_set.cpp",
+    "traffic/trace.hpp",   "traffic/trace.cpp",
     "ring/frame.hpp",      "ring/frame.cpp",
     "ring/virtual_ring.hpp", "ring/virtual_ring.cpp",
     "cdma/code_assignment.hpp", "cdma/code_assignment.cpp"};
