@@ -12,8 +12,9 @@
 #                                   # emitted BENCH_*.json schema
 #   scripts/check.sh --chaos-smoke  # build only, then run the fixed 16-seed
 #                                   # wrt_chaos soak (FaultPlan chaos +
-#                                   # recovery-SLO + invariant audit) plus
-#                                   # the flapping-link RecoveryFsm A/B
+#                                   # recovery-SLO + invariant audit), replay
+#                                   # each seed's printed plan via --plan,
+#                                   # plus the flapping-link RecoveryFsm A/B
 #                                   # matrix (BENCH_recovery_fsm.json)
 #   scripts/check.sh --voice-smoke  # build bench_voice_capacity only, run
 #                                   # the short E16 sweep, validate its JSON
@@ -167,6 +168,24 @@ if [ "$CHAOS_SMOKE" = 1 ]; then
   # must reconverge within the analytic deadline with a clean invariant
   # audit.  Deterministic, so a failure here is a real regression.
   build/tools/wrt_chaos
+
+  echo "== chaos smoke: replay each seed's printed plan with --plan =="
+  # The text plan carries the whole schedule: a seed's --print-plan output
+  # replayed through --plan must give the same --json result as the plan
+  # drawn from the seed.
+  REPLAY_DIR=build/chaos_replay
+  rm -rf "$REPLAY_DIR"
+  mkdir -p "$REPLAY_DIR"
+  build/tools/wrt_chaos --print-plan |
+    awk -v dir="$REPLAY_DIR" \
+      '/^# seed /{file = dir "/seed" $3 ".fplan"} /^@/{print > file}'
+  for plan in "$REPLAY_DIR"/seed*.fplan; do
+    seed=$(basename "$plan" .fplan)
+    seed=${seed#seed}
+    diff <(build/tools/wrt_chaos --seeds "$seed" --json) \
+      <(build/tools/wrt_chaos --seeds "$seed" --plan "$plan" --json)
+  done
+  echo "replayed $(ls "$REPLAY_DIR" | wc -l) plans identically"
 
   echo "== chaos smoke: 16-seed flapping-link matrix (RecoveryFsm A/B) =="
   # Every seed's flap-only plan runs twice — all-defaults recovery vs

@@ -43,6 +43,7 @@ const char* to_string(FaultKind kind) noexcept {
     case FaultKind::kLinkDegrade: return "link-degrade";
     case FaultKind::kLinkBreak: return "link-break";
     case FaultKind::kLinkHeal: return "link-heal";
+    case FaultKind::kLinkRestore: return "link-restore";
     case FaultKind::kPartition: return "partition";
     case FaultKind::kHealPartition: return "heal-partition";
     case FaultKind::kDropSat: return "drop-sat";
@@ -54,6 +55,53 @@ const char* to_string(FaultKind kind) noexcept {
     case FaultKind::kMark: return "mark";
   }
   return "unknown";
+}
+
+util::Status check_event(const FaultEvent& event, std::size_t node_count) {
+  const auto unknown = [&](NodeId node) {
+    return util::Error::invalid_argument(
+        "station " + std::to_string(node) + " is not in the topology (" +
+        std::to_string(node_count) + " stations)");
+  };
+  switch (event.kind) {
+    case FaultKind::kLinkDegrade:
+    case FaultKind::kLinkBreak:
+    case FaultKind::kLinkHeal:
+    case FaultKind::kLinkRestore:
+    case FaultKind::kFlap:
+      for (const NodeId node : {event.a, event.b}) {
+        if (node >= node_count) return unknown(node);
+      }
+      break;
+    case FaultKind::kCrash:
+    case FaultKind::kStall:
+    case FaultKind::kResume:
+    case FaultKind::kLeave:
+    case FaultKind::kJoin:
+    case FaultKind::kForceSwitch:
+    case FaultKind::kClearSwitch:
+      if (event.a >= node_count) return unknown(event.a);
+      break;
+    case FaultKind::kPartition:
+      for (const auto& group : event.groups) {
+        for (const NodeId node : group) {
+          if (node >= node_count) return unknown(node);
+        }
+      }
+      break;
+    case FaultKind::kDropControl:
+      if (event.control_msg > kCtrlJoinAck) {
+        return util::Error::invalid_argument(
+            "control message " + std::to_string(event.control_msg) +
+            " is not next-free, join-req or join-ack");
+      }
+      break;
+    case FaultKind::kHealPartition:
+    case FaultKind::kDropSat:
+    case FaultKind::kMark:
+      break;
+  }
+  return util::Status::success();
 }
 
 void FaultPlan::add(FaultEvent event) {
@@ -82,6 +130,7 @@ std::string FaultPlan::to_text() const {
         break;
       case FaultKind::kLinkBreak:
       case FaultKind::kLinkHeal:
+      case FaultKind::kLinkRestore:
         out << ' ' << e.a << ' ' << e.b;
         break;
       case FaultKind::kPartition:
@@ -200,9 +249,11 @@ util::Result<FaultPlan> FaultPlan::parse(const std::string& text) {
       if (const auto status = event.ge.validate(); !status.ok()) {
         return parse_error(line_no, status.error().message);
       }
-    } else if (verb == "link-break" || verb == "link-heal") {
-      event.kind = verb == "link-break" ? FaultKind::kLinkBreak
-                                        : FaultKind::kLinkHeal;
+    } else if (verb == "link-break" || verb == "link-heal" ||
+               verb == "link-restore") {
+      event.kind = verb == "link-break"  ? FaultKind::kLinkBreak
+                   : verb == "link-heal" ? FaultKind::kLinkHeal
+                                         : FaultKind::kLinkRestore;
       if (!need_node(event.a) || !need_node(event.b)) {
         return parse_error(line_no, verb + " needs two endpoints");
       }

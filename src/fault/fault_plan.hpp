@@ -5,11 +5,11 @@
 // serialisable artifact: a sorted list of timed events covering every
 // disturbance the protocol must survive — crash, stall/resume (a wedged
 // station that stays associated, unlike a crash), graceful leave, per-link
-// degrade/break/heal, topology partition + heal, one-shot SAT and control
-// message drops, and forced rejoins.  Plans load from a small line-based
-// text format, serialise back canonically, and can be generated randomly
-// from a seed (the chaos soak's input), so scenarios, benches, and tests
-// all speak the same fault language.
+// degrade/break/heal/restore, topology partition + heal, one-shot SAT and
+// control message drops, and forced rejoins.  Plans load from a small
+// line-based text format, serialise back canonically, and can be generated
+// randomly from a seed (the chaos soak's input), so scenarios, benches,
+// and tests all speak the same fault language.
 //
 // The plan is pure data: applying it to an Engine/Topology pair lives in
 // wrtring::Scenario (this library must not depend on the protocol stack).
@@ -23,6 +23,7 @@
 //   @<slot> link-degrade <a> <b> avg=<p> dwell=<offers> [bad=<p>]
 //   @<slot> link-break <a> <b>
 //   @<slot> link-heal <a> <b>
+//   @<slot> link-restore <a> <b>
 //   @<slot> partition <node>... | <node>... [| ...]
 //   @<slot> heal-partition
 //   @<slot> drop-sat
@@ -52,12 +53,13 @@ enum class FaultKind : std::uint8_t {
   kLinkDegrade,    ///< per-link Gilbert–Elliott override (both directions)
   kLinkBreak,      ///< hard link failure regardless of distance
   kLinkHeal,       ///< undo break and degrade on the link
+  kLinkRestore,    ///< undo a hard break only; a degrade stays in place
   kPartition,      ///< split the topology into isolated groups
   kHealPartition,  ///< remove the partition
   kDropSat,        ///< one-shot SAT/SAT_REC drop on its next hop
   kDropControl,    ///< one-shot handshake-message drop (arg: ControlMsg)
   kJoin,           ///< forced (re)join request
-  kFlap,           ///< periodic link break/heal cycling (the WTR stimulus)
+  kFlap,           ///< periodic link break/restore cycling (WTR stimulus)
   kForceSwitch,    ///< operator forces a station out (ERPS forced switch)
   kClearSwitch,    ///< operator releases the forced switch (WTB starts)
   kMark,           ///< free-form label for logs
@@ -79,16 +81,22 @@ struct FaultEvent {
   GeParams ge{};            ///< kLinkDegrade parameters
   Quota quota{1, 1};        ///< kJoin quota
   std::uint8_t control_msg = kCtrlNextFree;      ///< kDropControl target
-  std::vector<std::vector<NodeId>> groups;       ///< kPartition groups
-  std::string label;                             ///< kMark text
+  std::vector<std::vector<NodeId>> groups{};     ///< kPartition groups
+  std::string label{};                           ///< kMark text
   // kFlap: the link a <-> b cycles down/up `cycles` times starting at
   // `slot`; each cycle is `period_slots` long and the link is down for the
   // first `duty_pct` percent of it.  Scenario expands this into timed
-  // break/heal pairs, so the plan stays pure data.
+  // link-break/link-restore pairs, so the plan stays pure data.
   std::int64_t period_slots = 0;
   std::uint32_t duty_pct = 50;
   std::uint32_t cycles = 0;
 };
+
+/// Refuses an event that names a station outside 0..node_count-1, or a
+/// kDropControl target the join handshake does not have.  Scenario checks
+/// every event before it applies it; tools check a loaded plan up front.
+[[nodiscard]] util::Status check_event(const FaultEvent& event,
+                                       std::size_t node_count);
 
 class FaultPlan {
  public:

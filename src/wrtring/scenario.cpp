@@ -1,151 +1,166 @@
 #include "wrtring/scenario.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace wrt::wrtring {
+namespace {
+
+using fault::FaultKind;
+
+/// The log text of an event.
+std::string describe(const fault::FaultEvent& event) {
+  const std::string a = std::to_string(event.a);
+  const std::string link = a + "-" + std::to_string(event.b);
+  switch (event.kind) {
+    case FaultKind::kCrash: return "kill station " + a;
+    case FaultKind::kStall: return "stall station " + a;
+    case FaultKind::kResume: return "resume station " + a;
+    case FaultKind::kLeave: return "graceful leave station " + a;
+    case FaultKind::kLinkDegrade: return "degrade link " + link;
+    case FaultKind::kLinkBreak: return "fail link " + link;
+    case FaultKind::kLinkHeal: return "heal link " + link;
+    case FaultKind::kLinkRestore: return "restore link " + link;
+    case FaultKind::kPartition:
+      return "partition into " + std::to_string(event.groups.size()) +
+             " groups";
+    case FaultKind::kHealPartition: return "heal partition";
+    case FaultKind::kDropSat: return "drop SAT";
+    case FaultKind::kDropControl: {
+      static constexpr const char* kNames[] = {"NEXT_FREE", "JOIN_REQ",
+                                               "JOIN_ACK"};
+      return event.control_msg < std::size(kNames)
+                 ? std::string("drop ") + kNames[event.control_msg]
+                 : "drop control message " +
+                       std::to_string(event.control_msg);
+    }
+    case FaultKind::kJoin: return "join request station " + a;
+    case FaultKind::kFlap: return "flap link " + link;
+    case FaultKind::kForceSwitch: return "force switch station " + a;
+    case FaultKind::kClearSwitch: return "clear forced switch station " + a;
+    case FaultKind::kMark: return event.label;
+  }
+  return "unknown";
+}
+
+/// Applies one event to the engine and its topology.  A refused event
+/// changes nothing and returns why.
+util::Status apply(Engine& engine, phy::Topology& topology,
+                   const fault::FaultEvent& event) {
+  if (util::Status status = fault::check_event(event, topology.node_count());
+      !status.ok()) {
+    return status;
+  }
+  switch (event.kind) {
+    case FaultKind::kJoin:
+      // A scripted join means the station has arrived / powered on;
+      // chaos plans park joiner candidates as dead nodes until then.
+      topology.set_alive(event.a, true);
+      engine.request_join(event.a, event.quota);
+      break;
+    case FaultKind::kLeave: return engine.request_leave(event.a);
+    case FaultKind::kCrash: engine.kill_station(event.a); break;
+    case FaultKind::kStall: engine.stall_station(event.a); break;
+    case FaultKind::kResume: engine.resume_station(event.a); break;
+    case FaultKind::kDropSat: engine.drop_sat_once(); break;
+    case FaultKind::kDropControl:
+      engine.drop_control_once(
+          static_cast<Engine::ControlMsg>(event.control_msg));
+      break;
+    case FaultKind::kLinkBreak: topology.fail_link(event.a, event.b); break;
+    case FaultKind::kLinkDegrade:
+      engine.degrade_link(event.a, event.b, event.ge);
+      break;
+    case FaultKind::kLinkHeal:
+      // link-heal undoes whichever hit the link: the GE override, the hard
+      // break, or both.  link-restore undoes the break alone.
+      engine.heal_link(event.a, event.b);
+      [[fallthrough]];
+    case FaultKind::kLinkRestore:
+      topology.restore_link(event.a, event.b);
+      break;
+    case FaultKind::kPartition: topology.set_partition(event.groups); break;
+    case FaultKind::kHealPartition: topology.clear_partition(); break;
+    case FaultKind::kForceSwitch: return engine.force_switch(event.a);
+    case FaultKind::kClearSwitch: engine.clear_force_switch(event.a); break;
+    case FaultKind::kFlap:  // stored expanded (flap_link_at)
+    case FaultKind::kMark:
+      break;
+  }
+  return util::Status::success();
+}
+
+/// "force-switch" -> "force switch refused: <why>".
+std::string refusal(FaultKind kind, const util::Status& status) {
+  std::string verb = fault::to_string(kind);
+  std::replace(verb.begin(), verb.end(), '-', ' ');
+  return verb + " refused: " + status.error().message;
+}
+
+}  // namespace
+
+Scenario& Scenario::add(fault::FaultEvent event) {
+  events_.push_back(std::move(event));
+  return *this;
+}
 
 Scenario& Scenario::join_at(std::int64_t slot, NodeId node, Quota quota) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kJoin;
-  action.a = node;
-  action.quota = quota;
-  action.label = "join request station " + std::to_string(node);
-  actions_.push_back(std::move(action));
-  return *this;
+  return add({.slot = slot, .kind = FaultKind::kJoin, .a = node,
+              .quota = quota});
 }
 
 Scenario& Scenario::leave_at(std::int64_t slot, NodeId node) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kLeave;
-  action.a = node;
-  action.label = "graceful leave station " + std::to_string(node);
-  actions_.push_back(std::move(action));
-  return *this;
+  return add({.slot = slot, .kind = FaultKind::kLeave, .a = node});
 }
 
 Scenario& Scenario::kill_at(std::int64_t slot, NodeId node) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kKill;
-  action.a = node;
-  action.label = "kill station " + std::to_string(node);
-  actions_.push_back(std::move(action));
-  return *this;
+  return add({.slot = slot, .kind = FaultKind::kCrash, .a = node});
 }
 
 Scenario& Scenario::stall_at(std::int64_t slot, NodeId node) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kStall;
-  action.a = node;
-  action.label = "stall station " + std::to_string(node);
-  actions_.push_back(std::move(action));
-  return *this;
+  return add({.slot = slot, .kind = FaultKind::kStall, .a = node});
 }
 
 Scenario& Scenario::resume_at(std::int64_t slot, NodeId node) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kResume;
-  action.a = node;
-  action.label = "resume station " + std::to_string(node);
-  actions_.push_back(std::move(action));
-  return *this;
+  return add({.slot = slot, .kind = FaultKind::kResume, .a = node});
 }
 
 Scenario& Scenario::drop_sat_at(std::int64_t slot) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kDropSat;
-  action.label = "drop SAT";
-  actions_.push_back(std::move(action));
-  return *this;
+  return add({.slot = slot, .kind = FaultKind::kDropSat});
 }
 
 Scenario& Scenario::drop_control_at(std::int64_t slot,
                                     Engine::ControlMsg which) {
-  static const char* kNames[] = {"NEXT_FREE", "JOIN_REQ", "JOIN_ACK"};
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kDropControl;
-  action.control_msg = which;
-  action.label =
-      std::string("drop ") + kNames[static_cast<std::size_t>(which)];
-  actions_.push_back(std::move(action));
-  return *this;
+  return add({.slot = slot, .kind = FaultKind::kDropControl,
+              .control_msg = static_cast<std::uint8_t>(which)});
 }
 
 Scenario& Scenario::fail_link_at(std::int64_t slot, NodeId a, NodeId b) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kFailLink;
-  action.a = a;
-  action.b = b;
-  action.label =
-      "fail link " + std::to_string(a) + "-" + std::to_string(b);
-  actions_.push_back(std::move(action));
-  return *this;
+  return add({.slot = slot, .kind = FaultKind::kLinkBreak, .a = a, .b = b});
 }
 
 Scenario& Scenario::restore_link_at(std::int64_t slot, NodeId a, NodeId b) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kRestoreLink;
-  action.a = a;
-  action.b = b;
-  action.label =
-      "restore link " + std::to_string(a) + "-" + std::to_string(b);
-  actions_.push_back(std::move(action));
-  return *this;
+  return add({.slot = slot, .kind = FaultKind::kLinkRestore, .a = a, .b = b});
 }
 
 Scenario& Scenario::degrade_link_at(std::int64_t slot, NodeId a, NodeId b,
                                     const fault::GeParams& params) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kDegradeLink;
-  action.a = a;
-  action.b = b;
-  action.ge = params;
-  action.label =
-      "degrade link " + std::to_string(a) + "-" + std::to_string(b);
-  actions_.push_back(std::move(action));
-  return *this;
+  return add({.slot = slot, .kind = FaultKind::kLinkDegrade, .a = a, .b = b,
+              .ge = params});
 }
 
 Scenario& Scenario::heal_link_at(std::int64_t slot, NodeId a, NodeId b) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kHealLink;
-  action.a = a;
-  action.b = b;
-  action.label =
-      "heal link " + std::to_string(a) + "-" + std::to_string(b);
-  actions_.push_back(std::move(action));
-  return *this;
+  return add({.slot = slot, .kind = FaultKind::kLinkHeal, .a = a, .b = b});
 }
 
 Scenario& Scenario::partition_at(std::int64_t slot,
                                  std::vector<std::vector<NodeId>> groups) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kPartition;
-  action.groups = std::move(groups);
-  action.label =
-      "partition into " + std::to_string(action.groups.size()) + " groups";
-  actions_.push_back(std::move(action));
-  return *this;
+  return add({.slot = slot, .kind = FaultKind::kPartition,
+              .groups = std::move(groups)});
 }
 
 Scenario& Scenario::heal_partition_at(std::int64_t slot) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kHealPartition;
-  action.label = "heal partition";
-  actions_.push_back(std::move(action));
-  return *this;
+  return add({.slot = slot, .kind = FaultKind::kHealPartition});
 }
 
 Scenario& Scenario::flap_link_at(std::int64_t slot, NodeId a, NodeId b,
@@ -166,87 +181,25 @@ Scenario& Scenario::flap_link_at(std::int64_t slot, NodeId a, NodeId b,
 }
 
 Scenario& Scenario::force_switch_at(std::int64_t slot, NodeId node) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kForceSwitch;
-  action.a = node;
-  action.label = "force switch station " + std::to_string(node);
-  actions_.push_back(std::move(action));
-  return *this;
+  return add({.slot = slot, .kind = FaultKind::kForceSwitch, .a = node});
 }
 
 Scenario& Scenario::clear_switch_at(std::int64_t slot, NodeId node) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kClearSwitch;
-  action.a = node;
-  action.label = "clear forced switch station " + std::to_string(node);
-  actions_.push_back(std::move(action));
-  return *this;
+  return add({.slot = slot, .kind = FaultKind::kClearSwitch, .a = node});
 }
 
 Scenario& Scenario::mark_at(std::int64_t slot, std::string label) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kMark;
-  action.label = std::move(label);
-  actions_.push_back(std::move(action));
-  return *this;
+  return add({.slot = slot, .kind = FaultKind::kMark,
+              .label = std::move(label)});
 }
 
 Scenario& Scenario::apply_plan(const fault::FaultPlan& plan) {
   for (const fault::FaultEvent& event : plan.events) {
-    switch (event.kind) {
-      case fault::FaultKind::kCrash:
-        kill_at(event.slot, event.a);
-        break;
-      case fault::FaultKind::kStall:
-        stall_at(event.slot, event.a);
-        break;
-      case fault::FaultKind::kResume:
-        resume_at(event.slot, event.a);
-        break;
-      case fault::FaultKind::kLeave:
-        leave_at(event.slot, event.a);
-        break;
-      case fault::FaultKind::kLinkDegrade:
-        degrade_link_at(event.slot, event.a, event.b, event.ge);
-        break;
-      case fault::FaultKind::kLinkBreak:
-        fail_link_at(event.slot, event.a, event.b);
-        break;
-      case fault::FaultKind::kLinkHeal:
-        heal_link_at(event.slot, event.a, event.b);
-        break;
-      case fault::FaultKind::kPartition:
-        partition_at(event.slot, event.groups);
-        break;
-      case fault::FaultKind::kHealPartition:
-        heal_partition_at(event.slot);
-        break;
-      case fault::FaultKind::kDropSat:
-        drop_sat_at(event.slot);
-        break;
-      case fault::FaultKind::kDropControl:
-        drop_control_at(event.slot,
-                        static_cast<Engine::ControlMsg>(event.control_msg));
-        break;
-      case fault::FaultKind::kJoin:
-        join_at(event.slot, event.a, event.quota);
-        break;
-      case fault::FaultKind::kFlap:
-        flap_link_at(event.slot, event.a, event.b, event.period_slots,
-                     event.duty_pct, event.cycles);
-        break;
-      case fault::FaultKind::kForceSwitch:
-        force_switch_at(event.slot, event.a);
-        break;
-      case fault::FaultKind::kClearSwitch:
-        clear_switch_at(event.slot, event.a);
-        break;
-      case fault::FaultKind::kMark:
-        mark_at(event.slot, event.label);
-        break;
+    if (event.kind == FaultKind::kFlap) {
+      flap_link_at(event.slot, event.a, event.b, event.period_slots,
+                   event.duty_pct, event.cycles);
+    } else {
+      add(event);
     }
   }
   return *this;
@@ -255,8 +208,9 @@ Scenario& Scenario::apply_plan(const fault::FaultPlan& plan) {
 std::vector<Scenario::LogEntry> Scenario::run(
     Engine& engine, phy::Topology& topology, std::int64_t until_slot,
     phy::MobilityModel* mobility, std::int64_t mobility_period_slots) {
-  std::stable_sort(actions_.begin(), actions_.end(),
-                   [](const Action& x, const Action& y) {
+  std::stable_sort(events_.begin() + static_cast<std::ptrdiff_t>(next_event_),
+                   events_.end(),
+                   [](const fault::FaultEvent& x, const fault::FaultEvent& y) {
                      return x.slot < y.slot;
                    });
 
@@ -266,79 +220,19 @@ std::vector<Scenario::LogEntry> Scenario::run(
                    engine.sat_state()});
   };
 
-  std::size_t next_action = 0;
   std::size_t last_ring_size = engine.virtual_ring().size();
   std::int64_t last_mobility = engine.now_slots();
 
   while (engine.now_slots() < until_slot) {
-    while (next_action < actions_.size() &&
-           actions_[next_action].slot <= engine.now_slots()) {
-      const Action& action = actions_[next_action];
-      switch (action.kind) {
-        case Action::Kind::kJoin:
-          // A scripted join means the station has arrived / powered on;
-          // chaos plans park joiner candidates as dead nodes until then.
-          topology.set_alive(action.a, true);
-          engine.request_join(action.a, action.quota);
-          break;
-        case Action::Kind::kLeave: {
-          const auto status = engine.request_leave(action.a);
-          if (!status.ok()) {
-            record("leave refused: " + status.error().message);
-          }
-          break;
-        }
-        case Action::Kind::kKill:
-          engine.kill_station(action.a);
-          break;
-        case Action::Kind::kStall:
-          engine.stall_station(action.a);
-          break;
-        case Action::Kind::kResume:
-          engine.resume_station(action.a);
-          break;
-        case Action::Kind::kDropSat:
-          engine.drop_sat_once();
-          break;
-        case Action::Kind::kDropControl:
-          engine.drop_control_once(action.control_msg);
-          break;
-        case Action::Kind::kFailLink:
-          topology.fail_link(action.a, action.b);
-          break;
-        case Action::Kind::kRestoreLink:
-          topology.restore_link(action.a, action.b);
-          break;
-        case Action::Kind::kDegradeLink:
-          engine.degrade_link(action.a, action.b, action.ge);
-          break;
-        case Action::Kind::kHealLink:
-          // A FaultPlan's link-heal undoes whichever hit the link: the GE
-          // override, the hard break, or both.
-          engine.heal_link(action.a, action.b);
-          topology.restore_link(action.a, action.b);
-          break;
-        case Action::Kind::kPartition:
-          topology.set_partition(action.groups);
-          break;
-        case Action::Kind::kHealPartition:
-          topology.clear_partition();
-          break;
-        case Action::Kind::kForceSwitch: {
-          const auto status = engine.force_switch(action.a);
-          if (!status.ok()) {
-            record("force switch refused: " + status.error().message);
-          }
-          break;
-        }
-        case Action::Kind::kClearSwitch:
-          engine.clear_force_switch(action.a);
-          break;
-        case Action::Kind::kMark:
-          break;
+    for (; next_event_ < events_.size() &&
+           events_[next_event_].slot <= engine.now_slots();
+         ++next_event_) {
+      const fault::FaultEvent& event = events_[next_event_];
+      if (const util::Status status = apply(engine, topology, event);
+          !status.ok()) {
+        record(refusal(event.kind, status));
       }
-      record(action.label);
-      ++next_action;
+      record(describe(event));
     }
 
     if (mobility != nullptr &&

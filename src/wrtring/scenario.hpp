@@ -2,10 +2,11 @@
 //
 // Experiments and examples repeatedly need "run N slots, then a station
 // dies, then a joiner appears, then a link drops ...".  A Scenario is that
-// script: a sorted list of timed actions applied to an Engine (plus its
-// Topology and an optional mobility model) while the simulation advances,
-// with an event log recording what happened and when — so tests can assert
-// on the protocol's externally visible timeline.
+// script: a sorted list of timed fault::FaultEvents applied to an Engine
+// (plus its Topology and an optional mobility model) while the simulation
+// advances, with an event log recording what happened and when — so tests
+// can assert on the protocol's externally visible timeline.  The builders
+// below and apply_plan all append FaultEvents; one switch applies them.
 #pragma once
 
 #include <string>
@@ -27,6 +28,7 @@ class Scenario {
   Scenario& drop_sat_at(std::int64_t slot);
   Scenario& drop_control_at(std::int64_t slot, Engine::ControlMsg which);
   Scenario& fail_link_at(std::int64_t slot, NodeId a, NodeId b);
+  /// Undoes fail_link_at only; a degrade_link_at on the link stays.
   Scenario& restore_link_at(std::int64_t slot, NodeId a, NodeId b);
   /// Gilbert–Elliott override on link a <-> b (all purposes).
   Scenario& degrade_link_at(std::int64_t slot, NodeId a, NodeId b,
@@ -49,8 +51,9 @@ class Scenario {
   /// Free-form marker copied into the log (phase labels).
   Scenario& mark_at(std::int64_t slot, std::string label);
 
-  /// Appends every event of a FaultPlan; this is how scripted/randomized
-  /// plans (tools/wrt_chaos, tests) become live engine faults.
+  /// Appends every event of a FaultPlan (a kFlap expands as flap_link_at
+  /// does); this is how scripted/randomized plans (tools/wrt_chaos, tests)
+  /// become live engine faults.
   Scenario& apply_plan(const fault::FaultPlan& plan);
 
   struct LogEntry {
@@ -60,47 +63,24 @@ class Scenario {
     SatState sat_state = SatState::kLost;
   };
 
-  /// Runs the engine to `until_slot`, applying actions as their time comes
+  /// Runs the engine to `until_slot`, applying events as their time comes
   /// and stepping `mobility` (when non-null) every `mobility_period_slots`.
-  /// Returns the event log (scripted actions plus automatic entries for
-  /// ring-size changes observed between steps).
+  /// Returns the event log (scripted events plus automatic entries for
+  /// ring-size changes observed between steps).  An event the engine or
+  /// topology refuses (a leave it cannot start, a station the topology
+  /// does not have) is logged as "<verb> refused: <why>" before its own
+  /// entry.  A later call resumes where this one stopped: no event is
+  /// applied twice, and events added in between run when their time comes.
   std::vector<LogEntry> run(Engine& engine, phy::Topology& topology,
                             std::int64_t until_slot,
                             phy::MobilityModel* mobility = nullptr,
                             std::int64_t mobility_period_slots = 100);
 
  private:
-  struct Action {
-    enum class Kind {
-      kJoin,
-      kLeave,
-      kKill,
-      kStall,
-      kResume,
-      kDropSat,
-      kDropControl,
-      kFailLink,
-      kRestoreLink,
-      kDegradeLink,
-      kHealLink,
-      kPartition,
-      kHealPartition,
-      kForceSwitch,
-      kClearSwitch,
-      kMark,
-    };
-    std::int64_t slot = 0;
-    Kind kind = Kind::kMark;
-    NodeId a = kInvalidNode;
-    NodeId b = kInvalidNode;
-    Quota quota{1, 1};
-    fault::GeParams ge{};
-    Engine::ControlMsg control_msg = Engine::ControlMsg::kNextFree;
-    std::vector<std::vector<NodeId>> groups;
-    std::string label;
-  };
+  Scenario& add(fault::FaultEvent event);
 
-  std::vector<Action> actions_;
+  std::vector<fault::FaultEvent> events_;
+  std::size_t next_event_ = 0;  ///< events_[0, next_event_) are applied
 };
 
 }  // namespace wrt::wrtring

@@ -103,15 +103,43 @@ TEST(FaultPlan, ParseRejectsMalformedLines) {
   EXPECT_FALSE(FaultPlan::parse("@10 partition 0 1 2").ok());
   EXPECT_FALSE(FaultPlan::parse("@10 partition 0 |").ok());
   EXPECT_FALSE(FaultPlan::parse("@10 drop-control maybe").ok());
+  EXPECT_FALSE(FaultPlan::parse("@10 link-restore 1").ok());
+}
+
+TEST(FaultPlan, CheckEventRefusesWhatTheTopologyLacks) {
+  const auto event = [](const std::string& line) {
+    return FaultPlan::parse(line).value().events.front();
+  };
+  EXPECT_TRUE(check_event(event("@1 crash 15"), 16).ok());
+  EXPECT_TRUE(check_event(event("@1 drop-sat"), 0).ok());
+  EXPECT_TRUE(check_event(event("@1 mark x 99"), 16).ok());
+  const util::Status crash = check_event(event("@1 crash 16"), 16);
+  ASSERT_FALSE(crash.ok());
+  EXPECT_EQ(crash.error().code, util::Error::Code::kInvalidArgument);
+  EXPECT_EQ(crash.error().message,
+            "station 16 is not in the topology (16 stations)");
+  EXPECT_FALSE(check_event(event("@1 join 99"), 16).ok());
+  EXPECT_FALSE(check_event(event("@1 link-restore 0 99"), 16).ok());
+  EXPECT_FALSE(
+      check_event(event("@1 flap 99 0 period=8 duty=50 cycles=1"), 16).ok());
+  EXPECT_FALSE(check_event(event("@1 partition 0 1 | 2 99"), 16).ok());
+
+  FaultEvent drop;
+  drop.kind = FaultKind::kDropControl;
+  drop.control_msg = kCtrlJoinAck;
+  EXPECT_TRUE(check_event(drop, 16).ok());
+  drop.control_msg = kCtrlJoinAck + 1;
+  EXPECT_FALSE(check_event(drop, 16).ok());
 }
 
 TEST(FaultPlan, FlapAndSwitchTextRoundTrips) {
   const auto plan = FaultPlan::parse(
       "@10 flap 1 2 period=32 duty=40 cycles=3\n"
       "@50 force-switch 4\n"
-      "@900 clear-switch 4\n");
+      "@900 clear-switch 4\n"
+      "@950 link-restore 1 2\n");
   ASSERT_TRUE(plan.ok()) << plan.error().message;
-  ASSERT_EQ(plan.value().events.size(), 3u);
+  ASSERT_EQ(plan.value().events.size(), 4u);
   const FaultEvent& flap = plan.value().events[0];
   EXPECT_EQ(flap.kind, FaultKind::kFlap);
   EXPECT_EQ(flap.a, 1u);
@@ -122,6 +150,11 @@ TEST(FaultPlan, FlapAndSwitchTextRoundTrips) {
   EXPECT_EQ(plan.value().events[1].kind, FaultKind::kForceSwitch);
   EXPECT_EQ(plan.value().events[1].a, 4u);
   EXPECT_EQ(plan.value().events[2].kind, FaultKind::kClearSwitch);
+  // The second half of a flap cycle: undoes the break, keeps a degrade.
+  const FaultEvent& restore = plan.value().events[3];
+  EXPECT_EQ(restore.kind, FaultKind::kLinkRestore);
+  EXPECT_EQ(restore.a, 1u);
+  EXPECT_EQ(restore.b, 2u);
 
   const std::string text = plan.value().to_text();
   const auto reparsed = FaultPlan::parse(text);

@@ -138,11 +138,73 @@ TEST(Scenario, FlapExpandsIntoBreakHealPairsPerCycle) {
       ++restores;
     }
   }
-  // One break/heal pair per cycle; down for period * duty / 100 slots.
+  // One break/restore pair per cycle; down for period * duty / 100 slots.
   EXPECT_EQ(fails, 3u);
   EXPECT_EQ(restores, 3u);
   EXPECT_EQ(first_fail, 100);
   EXPECT_EQ(first_restore, 110);
+}
+
+TEST(Scenario, SecondRunResumesWhereTheFirstStopped) {
+  Harness h(8, Config{});
+  Scenario scenario;
+  scenario.drop_sat_at(100).mark_at(50, "checkpoint");
+  const auto first = scenario.run(h.engine, h.topology, 1000);
+  EXPECT_TRUE(log_contains(first, "checkpoint"));
+  EXPECT_TRUE(log_contains(first, "drop SAT"));
+  const std::size_t ring_size = h.engine.virtual_ring().size();
+
+  // Nothing already applied runs again; an event added between the calls
+  // is applied by the next one.
+  scenario.mark_at(1500, "late");
+  const auto second = scenario.run(h.engine, h.topology, 2000);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second[0].what, "late");
+  EXPECT_EQ(second[0].slot, 1500);
+  EXPECT_EQ(h.engine.stats().sat_losses_detected, 1u);
+  EXPECT_EQ(h.engine.virtual_ring().size(), ring_size);
+}
+
+TEST(Scenario, EventNamingAnUnknownStationIsRefused) {
+  Harness h(8, Config{});
+  const NodeId unknown = 99;
+  Scenario scenario;
+  scenario.kill_at(100, unknown)
+      .stall_at(110, unknown)
+      .join_at(120, unknown, {1, 1})
+      .force_switch_at(130, unknown)
+      .degrade_link_at(140, 0, unknown, fault::GeParams::iid(0.5));
+  const auto log = scenario.run(h.engine, h.topology, 500);
+  // Each refusal comes first, then the event's own entry.
+  ASSERT_EQ(log.size(), 10u);
+  EXPECT_EQ(log[0].what,
+            "crash refused: station 99 is not in the topology (8 stations)");
+  EXPECT_EQ(log[1].what, "kill station 99");
+  EXPECT_EQ(log[2].what.rfind("stall refused: ", 0), 0u);
+  EXPECT_EQ(log[4].what.rfind("join refused: ", 0), 0u);
+  EXPECT_EQ(log[6].what.rfind("force switch refused: ", 0), 0u);
+  EXPECT_EQ(log[8].what.rfind("link degrade refused: ", 0), 0u);
+  EXPECT_EQ(log[9].what, "degrade link 0-99");
+  EXPECT_EQ(h.topology.node_count(), 8u);
+  EXPECT_EQ(h.engine.virtual_ring().size(), 8u);
+  EXPECT_EQ(h.engine.stats().sat_losses_detected, 0u);
+}
+
+TEST(Scenario, DropControlOutsideTheHandshakeIsRefused) {
+  Harness h(8, Config{});
+  // parse() rejects such a message; an event built in code can carry it.
+  fault::FaultEvent event;
+  event.slot = 100;
+  event.kind = fault::FaultKind::kDropControl;
+  event.control_msg = 3;
+  fault::FaultPlan plan;
+  plan.add(event);
+  Scenario scenario;
+  scenario.apply_plan(plan);
+  const auto log = scenario.run(h.engine, h.topology, 200);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].what.rfind("drop control refused: ", 0), 0u);
+  EXPECT_EQ(log[1].what, "drop control message 3");
 }
 
 TEST(Scenario, ForcedSwitchScriptHoldsAndReleasesStation) {

@@ -26,7 +26,7 @@
 //   $ build/tools/wrt_chaos --json > chaos.json
 //
 // --flap-matrix switches to the RecoveryFsm A/B experiment instead: every
-// seed draws a flap-only plan (periodic link break/heal cycling, the
+// seed draws a flap-only plan (periodic link break/restore cycling, the
 // classic ERPS stimulus) and runs it twice — once with the all-defaults
 // recovery config (no guard, no WTR) and once with guard + WTR + revertive
 // enabled.  The gates assert what the FSM is for: zero spurious cut-outs
@@ -612,6 +612,19 @@ int main(int argc, char** argv) {
     }
     fixed_plan = std::move(loaded.value());
     have_fixed_plan = true;
+    // Ring members and parked joiners are the whole topology.
+    for (const wrt::fault::FaultEvent& event : fixed_plan.events) {
+      const auto status =
+          wrt::fault::check_event(event, options.n + options.parked);
+      if (!status.ok()) {
+        std::fprintf(stderr, "wrt_chaos: %s: @%lld %s: %s\n",
+                     options.plan_path.c_str(),
+                     static_cast<long long>(event.slot),
+                     wrt::fault::to_string(event.kind),
+                     status.error().message.c_str());
+        return 2;
+      }
+    }
   }
 
   std::vector<wrt::SeedResult> results;
