@@ -4,7 +4,9 @@
 # the command CI (or a suspicious reviewer) runs.
 #
 #   scripts/check.sh                # regular pass
-#   scripts/check.sh --asan         # additionally build + ctest under ASan/UBSan
+#   scripts/check.sh --asan         # additionally build + ctest under ASan/UBSan,
+#                                   # then the wrt_chaos soak and flap matrix
+#                                   # with the 64-slot audit (Debug build)
 #   scripts/check.sh --lint         # additionally run wrt_lint (+ clang-tidy
 #                                   # and cppcheck when installed)
 #   scripts/check.sh --bench-smoke  # build only, then run every bench with
@@ -242,6 +244,14 @@ if [ "$WITH_ASAN" = 1 ]; then
     -DCMAKE_CXX_FLAGS="$SAN_FLAGS" -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS"
   cmake --build build-asan
   ctest --test-dir build-asan --output-on-failure
+
+  echo "== ASan/UBSan chaos soak under the 64-slot audit =="
+  # The auditor's 64-slot cadence compiles only into audit builds (no
+  # NDEBUG); the RelWithDebInfo --chaos-smoke audits at membership events
+  # alone.  This Debug build runs the 16-seed soak and the flap matrix
+  # with the periodic audit on.
+  build-asan/tools/wrt_chaos
+  build-asan/tools/wrt_chaos --flap-matrix
 fi
 
 echo "== engine hot-path smoke =="

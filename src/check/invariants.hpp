@@ -2,45 +2,30 @@
 //
 // The engine hot path is position-indexed, with documented structural
 // invariants (dense vectors in lockstep with the ring order, a
-// NodeId->position bijection, epoch-keyed caches); the paper's Section 2.6
-// worst-case analysis additionally gives *analytic oracles* — Theorem 1
-// (Eq 1) bounds every SAT rotation, Theorem 2 (Eq 3) every n-rotation span
-// — that any correct simulation run must satisfy in fault-free stretches.
-// This module turns both into a registry of named, individually reportable
-// checks that run against a live Engine:
+// NodeId->position bijection, one SAT, the RAP mutex, per-round quotas,
+// frame conservation); the paper's Section 2.6 worst-case analysis
+// additionally gives *analytic oracles* — Theorem 1 (Eq 1) bounds every
+// SAT rotation, Theorem 2 (Eq 3) every n-rotation span — that any correct
+// simulation run must satisfy in fault-free stretches.  The auditor runs
+// both against a live Engine as a registry of named, individually
+// reportable checks, in this order:
 //
-//   ring-lockstep       station, control and link columns sized and
-//                       ordered exactly like the virtual ring
-//   position-bijection  NodeId -> position index is a bijection onto the
-//                       current members
-//   single-sat          exactly one coherent SAT (held at a member, or in
-//                       transit toward one with a future arrival tick)
-//   rap-mutex           RAP exclusivity: a live RAP has a member ingress
-//                       holding the SAT; the round-robin owner flag never
-//                       dangles on a departed station
-//   quota-conservation  per-round RT_PCK/NRT_PCK counters within (l, k),
-//                       Diffserv split within k, deliveries <= transmissions
-//   link-pipeline       every occupied link column has exactly one pending
-//                       terminal event in the rotation calendar, and the
-//                       engine's in-flight count equals the number of
-//                       occupied columns
-//   theorem1-oracle     observed SAT inter-arrival < Eq (1) bound (strict)
-//   theorem2-oracle     every window of n rotations <= Eq (3) bound
-//   guard_no_stale_rec  RecoveryFsm never starts a recovery inside its own
-//                       guard window (stale SAT_REC suppression holds)
-//   wtr_no_flap_readmit no station re-admitted before its WTR/WTB hold-off
-//                       was continuously satisfied
-//   revertive_position_restored
-//                       a revertive re-insertion put the station back after
-//                       its recorded anchor (checked while the membership
-//                       epoch it was recorded under is still current)
+//   1-10  the engine's ten structural checks, ring-lockstep through
+//         revertive_position_restored — Engine::kInvariantChecks, defined
+//         once in src/wrtring/invariants.cpp, the same table
+//         Engine::check_invariants() walks
+//   11    theorem1-oracle  observed SAT inter-arrival < Eq (1) bound
+//                          (strict)
+//   12    theorem2-oracle  every window of 4 rotations <= Eq (3) bound
 //
-// The analytic oracles self-gate on "disturbances": a membership change,
-// SAT loss, rebuild, or quota renegotiation invalidates history collected
-// under the previous ring parameters, so only arrival spans recorded
-// entirely after the most recent disturbance are compared against the
-// bounds of the current ring.  This is what lets the auditor run clean
-// over churn-heavy scenarios while still catching genuine bound breaches.
+// Unlike check_invariants(), which stops at the first violation, run()
+// tallies every violation of every check.  The analytic oracles self-gate
+// on "disturbances": a membership change, SAT loss, rebuild, or quota
+// renegotiation invalidates history collected under the previous ring
+// parameters, so only arrival spans recorded entirely after the most
+// recent disturbance are compared against the bounds of the current ring.
+// This is what lets the auditor run clean over churn-heavy scenarios while
+// still catching genuine bound breaches.
 //
 // Wiring: construct over an Engine and either call run() manually (tests,
 // monkey harnesses) or install() it so the engine invokes it after every
@@ -72,10 +57,6 @@ struct AuditOptions {
   /// Run the Theorem 1/2 analytic oracles (disable for scenarios that are
   /// deliberately outside the paper's fault-free assumptions).
   bool theorem_oracles = true;
-  /// Window n for the Theorem-2 oracle (spans of n consecutive rotations).
-  std::int64_t theorem2_window = 4;
-  /// Recorded-violation cap; counting continues past it.
-  std::size_t max_recorded = 256;
 };
 
 /// Per-check tally, exposed for reports and test assertions.
@@ -91,7 +72,8 @@ class InvariantAuditor {
                             AuditOptions options = {});
 
   /// Runs every registered check once; returns the number of violations
-  /// found by *this* run (all are also recorded).
+  /// found by *this* run (the first 256 over the auditor's life are also
+  /// recorded).
   std::size_t run(const char* event = "manual");
 
   /// Attaches this auditor to `engine` (must be the audited engine):
@@ -115,19 +97,10 @@ class InvariantAuditor {
   [[nodiscard]] static std::vector<std::string> check_names();
 
  private:
-  // Each check appends one detail string per violation found.
+  // Each oracle appends one detail string per violation found.
   using Details = std::vector<std::string>;
-  void check_ring_lockstep(Details& out) const;
-  void check_position_bijection(Details& out) const;
-  void check_single_sat(Details& out) const;
-  void check_rap_mutex(Details& out) const;
-  void check_quota_conservation(Details& out) const;
-  void check_link_pipeline(Details& out) const;
   void check_theorem1_oracle(Details& out) const;
   void check_theorem2_oracle(Details& out) const;
-  void check_guard_no_stale_rec(Details& out) const;
-  void check_wtr_no_flap_readmit(Details& out) const;
-  void check_revertive_position_restored(Details& out) const;
 
   /// Detects ring-parameter / fault disturbances and advances the oracle
   /// horizon past history the current bounds do not cover.
@@ -139,8 +112,7 @@ class InvariantAuditor {
   std::uint64_t audits_ = 0;
   std::uint64_t total_violations_ = 0;
   std::vector<Violation> violations_;
-  std::vector<std::uint64_t> per_check_runs_;
-  std::vector<std::uint64_t> per_check_violations_;
+  std::vector<CheckStats> stats_;  ///< one per check, registry order
 
   // Oracle gating state (see observe_disturbances()).
   Tick oracle_horizon_ = 0;

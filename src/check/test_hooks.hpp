@@ -110,6 +110,12 @@ struct EngineTestHook {
     (void)k.occupy(k.link_col(position), traffic::Packet{}, engine.now_);
   }
 
+  // --- frame-conservation -------------------------------------------------
+  /// Counts a transmission no delivery, loss, purge or flight accounts for.
+  static void leak_frame(wrtring::Engine& engine) {
+    ++engine.stats_.data_transmissions;
+  }
+
   // --- theorem1-oracle / theorem2-oracle ----------------------------------
   /// Replaces a station's SAT inter-arrival history wholesale (ticks,
   /// oldest first) so the analytic oracles can be fed crafted spans.

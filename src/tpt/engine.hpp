@@ -154,7 +154,8 @@ class TptEngine final {
   [[nodiscard]] analysis::TptParams params() const;
 
   /// Internal-consistency audit (tour/tree/station alignment, budget and
-  /// accounting sanity); mirrors wrtring::Engine::check_invariants.
+  /// accounting sanity); returns the first violation, with an unnamed
+  /// message (WRT-Ring's checks carry names, see src/wrtring/invariants.cpp).
   [[nodiscard]] util::Status check_invariants() const;
 
  private:

@@ -1130,75 +1130,6 @@ void Engine::finish_rebuild() {
   notify_audit("rebuild");
 }
 
-util::Status Engine::check_invariants() const {
-  const std::size_t R = ring_.size();
-  if (kernel_.size() != R || kernel_.last_sat_arrival_.size() != R) {
-    return util::Error::protocol_violation(
-        "station/control columns do not match ring size");
-  }
-  if (kernel_.link_columns() != R) {
-    return util::Error::protocol_violation("link columns out of sync");
-  }
-  for (std::size_t p = 0; p < R; ++p) {
-    const NodeId node = ring_.station_at(p);
-    if (kernel_.ids_[p] != node) {
-      return util::Error::protocol_violation(
-          "station vector misaligned with ring order at position " +
-          std::to_string(p));
-    }
-    if (station_position(node) != static_cast<std::int32_t>(p)) {
-      return util::Error::protocol_violation(
-          "position index stale for station " + std::to_string(node));
-    }
-    if (kernel_.rt_pck_[p] > kernel_.quota_[p].l ||
-        kernel_.nrt_pck_[p] > kernel_.quota_[p].k) {
-      return util::Error::protocol_violation(
-          "quota counters exceed quotas at station " + std::to_string(node));
-    }
-    if (kernel_.k1_assured_[p] > kernel_.quota_[p].k) {
-      return util::Error::protocol_violation(
-          "k1 split exceeds k at station " + std::to_string(node));
-    }
-  }
-  switch (sat_state_) {
-    case SatState::kHeld:
-      if (!ring_.contains(sat_location_)) {
-        return util::Error::protocol_violation(
-            "SAT held at a station not in the ring");
-      }
-      break;
-    case SatState::kInTransit:
-      if (!ring_.contains(sat_location_)) {
-        return util::Error::protocol_violation(
-            "SAT in transit toward a station not in the ring");
-      }
-      if (sat_arrival_tick_ < now_) {
-        return util::Error::protocol_violation("SAT arrival in the past");
-      }
-      break;
-    case SatState::kLost:
-    case SatState::kRebuilding:
-      break;
-  }
-  if (stats_.sink.total_delivered() > stats_.data_transmissions) {
-    return util::Error::protocol_violation(
-        "more deliveries than transmissions");
-  }
-  // Frame conservation: every injected frame is delivered, lost on a hop,
-  // discarded by a teardown, purged as stale, or still in flight.  A leak
-  // here means some fault path dropped frames without accounting for them.
-  const std::uint64_t accounted =
-      stats_.sink.total_delivered() + stats_.frames_lost_link +
-      stats_.frames_lost_rebuild + stats_.frames_lost_churn +
-      stats_.frames_dropped_stale + frames_in_flight();
-  if (accounted != stats_.data_transmissions) {
-    return util::Error::protocol_violation(
-        "frame accounting leak: " + std::to_string(stats_.data_transmissions) +
-        " transmitted vs " + std::to_string(accounted) + " accounted");
-  }
-  return util::Status::success();
-}
-
 // ---------------------------------------------------------------------------
 // RAP & join (Section 2.4.1)
 // ---------------------------------------------------------------------------

@@ -40,9 +40,11 @@
 // steady-state stepping does no associative lookup.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "cdma/channel.hpp"
@@ -370,10 +372,10 @@ class WRT_SHARD_CONFINED Engine final {
   /// frames_in_flight().
   [[nodiscard]] std::uint64_t frames_in_flight() const noexcept;
 
-  /// Internal-consistency audit (counters within quotas, ring/link/station
-  /// structures aligned, SAT state coherent, frame accounting leak-free).
-  /// Returns the first violation found; tests and the monkey harness call
-  /// this between steps.
+  /// Runs the ten named structural checks (src/wrtring/invariants.cpp, the
+  /// same table check::InvariantAuditor runs) and returns the first
+  /// violation as a protocol_violation "<check name>: <detail>".  Tests,
+  /// the monkey harness and the chaos soak call this between steps.
   [[nodiscard]] util::Status check_invariants() const;
 
   /// External audit hook (see check::InvariantAuditor).  Invoked with an
@@ -400,6 +402,16 @@ class WRT_SHARD_CONFINED Engine final {
     NodeId rec_failed = kInvalidNode;   ///< station being cut out
     NodeId rap_owner = kInvalidNode;    ///< RAP mutex flag (Section 2.4.1)
   };
+
+  /// One named structural invariant: `fn` appends one detail string per
+  /// violation it finds.  kInvariantChecks (src/wrtring/invariants.cpp) is
+  /// the one registry; check_invariants() and check::InvariantAuditor both
+  /// walk it in order.
+  struct InvariantCheck {
+    const char* name;
+    void (*fn)(const Engine&, std::vector<std::string>& out);
+  };
+  static const std::array<InvariantCheck, 10> kInvariantChecks;
 
   struct PendingJoin {
     Quota quota{1, 1};

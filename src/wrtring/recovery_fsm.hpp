@@ -49,7 +49,6 @@
 #include "util/types.hpp"
 
 namespace wrt::check {
-class InvariantAuditor;
 struct EngineTestHook;
 }  // namespace wrt::check
 
@@ -190,7 +189,8 @@ class RecoveryFsm {
   /// recorded for `node` (the memory is consumed).
   bool take_revertive_anchor(NodeId node, NodeId* anchor, std::uint32_t* k1);
 
-  /// Records the outcome of a revertive insertion for the auditor.
+  /// Records the outcome of a revertive insertion for the
+  /// revertive_position_restored invariant.
   void record_revert_outcome(NodeId node, NodeId anchor,
                              std::uint64_t membership_epoch);
 
@@ -242,7 +242,7 @@ class RecoveryFsm {
   }
 
  private:
-  friend class ::wrt::check::InvariantAuditor;
+  friend class Engine;  // its invariant table reads the audit bookkeeping
   friend struct ::wrt::check::EngineTestHook;
 
   /// A station waiting out its WTR/WTB hold-off before re-admission.
@@ -256,8 +256,8 @@ class RecoveryFsm {
     bool cleared = false; ///< forced switch released; WTB clock running
   };
 
-  /// Revertive re-insertion outcome, validated by the auditor while the
-  /// membership epoch it was recorded under is still current.
+  /// Revertive re-insertion outcome, validated by revertive_position_restored
+  /// while the membership epoch it was recorded under is still current.
   struct RevertOutcome {
     NodeId node = kInvalidNode;
     NodeId anchor = kInvalidNode;
@@ -291,7 +291,8 @@ class RecoveryFsm {
   std::uint64_t wtr_holdoffs_ = 0;
   std::uint64_t wtr_flap_restarts_ = 0;
 
-  // Auditor bookkeeping (see check::InvariantAuditor):
+  // Audit bookkeeping for the engine's invariant table
+  // (src/wrtring/invariants.cpp):
   // guard_no_stale_rec — a recovery must never start inside the guard.
   bool accepted_sf_during_guard_ = false;
   // wtr_no_flap_readmit — worst (continuous-healthy − required hold) slack

@@ -30,7 +30,7 @@
 #include "util/types.hpp"
 
 namespace wrt::check {
-class InvariantAuditor;   // runtime invariant auditor (src/check/)
+class InvariantAuditor;   // its Theorem 1/2 oracles read arrival_history_
 struct EngineTestHook;    // test-only state corruption (src/check/)
 }  // namespace wrt::check
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 
 namespace wrt::aloha {
@@ -102,6 +103,40 @@ TEST(AlohaSaturation, ThroughputNearTheContentionCeiling) {
   EXPECT_LT(throughput, 0.7);
   EXPECT_GT(h.engine.stats().collisions, 100u);
   EXPECT_TRUE(h.engine.check_invariants().ok());
+}
+
+TEST(AlohaSaturation, SuccessRateMatchesTheClosedForm) {
+  // With cw_min = cw_max = 1 every backoff is 0, so each always-backlogged
+  // station transmits in every slot with probability p, independently of
+  // the others and of its own past.  In a dense room a slot succeeds iff
+  // exactly one station transmits: S = N p (1 - p)^(N - 1) per slot.
+  constexpr std::int64_t kSlots = 20000;
+  constexpr std::uint32_t kStations[] = {2, 4, 8, 16, 32};
+  constexpr double kPersistence[] = {0.05, 0.1, 0.2, 0.3, 0.5};
+  for (const std::uint32_t n : kStations) {
+    for (const double p : kPersistence) {
+      AlohaConfig config;
+      config.p_persist = p;
+      config.cw_min = 1;
+      config.cw_max = 1;
+      Harness h(n, config);
+      for (NodeId node = 0; node < n; ++node) {
+        h.engine.add_saturated_source(
+            cbr_flow(node + 1, node, (node + 1) % n, 20.0,
+                     TrafficClass::kBestEffort),
+            2);
+      }
+      h.engine.run_slots(kSlots);
+      const double s = n * p * std::pow(1.0 - p, n - 1);
+      const double slots = static_cast<double>(kSlots);
+      const double sigma = std::sqrt(slots * s * (1.0 - s));
+      const auto successes =
+          static_cast<double>(h.engine.stats().successes);
+      EXPECT_LE(std::abs(successes - slots * s), 4.0 * sigma)
+          << "N=" << n << " p=" << p << ": " << successes
+          << " successes, closed form " << slots * s;
+    }
+  }
 }
 
 TEST(AlohaRetryLimit, DropsAfterMaxAttempts) {

@@ -1,8 +1,9 @@
-// Fault-injection coverage for the invariant auditor: each EngineTestHook
-// corruption must trip exactly the named check it targets, and an
-// uncorrupted engine must audit clean.  The corruptions are states the
-// protocol cannot reach on its own, so every test discards the engine
-// afterwards instead of stepping it further.
+// Fault-injection coverage for the invariant registry: each EngineTestHook
+// corruption must trip exactly the named check it targets, in the auditor
+// and, under the same name, in Engine::check_invariants(); an uncorrupted
+// engine must audit clean.  The corruptions are states the protocol cannot
+// reach on its own, so every test discards the engine afterwards instead
+// of stepping it further.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -25,7 +26,9 @@ class InvariantAuditorTest : public ::testing::Test {
     harness_.engine.run_slots(500);
   }
 
-  /// Audits once and asserts that exactly `name` reported violations.
+  /// Audits once and asserts that exactly `name` reported violations, and
+  /// that check_invariants() reports the same law first — or, for the
+  /// Theorem oracles it does not run, passes.
   void expect_only(const std::string& name) {
     auditor_.run("fault-injection");
     for (const CheckStats& stats : auditor_.check_stats()) {
@@ -39,6 +42,15 @@ class InvariantAuditorTest : public ::testing::Test {
     }
     EXPECT_FALSE(auditor_.clean());
     EXPECT_EQ(auditor_.total_violations(), auditor_.violation_count(name));
+
+    const util::Status status = harness_.engine.check_invariants();
+    if (name == "theorem1-oracle" || name == "theorem2-oracle") {
+      EXPECT_TRUE(status.ok()) << status.error().message;
+      return;
+    }
+    ASSERT_FALSE(status.ok()) << "check_invariants() missed '" << name << "'";
+    EXPECT_EQ(status.error().message.rfind(name + ": ", 0), 0u)
+        << status.error().message;
   }
 
   wrtring::testing::Harness harness_;
@@ -56,13 +68,21 @@ TEST_F(InvariantAuditorTest, CleanEngineAuditsClean) {
 }
 
 TEST_F(InvariantAuditorTest, RegistryNamesAreStable) {
-  const std::vector<std::string> names = InvariantAuditor::check_names();
-  ASSERT_EQ(names.size(), 11u);
-  EXPECT_EQ(names.front(), "ring-lockstep");
-  EXPECT_EQ(names[7], "theorem2-oracle");
-  EXPECT_EQ(names[8], "guard_no_stale_rec");
-  EXPECT_EQ(names[9], "wtr_no_flap_readmit");
-  EXPECT_EQ(names.back(), "revertive_position_restored");
+  // The engine's ten structural checks in Engine::kInvariantChecks order,
+  // then the auditor's two stateful oracles.
+  const std::vector<std::string> expected = {
+      "ring-lockstep",       "position-bijection",
+      "single-sat",          "rap-mutex",
+      "quota-conservation",  "link-pipeline",
+      "frame-conservation",  "guard_no_stale_rec",
+      "wtr_no_flap_readmit", "revertive_position_restored",
+      "theorem1-oracle",     "theorem2-oracle"};
+  EXPECT_EQ(InvariantAuditor::check_names(), expected);
+  const std::vector<CheckStats> stats = auditor_.check_stats();
+  ASSERT_EQ(stats.size(), expected.size());
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    EXPECT_EQ(stats[i].name, expected[i]);
+  }
   EXPECT_EQ(auditor_.violation_count("no-such-check"), 0u);
 }
 
@@ -116,6 +136,12 @@ TEST_F(InvariantAuditorTest, PhantomLinkFrameTripsLinkPipeline) {
   ASSERT_EQ(auditor_.run("baseline"), 0u);
   EngineTestHook::phantom_link_frame(harness_.engine, 5);
   expect_only("link-pipeline");
+}
+
+TEST_F(InvariantAuditorTest, LeakedFrameTripsFrameConservation) {
+  ASSERT_EQ(auditor_.run("baseline"), 0u);
+  EngineTestHook::leak_frame(harness_.engine);
+  expect_only("frame-conservation");
 }
 
 TEST_F(InvariantAuditorTest, ForgedRotationBeyondBoundTripsTheorem1) {

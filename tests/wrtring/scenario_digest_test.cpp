@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <numbers>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -242,6 +243,12 @@ struct Expected {
   const char* cell;
   const char* digest;
 };
+
+// gtest would otherwise print the two pointers' bytes into the listed test
+// name, and those move with the load address from one run to the next.
+void PrintTo(const Expected& expected, std::ostream* os) {
+  *os << expected.cell;
+}
 
 // Recorded against the action-enum Scenario (see header comment).
 constexpr Expected kExpected[] = {

@@ -15,10 +15,15 @@
 //                  SAT_TIMER window (staleness + Theorem-1 timeout), and
 //                  after forced rejoins every alive, reachable station is
 //                  back in the ring within a bounded number of RAP rounds;
-//   * integrity  — the auditor records zero violations, Engine::
-//                  check_invariants() holds (including the frame-accounting
-//                  identity: transmissions == delivered + losses + drops +
-//                  in-flight), so nothing leaks across the fault storm.
+//   * integrity  — the auditor records zero violations and Engine::
+//                  check_invariants() holds at the horizon.  Both run the
+//                  same ten named structural checks, frame-conservation
+//                  (transmissions == delivered + losses + drops +
+//                  in-flight) among them, so nothing leaks across the
+//                  fault storm; the auditor adds the Theorem 1/2 oracles.
+//                  Its 64-slot cadence runs in audit builds only
+//                  (scripts/check.sh --asan); release builds audit at
+//                  membership events.
 //
 //   $ build/tools/wrt_chaos                       # default 16-seed matrix
 //   $ build/tools/wrt_chaos --seeds 7 --print-plan
