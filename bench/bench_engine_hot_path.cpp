@@ -64,7 +64,7 @@ BENCHMARK(BM_HotPathSteadyState)
 
 /// Steady state over a bursty lossy channel: each slot makes one loss draw
 /// per frame on a link, the per-hop work the data plane's rotation calendar
-/// cannot schedule ahead.
+/// cannot schedule ahead.  N = 64 is the repo benchmark's ring-faults ring.
 void BM_HotPathLossy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   phy::Topology topology = bench::ring_room(n);
@@ -79,7 +79,7 @@ void BM_HotPathLossy(benchmark::State& state) {
   for (auto _ : state) engine.step();
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_HotPathLossy)->Arg(32)->Arg(1024);
+BENCHMARK(BM_HotPathLossy)->Arg(32)->Arg(64)->Arg(1024);
 
 /// Mixed CBR + Poisson load (the common experiment shape) rather than full
 /// saturation: stresses poll_traffic()'s bound-source cache.

@@ -1,6 +1,7 @@
 #include "fault/fault_plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -65,6 +66,10 @@ util::Status check_event(const FaultEvent& event, std::size_t node_count) {
   };
   switch (event.kind) {
     case FaultKind::kLinkDegrade:
+      if (const auto status = event.ge.validate(); !status.ok()) {
+        return status;
+      }
+      [[fallthrough]];
     case FaultKind::kLinkBreak:
     case FaultKind::kLinkHeal:
     case FaultKind::kLinkRestore:
@@ -233,7 +238,12 @@ util::Result<FaultPlan> FaultPlan::parse(const std::string& text) {
       }
       // Range-check the author's numbers before bursty() clamps them into
       // a solvable chain — a typo like avg=2.0 should be an error, not a
-      // silently saturated channel.
+      // silently saturated channel.  NaN fails no comparison, so finiteness
+      // comes first.
+      if (!std::isfinite(avg) || !std::isfinite(dwell) ||
+          !std::isfinite(bad)) {
+        return parse_error(line_no, "avg, dwell and bad must be finite");
+      }
       if (avg < 0.0 || avg > 1.0) {
         return parse_error(line_no, "avg must be in [0, 1]");
       }

@@ -92,7 +92,8 @@ struct FaultEvent {
   std::uint32_t cycles = 0;
 };
 
-/// Refuses an event that names a station outside 0..node_count-1, or a
+/// Refuses an event that names a station outside 0..node_count-1, a
+/// kLinkDegrade whose Gilbert–Elliott parameters do not validate, or a
 /// kDropControl target the join handshake does not have.  Scenario checks
 /// every event before it applies it; tools check a loaded plan up front.
 [[nodiscard]] util::Status check_event(const FaultEvent& event,

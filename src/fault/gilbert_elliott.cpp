@@ -1,6 +1,7 @@
 #include "fault/gilbert_elliott.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace wrt::fault {
 
@@ -27,6 +28,13 @@ double GeParams::average_loss() const noexcept {
 }
 
 util::Status GeParams::validate() const {
+  // Every comparison with NaN is false: refuse it before the range checks.
+  for (const double field : {p_good_to_bad, p_bad_to_good, loss_good,
+                             loss_bad}) {
+    if (!std::isfinite(field)) {
+      return util::Error::invalid_argument("GE parameters must be finite");
+    }
+  }
   if (p_good_to_bad < 0.0 || p_good_to_bad > 1.0 || p_bad_to_good < 0.0 ||
       p_bad_to_good > 1.0) {
     return util::Error::invalid_argument(
@@ -81,8 +89,9 @@ void LinkLossField::configure(const ChannelConfig& config,
   seed_ = seed;
   for (std::size_t i = 0; i < kLossPurposeCount; ++i) {
     overrides_[i].clear();
-    processes_[i].clear();
+    handles_[i].clear();
   }
+  processes_.clear();
   default_enabled_[static_cast<std::size_t>(LossPurpose::kData)] =
       config.data.enabled();
   default_enabled_[static_cast<std::size_t>(LossPurpose::kSat)] =
@@ -99,14 +108,30 @@ std::uint64_t LinkLossField::stream_for(LossPurpose purpose, NodeId from,
          0x6C055ULL;
 }
 
-void LinkLossField::set_link_params(LossPurpose purpose, NodeId from,
-                                    NodeId to, const GeParams& params) {
+LinkLossField::Handle LinkLossField::handle(LossPurpose purpose, NodeId from,
+                                            NodeId to) {
   const auto i = static_cast<std::size_t>(purpose);
   const LinkKey k = key(from, to);
-  overrides_[i][k] = params;
+  if (const auto it = handles_[i].find(k); it != handles_[i].end()) {
+    return it->second;
+  }
+  const auto ov = overrides_[i].find(k);
+  const GeParams& params = ov != overrides_[i].end()
+                               ? ov->second
+                               : config_.for_purpose(purpose);
+  const auto h = static_cast<Handle>(processes_.size());
+  processes_.emplace_back(params, seed_, stream_for(purpose, from, to));
+  handles_[i][k] = h;
+  return h;
+}
+
+void LinkLossField::set_link_params(LossPurpose purpose, NodeId from,
+                                    NodeId to, const GeParams& params) {
+  overrides_[static_cast<std::size_t>(purpose)][key(from, to)] = params;
   // Restart the link's process under the new parameters (fresh Good state,
   // same per-link stream so the rest of the run stays deterministic).
-  processes_[i][k] = GeProcess(params, seed_, stream_for(purpose, from, to));
+  processes_[handle(purpose, from, to)] =
+      GeProcess(params, seed_, stream_for(purpose, from, to));
 }
 
 void LinkLossField::clear_link_params(LossPurpose purpose, NodeId from,
@@ -114,7 +139,11 @@ void LinkLossField::clear_link_params(LossPurpose purpose, NodeId from,
   const auto i = static_cast<std::size_t>(purpose);
   const LinkKey k = key(from, to);
   overrides_[i].erase(k);
-  processes_[i].erase(k);  // rematerialised from defaults on next offer
+  // A fresh default process: what the next offer would have created.
+  if (const auto it = handles_[i].find(k); it != handles_[i].end()) {
+    processes_[it->second] = GeProcess(config_.for_purpose(purpose), seed_,
+                                       stream_for(purpose, from, to));
+  }
 }
 
 void LinkLossField::degrade_pair(NodeId a, NodeId b, const GeParams& params) {
@@ -131,24 +160,6 @@ void LinkLossField::heal_pair(NodeId a, NodeId b) {
     clear_link_params(purpose, a, b);
     clear_link_params(purpose, b, a);
   }
-}
-
-bool LinkLossField::offer(LossPurpose purpose, NodeId from, NodeId to) {
-  const auto i = static_cast<std::size_t>(purpose);
-  if (!default_enabled_[i] && overrides_[i].empty()) return false;
-  const LinkKey k = key(from, to);
-  auto it = processes_[i].find(k);
-  if (it == processes_[i].end()) {
-    const GeParams* params = &config_.for_purpose(purpose);
-    if (const auto ov = overrides_[i].find(k); ov != overrides_[i].end()) {
-      params = &ov->second;
-    }
-    if (!params->enabled()) return false;
-    processes_[i][k] =
-        GeProcess(*params, seed_, stream_for(purpose, from, to));
-    it = processes_[i].find(k);
-  }
-  return it->second.offer();
 }
 
 }  // namespace wrt::fault

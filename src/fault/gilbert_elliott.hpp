@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "util/flat_map.hpp"
 #include "util/result.hpp"
@@ -64,8 +65,7 @@ struct GeParams {
 /// One directed link's chain: state + its private RNG stream.
 class GeProcess {
  public:
-  /// Default state is a disabled (never-losing) process; LinkLossField
-  /// materialises entries through FlatMap::operator[] and then assigns.
+  /// Default state is a disabled (never-losing) process.
   GeProcess() = default;
 
   GeProcess(const GeParams& params, std::uint64_t seed,
@@ -119,15 +119,22 @@ struct ChannelConfig {
 };
 
 /// The field of per-(purpose, directed link) Gilbert–Elliott processes an
-/// engine draws from.  Processes are materialised lazily on a link's first
-/// offer, so idle links cost nothing; per-link parameter overrides support
-/// the FaultPlan's link-degrade events.
+/// engine draws from.  A link's process is created on its first offer or
+/// handle(), so idle links cost nothing, and keeps its slot until the next
+/// configure(): set_link_params and clear_link_params restart it in place.
+/// An engine resolves the links it offers every slot to handles once and
+/// then draws by index.  Per-link parameter overrides support the
+/// FaultPlan's link-degrade events.
 class LinkLossField {
  public:
+  /// Index of one (purpose, directed link) process; valid until the next
+  /// configure().
+  using Handle = std::uint32_t;
+
   LinkLossField() = default;
 
   /// Installs channel defaults and the master seed.  Existing per-link
-  /// state is discarded (call once at engine init).
+  /// state and every handle are discarded (call once at engine init).
   void configure(const ChannelConfig& config, std::uint64_t seed);
 
   /// Overrides `from -> to` for one purpose (FaultPlan link-degrade).  The
@@ -135,8 +142,8 @@ class LinkLossField {
   void set_link_params(LossPurpose purpose, NodeId from, NodeId to,
                        const GeParams& params);
 
-  /// Removes a per-link override; the link reverts to the channel default
-  /// (link-heal).
+  /// Removes a per-link override; the link's process restarts under the
+  /// channel default (link-heal).
   void clear_link_params(LossPurpose purpose, NodeId from, NodeId to);
 
   /// Overrides the undirected link a <-> b for every purpose: data frames,
@@ -154,9 +161,20 @@ class LinkLossField {
     return default_enabled_[i] || !overrides_[i].empty();
   }
 
+  /// The process of `from -> to` for one purpose, created as a first offer
+  /// creates it (the link's override, else the channel default) when the
+  /// link has none yet.  Creating a process makes no RNG draw.
+  [[nodiscard]] Handle handle(LossPurpose purpose, NodeId from, NodeId to);
+
+  /// Offers one message to the process behind `h`; true when it is lost.
+  /// A process whose parameters cannot lose never does.
+  [[nodiscard]] bool offer(Handle h) noexcept { return processes_[h].offer(); }
+
   /// Offers one message on `from -> to`; true when it is lost.  Makes no
   /// RNG draw when the purpose is entirely disabled.
-  [[nodiscard]] bool offer(LossPurpose purpose, NodeId from, NodeId to);
+  [[nodiscard]] bool offer(LossPurpose purpose, NodeId from, NodeId to) {
+    return enabled(purpose) && offer(handle(purpose, from, to));
+  }
 
  private:
   using LinkKey = std::uint64_t;
@@ -170,7 +188,8 @@ class LinkLossField {
   std::uint64_t seed_ = 0;
   bool default_enabled_[kLossPurposeCount] = {false, false, false};
   util::FlatMap<LinkKey, GeParams> overrides_[kLossPurposeCount];
-  util::FlatMap<LinkKey, GeProcess> processes_[kLossPurposeCount];
+  util::FlatMap<LinkKey, Handle> handles_[kLossPurposeCount];
+  std::vector<GeProcess> processes_;  ///< indexed by Handle
 };
 
 }  // namespace wrt::fault

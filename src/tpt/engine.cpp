@@ -19,6 +19,9 @@ TptEngine::TptEngine(phy::Topology* topology, TptConfig config,
 
 util::Status TptEngine::init() {
   assert(!initialised_);
+  if (const auto valid = config_.channel.validate(); !valid.ok()) {
+    return valid;
+  }
   NodeId root = kInvalidNode;
   for (NodeId n = 0; n < topology_->node_count(); ++n) {
     if (topology_->alive(n)) {

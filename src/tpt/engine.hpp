@@ -100,8 +100,8 @@ class TptEngine final {
   TptEngine(const TptEngine&) = delete;
   TptEngine& operator=(const TptEngine&) = delete;
 
-  /// Builds the tree (rooted at the lowest alive node id) and launches the
-  /// token.
+  /// Validates the channel, builds the tree (rooted at the lowest alive
+  /// node id) and launches the token.
   [[nodiscard]] util::Status init();
 
   void add_source(const traffic::FlowSpec& spec) { sources_.add_source(spec); }

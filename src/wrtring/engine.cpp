@@ -121,6 +121,24 @@ void Engine::reset_data_plane() {
   in_flight_ = 0;
 }
 
+const std::vector<fault::LinkLossField::Handle>& Engine::hop_loss_handles(
+    fault::LossPurpose purpose) {
+  const auto i = static_cast<std::size_t>(purpose);
+  assert(i < std::size(hop_loss_));
+  std::vector<fault::LinkLossField::Handle>& table = hop_loss_[i];
+  if (hop_loss_epoch_[i] != membership_epoch_) {
+    hop_loss_epoch_[i] = membership_epoch_;
+    const std::vector<NodeId>& order = ring_.order();
+    const std::size_t R = order.size();
+    table.resize(R);
+    for (std::size_t p = 0; p < R; ++p) {
+      table[p] =
+          link_loss_.handle(purpose, order[p], order[p + 1 == R ? 0 : p + 1]);
+    }
+  }
+  return table;
+}
+
 void Engine::insert_member(NodeId ingress, NodeId joiner, Quota quota) {
   const std::size_t position = ring_.position_of(ingress) + 1;
   ring_.insert_after(ingress, joiner);
@@ -580,13 +598,16 @@ void Engine::data_plane_step() {
   const bool data_loss_possible =
       link_loss_.enabled(fault::LossPurpose::kData);
   if (data_loss_possible || config_.cdma_fidelity) {
+    const fault::LinkLossField::Handle* hop_loss =
+        data_loss_possible
+            ? hop_loss_handles(fault::LossPurpose::kData).data()
+            : nullptr;
     for (std::size_t p = 0; p < R; ++p) {
       const std::size_t c = kernel_.link_col(p);
       if (kernel_.link_tag_[c] == 0) continue;
       const NodeId sender = order[p];
       const NodeId receiver = order[p + 1 == R ? 0 : p + 1];
-      if (data_loss_possible &&
-          link_loss_.offer(fault::LossPurpose::kData, sender, receiver)) {
+      if (data_loss_possible && link_loss_.offer(hop_loss[p])) {
         kernel_.link_tag_[c] = 0;  // its calendar entry goes stale
         --in_flight_;
         ++stats_.frames_lost_link;
@@ -849,7 +870,7 @@ void Engine::sat_release(NodeId from) {
     return;
   }
   // The un-rerouted handoff is exactly the cached ring-successor hop; a
-  // cut-out reroute (rare) addresses a two-hop target the cache doesn't
+  // cut-out reroute (rare) addresses a two-hop target the caches don't
   // cover.  Gating offer() on the purpose being armed is draw-free: a
   // disabled purpose makes zero RNG draws inside offer() anyway.
   bool target_reachable;
@@ -861,7 +882,10 @@ void Engine::sat_release(NodeId from) {
   }
   if (!target_reachable ||
       (link_loss_.enabled(fault::LossPurpose::kSat) &&
-       link_loss_.offer(fault::LossPurpose::kSat, from, target))) {
+       (rerouted
+            ? link_loss_.offer(fault::LossPurpose::kSat, from, target)
+            : link_loss_.offer(hop_loss_handles(
+                  fault::LossPurpose::kSat)[from_position])))) {
     sat_state_ = SatState::kLost;
     if (sat_lost_at_ == kNeverTick) sat_lost_at_ = now_;
     trace_.record(sim::EventKind::kSatLost, now_, from, target);

@@ -523,6 +523,11 @@ class WRT_SHARD_CONFINED Engine final {
   /// Re-sizes the link columns to the ring, empties them and marks the
   /// calendar for a replan.
   void reset_data_plane();
+  /// Loss handles of the ring's hops for `purpose` (kData or kSat): entry p
+  /// is the process of hop p -> p+1.  Re-resolved only when the membership
+  /// epoch has moved since the last call.
+  const std::vector<fault::LinkLossField::Handle>& hop_loss_handles(
+      fault::LossPurpose purpose);
   /// Inserts `joiner` (with its station/control state) right after
   /// `ingress`, keeping kernel columns and ring order aligned.
   void insert_member(NodeId ingress, NodeId joiner, Quota quota);
@@ -618,6 +623,13 @@ class WRT_SHARD_CONFINED Engine final {
   bool drop_control_pending_[3] = {false, false, false};
   fault::LinkLossField link_loss_;
   std::vector<std::uint8_t> stalled_;
+  // hop_loss_[purpose][p]: link_loss_'s handle for hop p -> p+1, data and
+  // SAT only, so a per-frame draw indexes a vector instead of searching
+  // the field's link map.  Degrade and heal restart a process in place, so
+  // only a membership change (hop_loss_epoch_ lagging membership_epoch_)
+  // re-resolves a table.
+  std::vector<fault::LinkLossField::Handle> hop_loss_[2];
+  std::uint64_t hop_loss_epoch_[2] = {0, 0};
 
   // Admission.
   std::int64_t max_sat_time_goal_ = 0;

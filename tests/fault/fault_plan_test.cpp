@@ -104,6 +104,16 @@ TEST(FaultPlan, ParseRejectsMalformedLines) {
   EXPECT_FALSE(FaultPlan::parse("@10 partition 0 |").ok());
   EXPECT_FALSE(FaultPlan::parse("@10 drop-control maybe").ok());
   EXPECT_FALSE(FaultPlan::parse("@10 link-restore 1").ok());
+  // Each would otherwise become a degrade that never loses a frame.
+  for (const char* line : {"@100 link-degrade 2 3 avg=nan",
+                           "@100 link-degrade 2 3 avg=0.2 dwell=nan",
+                           "@100 link-degrade 2 3 avg=0.2 dwell=8 bad=nan",
+                           "@100 link-degrade 2 3 avg=0.2 dwell=inf"}) {
+    const auto plan = FaultPlan::parse(std::string("# header\n") + line);
+    ASSERT_FALSE(plan.ok()) << line;
+    EXPECT_NE(plan.error().message.find("line 2"), std::string::npos)
+        << plan.error().message;
+  }
 }
 
 TEST(FaultPlan, CheckEventRefusesWhatTheTopologyLacks) {
@@ -130,6 +140,16 @@ TEST(FaultPlan, CheckEventRefusesWhatTheTopologyLacks) {
   EXPECT_TRUE(check_event(drop, 16).ok());
   drop.control_msg = kCtrlJoinAck + 1;
   EXPECT_FALSE(check_event(drop, 16).ok());
+
+  // A degrade built in code skips parse's validation: this chain would
+  // trap the link in Bad.
+  FaultEvent trap = event("@1 link-degrade 0 1 avg=0.2 dwell=8");
+  EXPECT_TRUE(check_event(trap, 16).ok());
+  trap.ge.p_good_to_bad = 0.5;
+  trap.ge.p_bad_to_good = 0.0;
+  const util::Status trapped = check_event(trap, 16);
+  ASSERT_FALSE(trapped.ok());
+  EXPECT_EQ(trapped.error().code, util::Error::Code::kInvalidArgument);
 }
 
 TEST(FaultPlan, FlapAndSwitchTextRoundTrips) {

@@ -1,11 +1,17 @@
 // Gilbert–Elliott channel unit tests: parameter algebra, chain statistics,
-// burstiness, and the LinkLossField determinism contract (per-purpose,
-// per-link streams; zero draws when disabled).
+// burstiness, the LinkLossField determinism contract (per-purpose,
+// per-link streams; zero draws when disabled), and offers by key and by
+// handle against a reference copy of the field that searched a map of
+// lazily created processes on every offer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "fault/gilbert_elliott.hpp"
+#include "util/flat_map.hpp"
+#include "util/rng.hpp"
 
 namespace wrt::fault {
 namespace {
@@ -45,6 +51,15 @@ TEST(GeParams, ValidateRejectsNonProbabilities) {
   params = GeParams{};
   params.p_good_to_bad = -0.1;
   EXPECT_FALSE(params.validate().ok());
+  // NaN fails every range comparison, so each field needs its own case.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double GeParams::*field :
+       {&GeParams::p_good_to_bad, &GeParams::p_bad_to_good,
+        &GeParams::loss_good, &GeParams::loss_bad}) {
+    params = GeParams::bursty(0.1, 4.0);
+    params.*field = nan;
+    EXPECT_FALSE(params.validate().ok());
+  }
 }
 
 TEST(GeProcess, EmpiricalLossMatchesStationaryRate) {
@@ -186,6 +201,198 @@ TEST(LinkLossField, PerLinkOverrideIsDirectedAndRevertible) {
   EXPECT_FALSE(field.enabled(LossPurpose::kData));
   for (int i = 0; i < 50; ++i) {
     EXPECT_FALSE(field.offer(LossPurpose::kData, 1, 2));
+  }
+}
+
+/// The loss field as it was before handles: one map of processes per
+/// purpose, a process created on a link's first enabled offer and erased
+/// when its override is cleared.  The real field must lose exactly the
+/// offers this one loses.
+class LazyReferenceField {
+ public:
+  void configure(const ChannelConfig& config, std::uint64_t seed) {
+    config_ = config;
+    seed_ = seed;
+    for (std::size_t i = 0; i < kLossPurposeCount; ++i) {
+      overrides_[i].clear();
+      processes_[i].clear();
+    }
+  }
+
+  void set_link_params(LossPurpose purpose, NodeId from, NodeId to,
+                       const GeParams& params) {
+    const auto i = static_cast<std::size_t>(purpose);
+    overrides_[i][key(from, to)] = params;
+    processes_[i][key(from, to)] =
+        GeProcess(params, seed_, stream(purpose, from, to));
+  }
+
+  void clear_link_params(LossPurpose purpose, NodeId from, NodeId to) {
+    const auto i = static_cast<std::size_t>(purpose);
+    overrides_[i].erase(key(from, to));
+    processes_[i].erase(key(from, to));
+  }
+
+  void degrade_pair(NodeId a, NodeId b, const GeParams& params) {
+    for (std::size_t i = 0; i < kLossPurposeCount; ++i) {
+      set_link_params(static_cast<LossPurpose>(i), a, b, params);
+      set_link_params(static_cast<LossPurpose>(i), b, a, params);
+    }
+  }
+
+  void heal_pair(NodeId a, NodeId b) {
+    for (std::size_t i = 0; i < kLossPurposeCount; ++i) {
+      clear_link_params(static_cast<LossPurpose>(i), a, b);
+      clear_link_params(static_cast<LossPurpose>(i), b, a);
+    }
+  }
+
+  [[nodiscard]] bool enabled(LossPurpose purpose) const {
+    const auto i = static_cast<std::size_t>(purpose);
+    return config_.for_purpose(purpose).enabled() || !overrides_[i].empty();
+  }
+
+  [[nodiscard]] bool offer(LossPurpose purpose, NodeId from, NodeId to) {
+    if (!enabled(purpose)) return false;
+    const auto i = static_cast<std::size_t>(purpose);
+    const std::uint64_t k = key(from, to);
+    auto it = processes_[i].find(k);
+    if (it == processes_[i].end()) {
+      GeParams params = config_.for_purpose(purpose);
+      if (const auto ov = overrides_[i].find(k); ov != overrides_[i].end()) {
+        params = ov->second;
+      }
+      if (!params.enabled()) return false;
+      processes_[i][k] = GeProcess(params, seed_, stream(purpose, from, to));
+      it = processes_[i].find(k);
+    }
+    return it->second.offer();
+  }
+
+ private:
+  static std::uint64_t key(NodeId from, NodeId to) {
+    return (static_cast<std::uint64_t>(from) << 32) | to;
+  }
+  static std::uint64_t stream(LossPurpose purpose, NodeId from, NodeId to) {
+    return ((static_cast<std::uint64_t>(purpose) + 1) << 56) ^ key(from, to) ^
+           0x6C055ULL;
+  }
+
+  ChannelConfig config_{};
+  std::uint64_t seed_ = 0;
+  util::FlatMap<std::uint64_t, GeParams> overrides_[kLossPurposeCount];
+  util::FlatMap<std::uint64_t, GeProcess> processes_[kLossPurposeCount];
+};
+
+/// Parameter sets a random mix draws from: disabled, i.i.d., two bursty
+/// chains, and a chain that changes state but can never lose.
+GeParams random_params(util::RngStream& rng) {
+  GeParams never_loses;
+  never_loses.p_good_to_bad = 0.3;
+  never_loses.p_bad_to_good = 0.5;
+  switch (rng.uniform_int(5)) {
+    case 0: return GeParams{};
+    case 1: return GeParams::iid(0.3);
+    case 2: return GeParams::bursty(0.2, 4.0);
+    case 3: return GeParams::bursty(0.05, 8.0, 0.5);
+    default: return never_loses;
+  }
+}
+
+/// A handle taken from the real field, and the link it was taken for.
+struct HeldHandle {
+  LossPurpose purpose;
+  NodeId from;
+  NodeId to;
+  LinkLossField::Handle handle;
+};
+
+/// Drives the real field and the reference through one random mix of
+/// configure, override and offer calls on five nodes, and expects every
+/// offer to agree.  With `by_handle` the mix also takes handles at random
+/// points, before and after overrides change, and offers through them.
+void expect_same_draws_as_lazy_field(std::uint64_t seed, bool by_handle) {
+  util::RngStream rng(seed, 0x1A2Bu);
+  LinkLossField field;
+  LazyReferenceField reference;
+  std::vector<HeldHandle> held;
+  const auto node = [&rng] { return static_cast<NodeId>(rng.uniform_int(5)); };
+  const auto purpose = [&rng] {
+    return static_cast<LossPurpose>(rng.uniform_int(kLossPurposeCount));
+  };
+  for (int round = 0; round < 4; ++round) {
+    ChannelConfig config;
+    config.data = random_params(rng);
+    config.sat = random_params(rng);
+    config.control = random_params(rng);
+    field.configure(config, seed + static_cast<std::uint64_t>(round));
+    reference.configure(config, seed + static_cast<std::uint64_t>(round));
+    held.clear();
+    for (int op = 0; op < 3000; ++op) {
+      const LossPurpose p = purpose();
+      const NodeId a = node();
+      const NodeId b = node();
+      switch (rng.uniform_int(20)) {
+        case 0: {
+          const GeParams params = random_params(rng);
+          field.set_link_params(p, a, b, params);
+          reference.set_link_params(p, a, b, params);
+          break;
+        }
+        case 1:
+          field.clear_link_params(p, a, b);
+          reference.clear_link_params(p, a, b);
+          break;
+        case 2: {
+          const GeParams params = random_params(rng);
+          field.degrade_pair(a, b, params);
+          reference.degrade_pair(a, b, params);
+          break;
+        }
+        case 3:
+          field.heal_pair(a, b);
+          reference.heal_pair(a, b);
+          break;
+        case 4:
+          if (by_handle) {
+            held.push_back({p, a, b, field.handle(p, a, b)});
+            break;
+          }
+          [[fallthrough]];
+        case 5:
+        case 6:
+        case 7:
+        case 8:
+          if (by_handle && !held.empty()) {
+            const HeldHandle& h = held[rng.uniform_int(held.size())];
+            ASSERT_EQ(field.offer(h.handle),
+                      reference.offer(h.purpose, h.from, h.to))
+                << "seed " << seed << " round " << round << " op " << op;
+            break;
+          }
+          [[fallthrough]];
+        default:
+          ASSERT_EQ(field.enabled(p), reference.enabled(p));
+          ASSERT_EQ(field.offer(p, a, b), reference.offer(p, a, b))
+              << "seed " << seed << " round " << round << " op " << op;
+          break;
+      }
+    }
+  }
+}
+
+TEST(LinkLossField, KeyOffersDrawWhatTheLazyFieldDrew) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    expect_same_draws_as_lazy_field(seed, /*by_handle=*/false);
+  }
+}
+
+/// A handle offer draws from the same process as a key offer, even on a
+/// disabled purpose: a process that cannot lose never does, and the next
+/// set or clear restarts it.
+TEST(LinkLossField, HandleOffersDrawWhatTheLazyFieldDrew) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    expect_same_draws_as_lazy_field(seed, /*by_handle=*/true);
   }
 }
 

@@ -58,6 +58,20 @@ TEST(TptInit, BuildsTreeOverRoom) {
   EXPECT_EQ(h.engine.tree().size(), 8u);
 }
 
+TEST(TptInit, RefusesAnInvalidChannel) {
+  phy::Topology topology = room(6);
+  TptConfig loses_everything;
+  loses_everything.channel.data = fault::GeParams::iid(1.0);
+  TptEngine a(&topology, loses_everything, 1);
+  EXPECT_FALSE(a.init().ok());
+
+  TptConfig trapped;
+  trapped.channel.sat.p_good_to_bad = 0.5;
+  trapped.channel.sat.p_bad_to_good = 0.0;
+  TptEngine b(&topology, trapped, 1);
+  EXPECT_FALSE(b.init().ok());
+}
+
 TEST(TptIdle, TokenWalksTwoNMinusTwoHopsPerRound) {
   Harness h(9, TptConfig{});
   h.engine.run_slots(4000);

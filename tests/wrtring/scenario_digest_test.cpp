@@ -12,10 +12,20 @@
 //     builders' plain restore);
 //   - random<seed>: FaultPlan::random for seeds 1-8 with four parked
 //     joiners and two flapping links, on wrt_chaos's bursty ambient
-//     channel.
+//     channel;
+//   - hop_*: the cases that decide which loss process a ring hop draws
+//     from.  hop_redegrade degrades 2<->3 on a clean channel, heals it and
+//     degrades it again with other parameters (data loss turns on, off and
+//     on, and the second degrade restarts the link's process);
+//     hop_chord_cutout degrades the chord 4<->6 on a bursty channel, then
+//     crashes 5 so the SAT_REC cut-out makes 4->6 a ring hop, and heals the
+//     chord while it is one; hop_sat_only loses SATs alone, so spurious
+//     cut-outs and rejoins keep moving which hops the SAT crosses.
 //
-// The expected table was recorded against the Scenario that kept its own
-// action enum and translated each FaultPlan event into it.  Regenerating
+// The builders, plan_text and random cells were recorded against the
+// Scenario that kept its own action enum and translated each FaultPlan
+// event into it; the hop cells against the loss field that searched a
+// per-link map on every offer.  Regenerating
 // after a *deliberate* change to what a scripted fault does:
 //   WRT_DIGEST_CAPTURE=1 ./test_wrtring --gtest_filter='*ScenarioDigest*'
 // and paste the printed lines back into kExpected.
@@ -233,9 +243,35 @@ std::string random_digest(std::uint64_t seed) {
   return run_digest(scenario, engine, topology);
 }
 
+std::string hop_digest(const std::string& cell) {
+  phy::Topology topology = chaos_topology(0);
+  Config config = chaos_config(1, false);
+  Scenario scenario;
+  if (cell == "hop_redegrade") {
+    // No membership change between the heal and the second degrade, so
+    // the data plane still holds the handle it resolved for 2->3.
+    scenario.degrade_link_at(400, 2, 3, fault::GeParams::bursty(0.4, 2.0))
+        .heal_link_at(550, 2, 3)
+        .degrade_link_at(650, 2, 3, fault::GeParams::bursty(0.2, 4.0, 0.5));
+  } else if (cell == "hop_chord_cutout") {
+    config.channel = chaos_channel(3);
+    scenario.degrade_link_at(500, 4, 6, fault::GeParams::bursty(0.1, 6.0))
+        .kill_at(1500, 5)
+        .heal_link_at(4000, 4, 6);
+  } else {  // hop_sat_only
+    config.channel.sat = fault::GeParams::iid(0.01);
+    scenario.kill_at(2000, 7).leave_at(5000, 10);
+  }
+  Engine engine(&topology, config, /*seed=*/7);
+  if (!engine.init().ok()) return "init-failed";
+  add_rt_flows(engine);
+  return run_digest(scenario, engine, topology);
+}
+
 std::string cell_digest(const std::string& cell) {
   if (cell == "builders") return scripted_digest(false);
   if (cell == "plan_text") return scripted_digest(true);
+  if (cell.rfind("hop_", 0) == 0) return hop_digest(cell);
   return random_digest(std::stoull(cell.substr(std::string("random").size())));
 }
 
@@ -250,7 +286,8 @@ void PrintTo(const Expected& expected, std::ostream* os) {
   *os << expected.cell;
 }
 
-// Recorded against the action-enum Scenario (see header comment).
+// Recorded against the action-enum Scenario and the map-searching loss
+// field (see header comment).
 constexpr Expected kExpected[] = {
     {"builders",
      "entries=37;log=53c0f57f3e8ff2b9;ring=13;stats=ca3ac903238a3eb0"},
@@ -272,6 +309,12 @@ constexpr Expected kExpected[] = {
      "entries=41;log=ac46d9752dbf5e57;ring=11;stats=48f2ea1bbc7f6c0d"},
     {"random8",
      "entries=67;log=4a025584e57e15e0;ring=12;stats=c3bc79d0564f4205"},
+    {"hop_redegrade",
+     "entries=5;log=b8fa867a76758ce0;ring=12;stats=0d780a2806299698"},
+    {"hop_chord_cutout",
+     "entries=39;log=221c27b6a0666294;ring=10;stats=ccfbd63891e528d0"},
+    {"hop_sat_only",
+     "entries=38;log=8dd28954a852cfd2;ring=10;stats=1b23859e98be6f44"},
 };
 
 class ScenarioDigest : public ::testing::TestWithParam<Expected> {};

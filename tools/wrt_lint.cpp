@@ -132,7 +132,8 @@ const std::vector<std::string> kHotPathFiles = {
     "traffic/trace.hpp",   "traffic/trace.cpp",
     "ring/frame.hpp",      "ring/frame.cpp",
     "ring/virtual_ring.hpp", "ring/virtual_ring.cpp",
-    "cdma/code_assignment.hpp", "cdma/code_assignment.cpp"};
+    "cdma/code_assignment.hpp", "cdma/code_assignment.cpp",
+    "fault/gilbert_elliott.hpp", "fault/gilbert_elliott.cpp"};
 
 // Files implementing the slot-kernel passes: all per-station state must be
 // reached through the SlotKernel arrays, never a station-object vector.
