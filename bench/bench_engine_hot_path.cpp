@@ -4,8 +4,9 @@
 // the 32-station reference ring (the restructure's acceptance criterion is
 // >= 2x over the map-indexed baseline), the same load over a lossy channel
 // (the data plane's per-hop visit), the repo benchmark's sparse CBR shape
-// from 64 to 4096 stations (the traffic poll's cost against ring size),
-// plus the membership-churn path that exercises the dense-vector repack.
+// from 64 to 4096 stations (the traffic poll's cost against ring size) and
+// over a lossy channel (the per-hop visit at partial occupancy), plus the
+// membership-churn path that exercises the dense-vector repack.
 //
 // `--digest` runs a fixed-seed 32-station scenario instead and prints the
 // protocol counters; the output must be bit-identical across builds of the
@@ -110,20 +111,13 @@ void BM_HotPathMixedLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_HotPathMixedLoad)->Arg(32)->Arg(128);
 
-/// The repo benchmark's ring-clean traffic shape: every station sources one
+/// The repo benchmark's ring traffic shape: every station sources one
 /// real-time CBR flow to the opposite station at period 4N, start slots
 /// spread evenly over the period, and odd stations keep a best-effort
-/// queue of 8 backlogged.  About one source is due every fourth slot
-/// whatever N is, so the per-slot time shows what the traffic poll costs
-/// as the ring grows.
-void BM_HotPathSparseCbr(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  phy::Topology topology = bench::ring_room(n);
-  wrtring::Engine engine(&topology, wrtring::Config{}, 1);
-  if (!engine.init().ok()) {
-    state.SkipWithError("init failed");
-    return;
-  }
+/// queue of 8 backlogged to the station `be_hop` positions on.  Returns the
+/// period.
+std::int64_t attach_sparse_cbr(wrtring::Engine& engine, std::size_t n,
+                               std::size_t be_hop) {
   const auto period = static_cast<std::int64_t>(4 * n);
   for (NodeId node = 0; node < n; ++node) {
     traffic::FlowSpec rt;
@@ -139,16 +133,58 @@ void BM_HotPathSparseCbr(benchmark::State& state) {
       traffic::FlowSpec be;
       be.id = static_cast<FlowId>(n + node);
       be.src = node;
-      be.dst = static_cast<NodeId>((node + 1) % n);
+      be.dst = static_cast<NodeId>((node + be_hop) % n);
       be.cls = TrafficClass::kBestEffort;
       engine.add_saturated_source(be, 8);
     }
   }
-  engine.run_slots(period);  // every source has started
+  return period;
+}
+
+/// The repo benchmark's ring-clean traffic shape (attach_sparse_cbr, one-hop
+/// best-effort).  About one source is due every fourth slot whatever N is,
+/// so the per-slot time shows what the traffic poll costs as the ring
+/// grows.
+void BM_HotPathSparseCbr(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  phy::Topology topology = bench::ring_room(n);
+  wrtring::Engine engine(&topology, wrtring::Config{}, 1);
+  if (!engine.init().ok()) {
+    state.SkipWithError("init failed");
+    return;
+  }
+  engine.run_slots(attach_sparse_cbr(engine, n, 1));  // every source started
   for (auto _ : state) engine.step();
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_HotPathSparseCbr)->Arg(64)->Arg(1024)->Arg(4096);
+
+/// ring-faults' occupancy: the sparse CBR shape with best-effort flows
+/// about N/2 hops long, over a bursty lossy channel, so about a third of
+/// the links carry a frame in a slot (BM_HotPathLossy saturates every
+/// station and so every link).  `in_flight` is the mean number of frames
+/// on the links after a step: the per-hop visit's draws per slot.
+void BM_HotPathLossySparse(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  phy::Topology topology = bench::ring_room(n);
+  wrtring::Config config;
+  config.channel.data = fault::GeParams::bursty(0.001, 8.0);
+  wrtring::Engine engine(&topology, config, 1);
+  if (!engine.init().ok()) {
+    state.SkipWithError("init failed");
+    return;
+  }
+  engine.run_slots(attach_sparse_cbr(engine, n, n / 2));
+  std::uint64_t in_flight = 0;
+  for (auto _ : state) {
+    engine.step();
+    in_flight += engine.frames_in_flight();
+  }
+  state.counters["in_flight"] = benchmark::Counter(
+      static_cast<double>(in_flight), benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_HotPathLossySparse)->Arg(64)->Arg(1024);
 
 /// Membership churn: a graceful leave plus the SAT_REC cut-out machinery
 /// every iteration — the slow path the dense repack must not regress.

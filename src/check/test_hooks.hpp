@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -108,6 +109,16 @@ struct EngineTestHook {
                                  std::size_t position) {
     wrtring::SlotKernel& k = engine.kernel_;
     (void)k.occupy(k.link_col(position), traffic::Packet{}, engine.now_);
+  }
+
+  /// Flips link `position`'s bit in the busy-link bitmap and leaves its
+  /// column's tag alone: the per-hop visit would skip a frame in flight or
+  /// visit a free column.
+  static void desync_link_busy(wrtring::Engine& engine,
+                               std::size_t position) {
+    wrtring::SlotKernel& k = engine.kernel_;
+    const std::size_t c = k.link_col(position);
+    k.link_busy_[c >> 6] ^= std::uint64_t{1} << (c & 63);
   }
 
   // --- frame-conservation -------------------------------------------------

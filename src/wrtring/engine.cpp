@@ -425,9 +425,15 @@ inline traffic::Packet Engine::take_injection(
 //
 // The per-hop work that cannot be scheduled ahead — the kData loss draw
 // and, in fidelity mode, the header round trip and Channel::transmit — is
-// one visit per frame on a link after the injections.  Each (purpose,
-// directed link) loss stream is independent and draws at most once per
-// slot, so the visit order cannot change any draw.
+// one visit per frame on a link after the injections.  The kernel's
+// busy-link bitmap (bit c set exactly while column c carries a frame; only
+// SlotKernel::occupy and SlotKernel::release write it) lets the visit walk
+// the set bits, O(R/64 + frames in flight), in column order; column c
+// carries the hop of position (c - rot) mod R.  Each (purpose, directed
+// link) loss stream is independent and draws at most once per slot, and
+// Channel::end_slot resolves each listener over the whole slot's
+// transmission list, so the visit order cannot change any draw, delivery or
+// collision count.
 //
 // Effect order within a slot:
 //   1. flight ends at arrivals, ascending position: deliveries, stale
@@ -515,7 +521,7 @@ void Engine::data_plane_step() {
               });
   }
   for (const DataEvent& ev : bucket) {
-    std::uint32_t& tag = kernel_.link_tag_[ev.column];
+    const std::uint32_t tag = kernel_.link_tag_[ev.column];
     if (tag != ev.tag) continue;  // that frame was lost to a channel draw
     LinkFrame& frame = kernel_.link_slots_[ev.column];
     switch (ev.end) {
@@ -534,7 +540,7 @@ void Engine::data_plane_step() {
       case FlightEnd::kUnreachable:
         continue;  // forwarded: the hop kills it after the injections
     }
-    tag = 0;
+    kernel_.release(ev.column);
     --in_flight_;
   }
 
@@ -587,41 +593,49 @@ void Engine::data_plane_step() {
         kernel_.link_tag_[ev.column] != ev.tag) {
       continue;
     }
-    kernel_.link_tag_[ev.column] = 0;
+    kernel_.release(ev.column);
     --in_flight_;
     ++stats_.frames_lost_link;
     ++lost_now;
   }
   bucket.clear();
-  // ...then the per-hop visit.  With the data-loss purpose disabled offer()
-  // makes no RNG draw, so skipping the call is behaviour-identical.
+  // ...then the per-hop visit: it walks the busy-link bitmap's set bits in
+  // column order (word snapshot; a draw's loss clears only bits already
+  // passed).  With the data-loss purpose disabled offer() makes no RNG
+  // draw, so skipping the call is behaviour-identical.
   const bool data_loss_possible =
       link_loss_.enabled(fault::LossPurpose::kData);
   if (data_loss_possible || config_.cdma_fidelity) {
+    assert(kernel_.link_columns() == R);
     const fault::LinkLossField::Handle* hop_loss =
         data_loss_possible
             ? hop_loss_handles(fault::LossPurpose::kData).data()
             : nullptr;
-    for (std::size_t p = 0; p < R; ++p) {
-      const std::size_t c = kernel_.link_col(p);
-      if (kernel_.link_tag_[c] == 0) continue;
-      const NodeId sender = order[p];
-      const NodeId receiver = order[p + 1 == R ? 0 : p + 1];
-      if (data_loss_possible && link_loss_.offer(hop_loss[p])) {
-        kernel_.link_tag_[c] = 0;  // its calendar entry goes stale
-        --in_flight_;
-        ++stats_.frames_lost_link;
-        ++lost_now;
-        continue;
-      }
-      if (config_.cdma_fidelity) {
-        // Fidelity mode also exercises the wire format: every hop's header
-        // is serialised and re-parsed exactly as a receiver would.
-        const traffic::Packet& packet = kernel_.link_slots_[c].packet;
-        const auto decoded =
-            ring::decode_header(ring::encode_packet_header(packet));
-        if (!decoded.has_value()) ++stats_.header_decode_failures;
-        channel_->transmit(sender, codes_[receiver], packet);
+    const std::vector<std::uint64_t>& busy = kernel_.link_busy_;
+    for (std::size_t w = 0; w < busy.size(); ++w) {
+      std::uint64_t word = busy[w];
+      while (word != 0) {
+        const std::size_t c =
+            (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+        word &= word - 1;
+        const std::size_t p = kernel_.link_position(c);
+        if (data_loss_possible && link_loss_.offer(hop_loss[p])) {
+          kernel_.release(c);  // its calendar entry goes stale
+          --in_flight_;
+          ++stats_.frames_lost_link;
+          ++lost_now;
+          continue;
+        }
+        if (config_.cdma_fidelity) {
+          // Fidelity mode also exercises the wire format: every hop's
+          // header is serialised and re-parsed exactly as a receiver would.
+          const traffic::Packet& packet = kernel_.link_slots_[c].packet;
+          const auto decoded =
+              ring::decode_header(ring::encode_packet_header(packet));
+          if (!decoded.has_value()) ++stats_.header_decode_failures;
+          const NodeId receiver = order[p + 1 == R ? 0 : p + 1];
+          channel_->transmit(order[p], codes_[receiver], packet);
+        }
       }
     }
   }

@@ -231,6 +231,26 @@ const std::array<Engine::InvariantCheck, 10> Engine::kInvariantChecks{{
                        " frames in flight but " + std::to_string(occupied) +
                        " link columns are occupied");
        }
+       // The busy-link bitmap the per-hop visit walks mirrors the tags.
+       const std::vector<std::uint64_t>& busy = e.kernel_.link_busy_;
+       const std::size_t columns = e.kernel_.link_columns();
+       if (busy.size() != (columns + 63) / 64) {
+         out.push_back("busy-link bitmap has " + std::to_string(busy.size()) +
+                       " words for " + std::to_string(columns) +
+                       " link columns");
+         return;
+       }
+       for (std::size_t c = 0; c < busy.size() * 64; ++c) {
+         const bool bit = ((busy[c >> 6] >> (c & 63)) & 1) != 0;
+         const bool tagged = c < columns && e.kernel_.link_tag_[c] != 0;
+         if (bit == tagged) continue;
+         const char* column = c >= columns ? " is past the last column"
+                              : tagged     ? " carries a frame"
+                                           : " is free";
+         out.push_back("busy-link bit " + std::to_string(c) +
+                       (bit ? " is set" : " is clear") + " but column " +
+                       std::to_string(c) + column);
+       }
      }},
     {"frame-conservation",
      [](const Engine& e, Details& out) {

@@ -22,6 +22,7 @@ void SlotKernel::clear() {
   arrival_history_.clear();
   link_slots_.clear();
   link_tag_.clear();
+  link_busy_.clear();
   rot_ = 0;
   eligible_bits_.clear();
   eligible_bits_dirty_ = true;
@@ -112,6 +113,7 @@ void SlotKernel::adopt_station(SlotKernel& other, std::size_t from) {
 void SlotKernel::reset_links() {
   link_slots_.assign(size(), LinkFrame{});
   link_tag_.assign(size(), 0);
+  link_busy_.assign((size() + 63) / 64, 0);
   rot_ = 0;
 }
 

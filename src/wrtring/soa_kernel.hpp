@@ -158,12 +158,20 @@ class WRT_SHARD_CONFINED SlotKernel final {
   // one link per slot, so rotate_links_one() "moves" all of them at once by
   // decrementing rot_: a frame's physical column never changes between
   // injection and the end of its flight.  link_tag_[c] is 0 for a free
-  // column, else the tag of the frame on it.
+  // column, else the tag of the frame on it.  The busy-link bitmap mirrors
+  // the tags: bit c of link_busy_ is set exactly when link_tag_[c] != 0.
+  // occupy() and release() are the only writers of either, so the engine's
+  // per-hop visit walks the set bits, O(R/64 + frames in flight), instead
+  // of testing every column.
 
   [[nodiscard]] std::size_t link_col(std::size_t p) const noexcept {
     const std::size_t c = p + rot_;
     const std::size_t columns = link_tag_.size();
     return c >= columns ? c - columns : c;
+  }
+  /// Inverse of link_col: the logical link whose frame column `c` carries.
+  [[nodiscard]] std::size_t link_position(std::size_t c) const noexcept {
+    return c >= rot_ ? c - rot_ : c + link_tag_.size() - rot_;
   }
   /// Advances every in-flight frame one link.
   void rotate_links_one() noexcept {
@@ -182,7 +190,14 @@ class WRT_SHARD_CONFINED SlotKernel final {
     link_slots_[c].entered_ring = entered;
     next_tag_ = next_tag_ == ~std::uint32_t{0} ? 1 : next_tag_ + 1;
     link_tag_[c] = next_tag_;
+    link_busy_[c >> 6] |= std::uint64_t{1} << (c & 63);
     return next_tag_;
+  }
+
+  /// Frees column `c`: its frame ended its flight or was lost on its hop.
+  void release(std::size_t c) noexcept {
+    link_tag_[c] = 0;
+    link_busy_[c >> 6] &= ~(std::uint64_t{1} << (c & 63));
   }
 
   // --- cold-path column accessors -----------------------------------------
@@ -225,6 +240,7 @@ class WRT_SHARD_CONFINED SlotKernel final {
   // store would alias every kernel field it reads afterwards.
   std::vector<LinkFrame> link_slots_;
   std::vector<std::uint32_t> link_tag_;
+  std::vector<std::uint64_t> link_busy_;  ///< bit c: link_tag_[c] != 0
   std::uint32_t next_tag_ = 0;
   std::uint32_t rot_ = 0;  ///< logical->physical column rotation offset
 

@@ -138,6 +138,12 @@ TEST_F(InvariantAuditorTest, PhantomLinkFrameTripsLinkPipeline) {
   expect_only("link-pipeline");
 }
 
+TEST_F(InvariantAuditorTest, DesyncedBusyLinkBitTripsLinkPipeline) {
+  ASSERT_EQ(auditor_.run("baseline"), 0u);
+  EngineTestHook::desync_link_busy(harness_.engine, 5);
+  expect_only("link-pipeline");
+}
+
 TEST_F(InvariantAuditorTest, LeakedFrameTripsFrameConservation) {
   ASSERT_EQ(auditor_.run("baseline"), 0u);
   EngineTestHook::leak_frame(harness_.engine);

@@ -10,17 +10,19 @@
 // The kStall cells were recorded later, against the engine that still ran
 // the literal per-position loops whenever a member was silent or a hop was
 // unreachable: they pin the silent-station and unreachable-hop cases under
-// saturated traffic.
+// saturated traffic.  The OccupancyDigest cells below pin a lossy ring at
+// partial occupancy.
 //
 // Regenerating after a *deliberate* protocol change:
-//   WRT_DIGEST_CAPTURE=1 ./test_wrtring --gtest_filter='SoaDigest*' 2>,out
-// and paste the printed table back into kExpected.
+//   WRT_DIGEST_CAPTURE=1 ./test_wrtring --gtest_filter='*Soa*:*Occupancy*'
+// and paste the printed tables back into kExpected and kOccupancyExpected.
 #include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <numbers>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -284,6 +286,105 @@ std::string cell_name(const ::testing::TestParamInfo<Cell>& cell_info) {
 
 INSTANTIATE_TEST_SUITE_P(Oracle, SoaDigest, ::testing::ValuesIn(kExpected),
                          cell_name);
+
+// Partial occupancy on a lossy ring.  The cells above either run a clean
+// channel or saturate every station, so on a lossy ring every link is
+// busy.  These run ring-faults' traffic shape (bench/e2e/ring_workload.cpp:
+// RT CBR at period 4N to the opposite station, a best-effort backlog of 8
+// on odd stations) over a bursty data channel, so only part of the links
+// carry a frame in a slot.  One station stalls past the SAT timeout, is cut
+// out, resumes and rejoins through the rotating RAP: the ring goes from N
+// to N-1 to N link columns (at N = 65: two 64-bit words, one, two).  The
+// fidelity cell also sends every busy hop through cdma::Channel, pinning
+// its collision count and header round trips; with two-hop-distinct codes
+// both must stay 0 whatever order the busy hops transmit in.
+std::string occupancy_digest(std::size_t n, bool fidelity) {
+  phy::Topology topology = circle_room(n);
+  Config config;
+  config.sat_timeout_slots = static_cast<std::int64_t>(4 * n + 64);
+  config.rap_policy = RapPolicy::kRotating;
+  config.auto_rejoin = true;
+  config.cdma_fidelity = fidelity;
+  config.channel.data = fault::GeParams::bursty(0.01, 8.0);
+  Engine engine(&topology, config, /*seed=*/11);
+  const auto period = static_cast<std::int64_t>(4 * n);
+  for (NodeId s = 0; s < n; ++s) {
+    traffic::FlowSpec rt;
+    rt.id = s;
+    rt.src = s;
+    rt.dst = static_cast<NodeId>((s + n / 2) % n);
+    rt.cls = TrafficClass::kRealTime;
+    rt.kind = traffic::ArrivalKind::kCbr;
+    rt.period_slots = static_cast<double>(period);
+    rt.start_slot = static_cast<std::int64_t>(s * 7) % period;
+    engine.add_source(rt);
+    if (s % 2 == 1) {
+      traffic::FlowSpec be;
+      be.id = static_cast<FlowId>(n + s);
+      be.src = s;
+      be.dst = static_cast<NodeId>((s + 1 + (s * 7) % (n - 1)) % n);
+      be.cls = TrafficClass::kBestEffort;
+      engine.add_saturated_source(be, 8);
+    }
+  }
+  if (!engine.init().ok()) return "init-failed";
+  engine.run_slots(1024);
+  const NodeId stalled = engine.virtual_ring().station_at(n / 3);
+  engine.stall_station(stalled);
+  engine.run_slots(2 * config.sat_timeout_slots + 512);
+  const std::size_t cut_ring = engine.virtual_ring().size();
+  engine.resume_station(stalled);
+  // The rotating RAP reaches the rejoiner's neighbourhood within one lap
+  // of RAP owners; then the ring runs on N columns again.
+  for (int i = 0; i < 64 && !engine.virtual_ring().contains(stalled); ++i) {
+    engine.run_slots(1024);
+  }
+  engine.run_slots(2048);
+  const EngineStats& stats = engine.stats();
+  return engine_digest(engine) + field("cut_ring", cut_ring) +
+         field("collisions", stats.cdma_collisions) +
+         field("header_failures", stats.header_decode_failures);
+}
+
+struct OccupancyCell {
+  std::size_t n;
+  bool fidelity;
+  const char* expected;
+};
+
+// gtest would otherwise print the cell's bytes, the `expected` pointer's
+// among them, into the listed test name.
+void PrintTo(const OccupancyCell& cell, std::ostream* os) {
+  *os << "n=" << cell.n << (cell.fidelity ? " fidelity" : " lossy");
+}
+
+// Recorded against the engine whose lossy visit tested every link position.
+constexpr OccupancyCell kOccupancyExpected[] = {
+    {64, false, "ring=64;rounds=180;hops=11388;tx=8862;transit=212078;delivered=6771;lost_link=2012;lost_teardown=35;stale=23;rt_del=2248;as_del=0;be_del=4523;joins=1;leaves=0;recoveries=1;losses_detected=1;rebuilds=0;raps=116;ctrl_lost=0;qdrops=0;delay=350305;rt_delay=1007;rotation=68990;hold=3363;util=278;invariants_ok=1;cut_ring=63;collisions=0;header_failures=0;"},
+    {65, false, "ring=65;rounds=190;hops=12214;tx=9436;transit=248105;delivered=6982;lost_link=2378;lost_teardown=36;stale=18;rt_del=2434;as_del=0;be_del=4548;joins=1;leaves=0;recoveries=1;losses_detected=1;rebuilds=0;raps=125;ctrl_lost=0;qdrops=0;delay=356294;rt_delay=1296;rotation=70818;hold=4909;util=295;invariants_ok=1;cut_ring=64;collisions=0;header_failures=0;"},
+    {130, false, "ring=130;rounds=322;hops=41480;tx=31493;transit=1359174;delivered=17325;lost_link=14054;lost_teardown=72;stale=14;rt_del=5501;as_del=0;be_del=11824;joins=1;leaves=0;recoveries=1;losses_detected=1;rebuilds=0;raps=191;ctrl_lost=0;qdrops=0;delay=701565;rt_delay=1414;rotation=135909;hold=5396;util=244;invariants_ok=1;cut_ring=129;collisions=0;header_failures=0;"},
+    {65, true, "ring=65;rounds=190;hops=12214;tx=9436;transit=248105;delivered=6982;lost_link=2378;lost_teardown=36;stale=18;rt_del=2434;as_del=0;be_del=4548;joins=1;leaves=0;recoveries=1;losses_detected=1;rebuilds=0;raps=125;ctrl_lost=0;qdrops=0;delay=356294;rt_delay=1296;rotation=70818;hold=4909;util=295;invariants_ok=1;cut_ring=64;collisions=0;header_failures=0;"},
+};
+
+class OccupancyDigest : public ::testing::TestWithParam<OccupancyCell> {};
+
+TEST_P(OccupancyDigest, MatchesPositionLoopEngine) {
+  const OccupancyCell& cell = GetParam();
+  const std::string digest = occupancy_digest(cell.n, cell.fidelity);
+  if (std::getenv("WRT_DIGEST_CAPTURE") != nullptr) {
+    std::printf("CAPTURE {%zu, %s, \"%s\"},\n", cell.n,
+                cell.fidelity ? "true" : "false", digest.c_str());
+    GTEST_SKIP() << "capture mode";
+  }
+  EXPECT_EQ(digest, cell.expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Lossy, OccupancyDigest, ::testing::ValuesIn(kOccupancyExpected),
+    [](const ::testing::TestParamInfo<OccupancyCell>& cell) {
+      return "N" + std::to_string(cell.param.n) +
+             (cell.param.fidelity ? "_fidelity" : "_lossy");
+    });
 
 }  // namespace
 }  // namespace wrt::wrtring
