@@ -11,7 +11,6 @@
 #include "cdma/channel.hpp"
 #include "cdma/code_assignment.hpp"
 #include "ring/virtual_ring.hpp"
-#include "sim/scheduler.hpp"
 #include "tpt/engine.hpp"
 #include "util/rng.hpp"
 #include "wrtring/engine.hpp"
@@ -206,22 +205,6 @@ void BM_ChannelSlotResolution(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_ChannelSlotResolution)->Arg(8)->Arg(32)->Arg(128);
-
-void BM_SchedulerChurn(benchmark::State& state) {
-  sim::Scheduler scheduler;
-  util::RngStream rng(1);
-  Tick horizon = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) {
-      scheduler.schedule_after(
-          static_cast<Tick>(rng.uniform_int(std::uint64_t{256}) + 1), [] {});
-    }
-    horizon += 128;
-    scheduler.run_until(horizon);
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_SchedulerChurn);
 
 void BM_RngStream(benchmark::State& state) {
   util::RngStream rng(7);

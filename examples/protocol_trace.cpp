@@ -1,12 +1,14 @@
 // Protocol trace walkthrough: script a short stormy session with the
-// Scenario DSL, then print the engine's causal event trace and digests —
-// the debugging workflow for anyone extending the protocol.
+// Scenario DSL, then print the engine's event journal as one causal
+// timeline and digests — the debugging workflow for anyone extending the
+// protocol.
 //
 //   $ build/examples/protocol_trace
 #include <iostream>
 
 #include "analysis/bounds.hpp"
 #include "phy/topology.hpp"
+#include "telemetry/journal.hpp"
 #include "wrtring/engine.hpp"
 #include "wrtring/report.hpp"
 #include "wrtring/scenario.hpp"
@@ -20,6 +22,10 @@ int main() {
   config.rap_policy = wrtring::RapPolicy::kRotating;
   config.auto_rejoin = true;
   wrtring::Engine engine(&topology, config, 33);
+  // Attached before init() so the first SAT launch is on record; 16,384
+  // records per station keep the 21,000-slot run from wrapping.
+  telemetry::Journal journal(/*capacity_per_station=*/1 << 14);
+  engine.set_journal(&journal);
   if (!engine.init().ok()) return 1;
   for (NodeId n = 0; n < 8; ++n) {
     traffic::FlowSpec spec;
@@ -52,12 +58,26 @@ int main() {
               << entry.ring_size << ")\n";
   }
 
-  // The RAP fires every round (that is its job), so filter it out of the
-  // printout to surface the interesting transitions.
-  std::cout << "\n--- protocol event trace (RAP starts elided) ---\n";
-  for (const auto& event : engine.event_trace().events()) {
-    if (event.kind == sim::EventKind::kRapStarted) continue;
-    std::cout << "  " << event.to_line() << '\n';
+  // The RAP fires every round (that is its job) and the data plane and SAT
+  // residency record every slot, so filter them out of the printout to
+  // surface the interesting transitions.
+  std::cout << "\n--- protocol event journal (RAP starts and per-slot kinds "
+               "elided) ---\n";
+  for (const auto& [station, event] : journal.timeline()) {
+    switch (event.kind) {
+      case telemetry::JournalKind::kRapStart:
+      case telemetry::JournalKind::kSatArrive:
+      case telemetry::JournalKind::kSatRelease:
+      case telemetry::JournalKind::kTransmit:
+      case telemetry::JournalKind::kDeliver:
+      case telemetry::JournalKind::kQueueDepth:
+        continue;
+      default:
+        break;
+    }
+    std::cout << "  [" << ticks_to_slots(event.tick) << "] "
+              << telemetry::to_string(event.kind) << " station=" << station
+              << " arg=" << event.arg << '\n';
   }
 
   std::cout << '\n';

@@ -8,8 +8,11 @@
 //    with explicit bucket edges; stable schema for dashboards and scripts.
 //  * CSV — `metric,value` rows for spreadsheet-grade consumers.
 //
-// All exporters format from immutable inputs (RegistrySnapshot, Journal,
-// sim::EventTrace) so exporting never perturbs a running engine.
+// All exporters format from immutable inputs (RegistrySnapshot, Journal)
+// so exporting never perturbs a running engine.  The journal is the
+// engines' only protocol event record, so the Chrome trace shows the
+// recovery steps too (SAT loss, SAT_REC, cut-out, re-formation; TPT's
+// token loss, claim and tree rebuild) as instants.
 #pragma once
 
 #include <iosfwd>
@@ -36,9 +39,8 @@ void write_snapshot_csv(std::ostream& out, const RegistrySnapshot& snapshot);
 /// is visible in the viewer.
 void write_chrome_trace(std::ostream& out, const Journal& journal);
 
-/// A timestamped sequence of registry snapshots (periodic snapshotting).
-/// Install on a sim::Scheduler via schedule_every, or call capture()
-/// directly from an engine-stepping loop.
+/// A timestamped sequence of registry snapshots (periodic snapshotting):
+/// call capture() from the loop that steps the engine.
 class SnapshotTimeline {
  public:
   void capture(Tick now) {

@@ -1,6 +1,7 @@
 #include "telemetry/journal.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <fstream>
 
@@ -9,6 +10,11 @@ namespace wrt::telemetry {
 namespace {
 constexpr char kMagic[8] = {'W', 'R', 'T', 'J', 'R', 'N', 'L', '1'};
 constexpr std::uint32_t kVersion = 1;
+/// load() refuses station ids at or above this: the ring table is dense, so
+/// a corrupt id must not size it.  2^20 is 256x the largest topology the
+/// repo runs (4,096 stations).
+constexpr NodeId kLoadStationBound = NodeId{1} << 20;
+static_assert(kInvalidNode >= kLoadStationBound);
 }  // namespace
 
 const char* to_string(JournalKind kind) noexcept {
@@ -28,6 +34,16 @@ const char* to_string(JournalKind kind) noexcept {
     case JournalKind::kResume: return "resume";
     case JournalKind::kControlLost: return "control-lost";
     case JournalKind::kRebuildDrop: return "rebuild-drop";
+    case JournalKind::kSatLaunch: return "sat-launch";
+    case JournalKind::kSatLost: return "sat-lost";
+    case JournalKind::kRebuildStart: return "rebuild-start";
+    case JournalKind::kRebuildDone: return "rebuild-done";
+    case JournalKind::kRapStart: return "rap-start";
+    case JournalKind::kJoinReject: return "join-reject";
+    case JournalKind::kTokenLost: return "token-lost";
+    case JournalKind::kClaimStart: return "claim-start";
+    case JournalKind::kClaimDone: return "claim-done";
+    case JournalKind::kTreeRebuild: return "tree-rebuild";
   }
   return "unknown";
 }
@@ -36,11 +52,14 @@ Journal::Journal(std::size_t capacity_per_station)
     : capacity_(std::max<std::size_t>(1, capacity_per_station)) {}
 
 Journal::StationRing& Journal::ring_for(NodeId station) {
+  assert(station != kInvalidNode);
   if (station >= rings_.size()) {
     rings_.resize(static_cast<std::size_t>(station) + 1);
   }
   StationRing& ring = rings_[station];
-  if (ring.slots.empty()) {
+  // A ring gets its capacity_ slots on its first record; a loaded ring holds
+  // only the records the file had (from slot 0) until then.
+  if (ring.slots.size() != capacity_) {
     ring.station = station;
     ring.slots.resize(capacity_);
   }
@@ -90,6 +109,22 @@ std::vector<JournalEvent> Journal::events(NodeId station) const {
     if (slot >= capacity_) slot -= capacity_;
     result.push_back(ring->slots[slot]);
   }
+  return result;
+}
+
+std::vector<std::pair<NodeId, JournalEvent>> Journal::timeline() const {
+  // Stations are visited in ascending id and each ring oldest first, so a
+  // stable sort on the tick alone breaks ties by station, then by record.
+  std::vector<std::pair<NodeId, JournalEvent>> result;
+  for (const NodeId station : stations()) {
+    for (const JournalEvent& event : events(station)) {
+      result.emplace_back(station, event);
+    }
+  }
+  std::stable_sort(result.begin(), result.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.second.tick < b.second.tick;
+                   });
   return result;
 }
 
@@ -211,19 +246,33 @@ util::Result<Journal> Journal::load(const std::string& path) {
     NodeId station = kInvalidNode;
     std::uint64_t dropped = 0;
     std::uint64_t count = 0;
+    // kLoadStationBound also refuses kInvalidNode.
     if (!read_pod(in, station) || !read_pod(in, dropped) ||
-        !read_pod(in, count) || count > capacity) {
+        !read_pod(in, count) || count > capacity ||
+        station >= kLoadStationBound ||
+        journal.find_ring(station) != nullptr) {
       return util::Error::invalid_argument("journal load: corrupt ring");
     }
-    StationRing& ring = journal.ring_for(station);
+    if (station >= journal.rings_.size()) {
+      journal.rings_.resize(static_cast<std::size_t>(station) + 1);
+    }
+    // Records are appended as they are read, so memory follows the file's
+    // size, never the capacity or count it claims.
+    StationRing& ring = journal.rings_[station];
+    ring.station = station;
     ring.dropped = dropped;
-    ring.head = 0;
-    ring.count = static_cast<std::size_t>(count);
-    for (std::size_t i = 0; i < ring.count; ++i) {
-      if (!read_pod(in, ring.slots[i])) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      JournalEvent event;
+      if (!read_pod(in, event)) {
         return util::Error::invalid_argument("journal load: truncated ring");
       }
+      if (event.kind > kLastJournalKind) {
+        return util::Error::invalid_argument(
+            "journal load: unknown event kind");
+      }
+      ring.slots.push_back(event);
     }
+    ring.count = ring.slots.size();
   }
   return journal;
 }

@@ -1,8 +1,11 @@
-// Per-station binary event journal.
+// Per-station binary event journal: the engines' only protocol event record.
 //
 // Counters say how much; the journal says when, where, and in what order —
-// at production scale.  Each station owns a fixed-capacity ring of 24-byte
-// POD records, so appending is an index computation plus a store (no
+// at production scale.  WRT-Ring records SAT residency, the data plane,
+// membership churn and every step of its recovery (SAT loss, SAT_REC,
+// cut-out, re-formation); TPT records its token losses, claims and tree
+// rebuilds.  Each station owns a fixed-capacity ring of 24-byte POD
+// records, so appending is an index computation plus a store (no
 // allocation, no formatting), long runs overwrite their own oldest history
 // per station instead of growing, and an overloaded station cannot evict
 // another station's events.  Overwritten records are counted per ring and
@@ -16,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/result.hpp"
@@ -24,9 +28,8 @@
 
 namespace wrt::telemetry {
 
-/// What happened.  Kept separate from sim::EventKind because journal kinds
-/// include per-slot data-plane moments the bounded protocol trace never
-/// records (transmit, delivery, queue samples).
+/// What happened.  Values are part of the WRTJRNL1 file format: new kinds
+/// are appended, never inserted or renumbered.
 enum class JournalKind : std::uint16_t {
   kSatArrive = 0,   ///< SAT reached this station
   kSatRelease,      ///< SAT forwarded downstream (arg = next station)
@@ -44,7 +47,20 @@ enum class JournalKind : std::uint16_t {
   kResume,          ///< this station un-wedged
   kControlLost,     ///< lost JOIN_REQ/JOIN_ACK (arg = attempt number)
   kRebuildDrop,     ///< teardown discarded in-flight frames (arg = count)
+  kSatLaunch,       ///< a fresh SAT was launched here (init, re-formation)
+  kSatLost,         ///< the SAT died leaving here (arg = intended target)
+  kRebuildStart,    ///< full ring re-formation began (at the old ring head)
+  kRebuildDone,     ///< re-formation finished (at the new ring head)
+  kRapStart,        ///< this station opened a RAP as ingress
+  kJoinReject,      ///< this joiner was refused or gave up (arg = ingress)
+  kTokenLost,       ///< TPT: token lost leaving here (arg = next holder)
+  kClaimStart,      ///< TPT: this station detected the loss and claims
+  kClaimDone,       ///< TPT: the claim returned to its origin here
+  kTreeRebuild,     ///< TPT: tree rebuilt, rooted here
 };
+
+/// The last enumerator: every value above it is foreign to this build.
+inline constexpr JournalKind kLastJournalKind = JournalKind::kTreeRebuild;
 
 [[nodiscard]] const char* to_string(JournalKind kind) noexcept;
 
@@ -78,7 +94,8 @@ class WRT_SHARD_CONFINED Journal {
   explicit Journal(std::size_t capacity_per_station = 4096);
 
   /// Appends to `station`'s ring, overwriting (and counting) the oldest
-  /// record when full.  Stations are materialised lazily on first use.
+  /// record when full.  Stations are materialised lazily on first use;
+  /// `station` indexes a dense table, so it is never kInvalidNode.
   void record(NodeId station, JournalKind kind, Tick tick,
               std::uint32_t arg = 0, std::uint64_t value = 0);
 
@@ -91,6 +108,10 @@ class WRT_SHARD_CONFINED Journal {
 
   /// `station`'s surviving records, oldest first (unwrapped copy).
   [[nodiscard]] std::vector<JournalEvent> events(NodeId station) const;
+
+  /// Every surviving record of every station, ascending tick; ties break
+  /// by station id, then by record order.
+  [[nodiscard]] std::vector<std::pair<NodeId, JournalEvent>> timeline() const;
 
   /// Records overwritten out of `station`'s ring.
   [[nodiscard]] std::uint64_t dropped(NodeId station) const noexcept;
@@ -107,13 +128,17 @@ class WRT_SHARD_CONFINED Journal {
   void clear();
 
   /// Binary serialisation (little-endian host assumed, versioned header).
+  /// load() refuses a malformed file with an error instead of trusting it:
+  /// an out-of-range or repeated station, or a kind this build does not
+  /// know.
   [[nodiscard]] util::Status save(const std::string& path) const;
   [[nodiscard]] static util::Result<Journal> load(const std::string& path);
 
  private:
   struct StationRing {
     NodeId station = kInvalidNode;
-    std::vector<JournalEvent> slots;  ///< capacity_ entries once touched
+    std::vector<JournalEvent> slots;  ///< capacity_ entries once recorded
+                                      ///< into; a loaded ring's records
     std::size_t head = 0;             ///< oldest surviving record
     std::size_t count = 0;
     std::uint64_t dropped = 0;

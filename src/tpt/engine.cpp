@@ -304,13 +304,13 @@ void TptEngine::pass_token() {
     drop_token_pending_ = false;
     state_ = TokenState::kLost;
     token_lost_at_ = now_;
-    trace_.record(sim::EventKind::kTokenLost, now_, from, to);
+    journal_record(from, telemetry::JournalKind::kTokenLost, to);
     return;
   }
   if (!topology_->reachable(from, to)) {
     state_ = TokenState::kLost;
     if (token_lost_at_ == kNeverTick) token_lost_at_ = now_;
-    trace_.record(sim::EventKind::kTokenLost, now_, from, to);
+    journal_record(from, telemetry::JournalKind::kTokenLost, to);
     return;
   }
   // A token hop faded by the channel is a lost token: nobody holds it and
@@ -320,7 +320,7 @@ void TptEngine::pass_token() {
     ++stats_.token_channel_losses;
     state_ = TokenState::kLost;
     token_lost_at_ = now_;
-    trace_.record(sim::EventKind::kTokenLost, now_, from, to);
+    journal_record(from, telemetry::JournalKind::kTokenLost, to);
     return;
   }
   state_ = TokenState::kInTransit;
@@ -366,7 +366,7 @@ void TptEngine::token_step() {
       if (claim_hops_remaining_ == 0) {
         // Claim returned to its origin: the tree is still valid.
         ++stats_.claims_succeeded;
-        trace_.record(sim::EventKind::kClaimSucceeded, now_, claim_origin_);
+        journal_record(claim_origin_, telemetry::JournalKind::kClaimDone);
         if (token_lost_at_ != kNeverTick) {
           stats_.recovery_total_slots.add(
               ticks_to_slots_real(now_ - token_lost_at_));
@@ -424,7 +424,7 @@ void TptEngine::check_timers() {
 
 void TptEngine::start_claim(NodeId detector) {
   WRT_COUNT(kTptClaims);
-  trace_.record(sim::EventKind::kClaimStarted, now_, detector);
+  journal_record(detector, telemetry::JournalKind::kClaimStart);
   util::log(util::LogLevel::kInfo,
             "TPT: token loss detected by station " + std::to_string(detector));
   // The claim token re-walks the full tour from the detector's position.
@@ -495,7 +495,7 @@ void TptEngine::finish_rebuild() {
   }
   util::log(util::LogLevel::kInfo,
             "TPT: tree rebuilt, size " + std::to_string(tree_.size()));
-  trace_.record(sim::EventKind::kTreeRebuilt, now_);
+  journal_record(tree_.root(), telemetry::JournalKind::kTreeRebuild);
   launch_token();
 }
 

@@ -35,8 +35,8 @@
 #include "analysis/bounds.hpp"
 #include "fault/gilbert_elliott.hpp"
 #include "phy/topology.hpp"
-#include "sim/event_trace.hpp"
 #include "sim/stats.hpp"
+#include "telemetry/journal.hpp"
 #include "tpt/tree.hpp"
 #include "traffic/source_set.hpp"
 #include "traffic/trace.hpp"
@@ -143,9 +143,12 @@ class TptEngine final {
 
   [[nodiscard]] const TptStats& stats() const noexcept { return stats_; }
 
-  /// Ordered protocol events (token losses, claims, rebuilds, ...).
-  [[nodiscard]] const sim::EventTrace& event_trace() const noexcept {
-    return trace_;
+  /// Attaches a telemetry event journal (nullptr detaches) that records
+  /// token losses, claims and tree rebuilds (Section 3.1.3).  Observation
+  /// only; with no journal attached the per-event cost is one pointer test.
+  /// The journal must outlive the engine or be detached.
+  void set_journal(telemetry::Journal* journal) noexcept {
+    journal_ = journal;
   }
   [[nodiscard]] const Tree& tree() const noexcept { return tree_; }
   [[nodiscard]] TokenState token_state() const noexcept { return state_; }
@@ -189,6 +192,11 @@ class TptEngine final {
   void launch_token();
   void open_rap(NodeId at);
   void finish_rap();
+  /// Journal append guarded by attachment; one pointer test when detached.
+  void journal_record(NodeId station, telemetry::JournalKind kind,
+                      std::uint32_t arg = 0) {
+    if (journal_ != nullptr) journal_->record(station, kind, now_, arg);
+  }
 
   phy::Topology* topology_;
   TptConfig config_;
@@ -228,7 +236,7 @@ class TptEngine final {
   bool drop_token_pending_ = false;
 
   TptStats stats_;
-  sim::EventTrace trace_;
+  telemetry::Journal* journal_ = nullptr;  ///< opt-in; see set_journal
 };
 
 }  // namespace wrt::tpt

@@ -87,7 +87,7 @@
 /// locking, callers must not share one across threads.  The federation
 /// contract in one word; place it on the class, right before the name:
 ///
-///   class WRT_SHARD_CONFINED Scheduler { ... };
+///   class WRT_SHARD_CONFINED Journal { ... };
 ///
 /// Cross-thread use of a shard-confined type is a bug even where TSan
 /// happens not to observe a race.

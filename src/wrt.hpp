@@ -19,10 +19,7 @@
 #include "phy/topology.hpp"          // IWYU pragma: export
 #include "ring/frame.hpp"            // IWYU pragma: export
 #include "ring/virtual_ring.hpp"     // IWYU pragma: export
-#include "sim/batch_means.hpp"       // IWYU pragma: export
-#include "sim/event_trace.hpp"       // IWYU pragma: export
 #include "sim/replication.hpp"       // IWYU pragma: export
-#include "sim/scheduler.hpp"         // IWYU pragma: export
 #include "sim/stats.hpp"             // IWYU pragma: export
 #include "tpt/allocation.hpp"        // IWYU pragma: export
 #include "tpt/engine.hpp"            // IWYU pragma: export

@@ -664,7 +664,7 @@ void Engine::launch_sat(NodeId at) {
   sat_location_ = at;
   sat_lost_at_ = kNeverTick;
   for (Tick& arrival : kernel_.last_sat_arrival_) arrival = now_;
-  trace_.record(sim::EventKind::kSatLaunched, now_, at);
+  journal_record(at, telemetry::JournalKind::kSatLaunch);
   sat_arrive(at);
 }
 
@@ -703,33 +703,7 @@ void Engine::sat_arrive(NodeId at) {
   if (sat_.is_rec && at == sat_.rec_origin) {
     // Section 2.5: the SAT_REC made it back — the ring is re-established;
     // substitute it with a plain SAT.
-    if (sat_.graceful_leave) {
-      ++stats_.leaves_completed;
-      WRT_COUNT(kLeaves);
-      journal_record(at, telemetry::JournalKind::kLeave, sat_.rec_failed);
-      trace_.record(sim::EventKind::kLeaveCompleted, now_, at,
-                    sat_.rec_failed);
-    } else {
-      ++stats_.sat_recoveries;
-      WRT_COUNT(kSatRecoveries);
-      if (sat_lost_at_ != kNeverTick) {
-        const double rec = ticks_to_slots_real(now_ - sat_lost_at_);
-        stats_.recovery_total_slots.add(rec);
-        WRT_OBSERVE(kSatRecSlots, rec);
-      }
-      trace_.record(sim::EventKind::kRecovered, now_, at, sat_.rec_failed);
-    }
-    journal_record(at, telemetry::JournalKind::kSatRecDone, sat_.rec_failed);
-    fsm_.on_recovery_complete(now_, sat_lost_at_ != kNeverTick
-                                        ? ticks_to_slots_real(now_ -
-                                                              sat_lost_at_)
-                                        : -1.0);
-    sat_.is_rec = false;
-    sat_.rec_origin = kInvalidNode;
-    sat_.rec_failed = kInvalidNode;
-    sat_.graceful_leave = false;
-    sat_lost_at_ = kNeverTick;
-    rec_deadline_ = kNeverTick;
+    finish_sat_rec(at);
   }
 
   // RAP mutex: the owner clears the flag when the SAT completes the round.
@@ -803,26 +777,7 @@ void Engine::sat_release(NodeId from) {
     }
     if (heal_cancelled) {
       fsm_.on_stale_rec_cancelled(now_);
-      ++stats_.sat_recoveries;
-      WRT_COUNT(kSatRecoveries);
-      if (sat_lost_at_ != kNeverTick) {
-        const double rec = ticks_to_slots_real(now_ - sat_lost_at_);
-        stats_.recovery_total_slots.add(rec);
-        WRT_OBSERVE(kSatRecSlots, rec);
-      }
-      trace_.record(sim::EventKind::kRecovered, now_, from, sat_.rec_failed);
-      journal_record(from, telemetry::JournalKind::kSatRecDone,
-                     sat_.rec_failed);
-      fsm_.on_recovery_complete(
-          now_, sat_lost_at_ != kNeverTick
-                    ? ticks_to_slots_real(now_ - sat_lost_at_)
-                    : -1.0);
-      sat_.is_rec = false;
-      sat_.rec_origin = kInvalidNode;
-      sat_.rec_failed = kInvalidNode;
-      sat_.graceful_leave = false;
-      sat_lost_at_ = kNeverTick;
-      rec_deadline_ = kNeverTick;
+      finish_sat_rec(from);
     } else {
       // This station plays the role of i-1: skip the failed station by
       // addressing i+1 directly with code i+1 (Section 2.5).
@@ -855,7 +810,6 @@ void Engine::sat_release(NodeId from) {
       }
       journal_record(failed, telemetry::JournalKind::kCutOut,
                      sat_.rec_origin);
-      trace_.record(sim::EventKind::kCutOut, now_, from, failed);
       if (membership_callback_) membership_callback_(failed, false);
       notify_audit(sat_.graceful_leave ? "leave" : "cut-out");
       // A station cut out by a SAT_REC re-enters through the normal join
@@ -880,7 +834,7 @@ void Engine::sat_release(NodeId from) {
     drop_sat_pending_ = false;
     sat_state_ = SatState::kLost;
     sat_lost_at_ = now_;
-    trace_.record(sim::EventKind::kSatLost, now_, from, target);
+    journal_record(from, telemetry::JournalKind::kSatLost, target);
     return;
   }
   // The un-rerouted handoff is exactly the cached ring-successor hop; a
@@ -902,7 +856,7 @@ void Engine::sat_release(NodeId from) {
                   fault::LossPurpose::kSat)[from_position])))) {
     sat_state_ = SatState::kLost;
     if (sat_lost_at_ == kNeverTick) sat_lost_at_ = now_;
-    trace_.record(sim::EventKind::kSatLost, now_, from, target);
+    journal_record(from, telemetry::JournalKind::kSatLost, target);
     return;
   }
   sat_state_ = SatState::kInTransit;
@@ -1008,8 +962,6 @@ void Engine::start_recovery(NodeId detector) {
   WRT_COUNT(kSatLossesDetected);
   journal_record(detector, telemetry::JournalKind::kSatRecStart,
                  ring_.predecessor(detector));
-  trace_.record(sim::EventKind::kLossDetected, now_, detector,
-                ring_.predecessor(detector));
   if (sat_lost_at_ != kNeverTick) {
     stats_.sat_loss_detection_slots.add(
         ticks_to_slots_real(now_ - sat_lost_at_));
@@ -1028,12 +980,37 @@ void Engine::start_recovery(NodeId detector) {
   rec_deadline_ = now_ + slots_to_ticks(effective_sat_timeout(detector));
   kernel_.last_sat_arrival_[static_cast<std::size_t>(
       ring_.position_of(detector))] = now_;
-  trace_.record(sim::EventKind::kSatRecStarted, now_, detector,
-                sat_.rec_failed);
   sat_state_ = SatState::kHeld;
   sat_location_ = detector;
   // The detector itself gets a fresh round and forwards the SAT_REC.
   sat_release(detector);
+}
+
+void Engine::finish_sat_rec(NodeId at) {
+  if (sat_.graceful_leave) {
+    ++stats_.leaves_completed;
+    WRT_COUNT(kLeaves);
+    journal_record(at, telemetry::JournalKind::kLeave, sat_.rec_failed);
+  } else {
+    ++stats_.sat_recoveries;
+    WRT_COUNT(kSatRecoveries);
+    if (sat_lost_at_ != kNeverTick) {
+      const double rec = ticks_to_slots_real(now_ - sat_lost_at_);
+      stats_.recovery_total_slots.add(rec);
+      WRT_OBSERVE(kSatRecSlots, rec);
+    }
+  }
+  journal_record(at, telemetry::JournalKind::kSatRecDone, sat_.rec_failed);
+  fsm_.on_recovery_complete(now_, sat_lost_at_ != kNeverTick
+                                      ? ticks_to_slots_real(now_ -
+                                                            sat_lost_at_)
+                                      : -1.0);
+  sat_.is_rec = false;
+  sat_.rec_origin = kInvalidNode;
+  sat_.rec_failed = kInvalidNode;
+  sat_.graceful_leave = false;
+  sat_lost_at_ = kNeverTick;
+  rec_deadline_ = kNeverTick;
 }
 
 void Engine::drop_in_flight_frames(TeardownCause cause) {
@@ -1060,7 +1037,9 @@ void Engine::drop_in_flight_frames(TeardownCause cause) {
 void Engine::start_rebuild() {
   ++stats_.ring_rebuilds;
   WRT_COUNT(kRingRebuilds);
-  trace_.record(sim::EventKind::kRebuildStarted, now_);
+  if (ring_.size() > 0) {
+    journal_record(ring_.station_at(0), telemetry::JournalKind::kRebuildStart);
+  }
   util::log(util::LogLevel::kInfo, "WRT-Ring: ring re-formation started");
   drop_in_flight_frames();
   sat_state_ = SatState::kRebuilding;
@@ -1163,7 +1142,7 @@ void Engine::finish_rebuild() {
                                      : -1.0);
   util::log(util::LogLevel::kInfo, "WRT-Ring: ring re-formed, size " +
                                        std::to_string(ring_.size()));
-  trace_.record(sim::EventKind::kRebuildCompleted, now_);
+  journal_record(ring_.station_at(0), telemetry::JournalKind::kRebuildDone);
   launch_sat(ring_.station_at(0));
   notify_audit("rebuild");
 }
@@ -1225,7 +1204,6 @@ void Engine::stall_station(NodeId node) {
   stalled_[node] = 1;
   ++stall_epoch_;
   journal_record(node, telemetry::JournalKind::kStall);
-  trace_.record(sim::EventKind::kStationStalled, now_, node);
   // A wedged holder takes the SAT down with it, exactly like a crash —
   // except the station is still topologically present and may come back.
   if (sat_location_ == node &&
@@ -1240,7 +1218,6 @@ void Engine::resume_station(NodeId node) {
   stalled_[node] = 0;
   ++stall_epoch_;
   journal_record(node, telemetry::JournalKind::kResume);
-  trace_.record(sim::EventKind::kStationResumed, now_, node);
   const std::int32_t position = station_position(node);
   if (position >= 0) {
     // Still a member: its SAT_TIMER slept through the wedge and would fire
@@ -1267,7 +1244,7 @@ std::uint64_t Engine::frames_in_flight() const noexcept {
 void Engine::begin_rap(NodeId ingress) {
   ++stats_.raps_started;
   WRT_COUNT(kRapsStarted);
-  trace_.record(sim::EventKind::kRapStarted, now_, ingress);
+  journal_record(ingress, telemetry::JournalKind::kRapStart);
   rap_ingress_ = ingress;
   rap_ear_end_ = now_ + slots_to_ticks(config_.t_ear_slots);
   rap_end_ = now_ + slots_to_ticks(config_.t_rap_slots());
@@ -1351,7 +1328,7 @@ void Engine::begin_rap(NodeId ingress) {
   if (!admission_allows(join.quota)) {
     ++stats_.joins_rejected;
     WRT_COUNT(kJoinsRejected);
-    trace_.record(sim::EventKind::kJoinRejected, now_, joiner, ingress);
+    journal_record(joiner, telemetry::JournalKind::kJoinReject, ingress);
     pending_joins_.erase(joiner);
     return;
   }
@@ -1378,7 +1355,7 @@ void Engine::register_join_backoff(NodeId joiner) {
   journal_record(joiner, telemetry::JournalKind::kControlLost, join.attempts);
   if (join.attempts >= config_.join_max_attempts) {
     ++stats_.joins_abandoned;
-    trace_.record(sim::EventKind::kJoinRejected, now_, joiner, rap_ingress_);
+    journal_record(joiner, telemetry::JournalKind::kJoinReject, rap_ingress_);
     pending_joins_.erase(it);
     return;
   }
@@ -1465,7 +1442,6 @@ void Engine::complete_join(NodeId joiner, NodeId ingress) {
   util::log(util::LogLevel::kInfo,
             "WRT-Ring: station " + std::to_string(joiner) +
                 " joined after ingress " + std::to_string(ingress));
-  trace_.record(sim::EventKind::kJoinCompleted, now_, joiner, ingress);
   if (membership_callback_) membership_callback_(joiner, true);
   notify_audit("join");
 }

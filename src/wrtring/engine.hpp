@@ -53,7 +53,6 @@
 #include "phy/topology.hpp"
 #include "ring/frame.hpp"
 #include "ring/virtual_ring.hpp"
-#include "sim/event_trace.hpp"
 #include "sim/stats.hpp"
 #include "telemetry/journal.hpp"
 #include "telemetry/metrics.hpp"
@@ -342,19 +341,16 @@ class WRT_SHARD_CONFINED Engine final {
 
   [[nodiscard]] const cdma::CodeMap& codes() const noexcept { return codes_; }
 
-  /// Ordered protocol events (SAT losses, detections, cut-outs, joins, ...)
-  /// in a bounded ring buffer; see sim::EventTrace.
-  [[nodiscard]] const sim::EventTrace& event_trace() const noexcept {
-    return trace_;
-  }
-
-  /// Attaches a telemetry event journal (nullptr detaches).  While attached
-  /// the engine records SAT residency, transmissions, deliveries, and
-  /// membership churn into per-station rings, and — when
-  /// `queue_sample_every_slots` > 0 — samples every station's queue depth on
-  /// that cadence.  Observation only: attaching a journal never changes
-  /// protocol behaviour, and with no journal attached the per-event cost is
-  /// one pointer test.  The journal must outlive the engine or be detached.
+  /// Attaches a telemetry event journal (nullptr detaches); it is the
+  /// engine's only protocol event record.  While attached the engine
+  /// records SAT residency, transmissions, deliveries, membership churn and
+  /// every recovery step (SAT launch and loss, SAT_REC, cut-out,
+  /// re-formation, RAP starts, refused joins) into per-station rings, and —
+  /// when `queue_sample_every_slots` > 0 — samples every station's queue
+  /// depth on that cadence.  Attach before init() to see the first SAT
+  /// launch.  Observation only: attaching a journal never changes protocol
+  /// behaviour, and with no journal attached the per-event cost is one
+  /// pointer test.  The journal must outlive the engine or be detached.
   void set_journal(telemetry::Journal* journal,
                    std::int64_t queue_sample_every_slots = 0) noexcept {
     journal_ = journal;
@@ -459,6 +455,10 @@ class WRT_SHARD_CONFINED Engine final {
   void sat_release(NodeId from);
   void launch_sat(NodeId at);
   void start_recovery(NodeId detector);
+  /// Closes the SAT_REC in progress at station `at` (Section 2.5): the
+  /// leave or recovery counters and recovery-time sample, the journal
+  /// records, the FSM's recovery-complete call, and the SAT_REC state reset.
+  void finish_sat_rec(NodeId at);
   void start_rebuild();
   void finish_rebuild();
 
@@ -665,7 +665,6 @@ class WRT_SHARD_CONFINED Engine final {
   std::unique_ptr<cdma::Channel<traffic::Packet>> channel_;
 
   EngineStats stats_;
-  sim::EventTrace trace_;
 
   // Telemetry journal (opt-in; see set_journal).
   telemetry::Journal* journal_ = nullptr;

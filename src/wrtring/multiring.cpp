@@ -44,13 +44,6 @@ void MultiRingCoordinator::form_rings_over(const phy::NeighborTable& table,
                                              std::move(ring_config),
                                              ring_seed(seed_, anchor));
       if (engine->init().ok()) {
-        const std::size_t index = engines_.size();
-        for (const NodeId member : group) ring_index_[member] = index;
-        engine->set_membership_callback(
-            [this, index](NodeId node, bool joined) {
-              on_membership_change(index, node, joined);
-            });
-        memberships_.push_back(group);
         engines_.push_back(std::move(engine));
         if (!peeled.empty()) form_rings_over(table, std::move(peeled));
         return;
@@ -74,8 +67,7 @@ void MultiRingCoordinator::form_rings_over(const phy::NeighborTable& table,
     in_group[group[worst_index]] = false;
     group.erase(group.begin() + static_cast<std::ptrdiff_t>(worst_index));
   }
-  unserved_.insert(unserved_.end(), group.begin(), group.end());
-  unserved_.insert(unserved_.end(), peeled.begin(), peeled.end());
+  // Fewer than three left: the group and everything peeled stay unserved.
 }
 
 util::Status MultiRingCoordinator::init() {
@@ -101,10 +93,9 @@ util::Status MultiRingCoordinator::init() {
     std::sort(component.begin(), component.end());
     form_rings_over(table, std::move(component));
   }
-  std::sort(unserved_.begin(), unserved_.end());
   util::log(util::LogLevel::kInfo,
             "MultiRing: " + std::to_string(engines_.size()) + " ring(s), " +
-                std::to_string(unserved_.size()) + " unserved station(s)");
+                std::to_string(unserved().size()) + " unserved station(s)");
   if (engines_.empty()) {
     return util::Error::no_ring_possible("no component can host a ring");
   }
@@ -119,34 +110,24 @@ void MultiRingCoordinator::run_slots(std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) step();
 }
 
-void MultiRingCoordinator::on_membership_change(std::size_t index,
-                                                NodeId node, bool joined) {
-  if (joined) {
-    ring_index_[node] = index;
-    const auto it =
-        std::lower_bound(unserved_.begin(), unserved_.end(), node);
-    if (it != unserved_.end() && *it == node) unserved_.erase(it);
-  } else {
-    // Only clear the entry if it still points at this ring: a rebuild of
-    // ring A must not erase a node that has meanwhile joined ring B.
-    const auto entry = ring_index_.find(node);
-    if (entry != ring_index_.end() && entry->second == index) {
-      ring_index_.erase(node);
-      // unserved() means "alive but in no ring": dead stations drop out of
-      // the bookkeeping entirely (coverage() ignores them too).
-      if (topology_->alive(node)) {
-        const auto it =
-            std::lower_bound(unserved_.begin(), unserved_.end(), node);
-        if (it == unserved_.end() || *it != node) unserved_.insert(it, node);
-      }
-    }
+Engine* MultiRingCoordinator::ring_of(NodeId node) {
+  for (const auto& engine : engines_) {
+    if (engine->virtual_ring().contains(node)) return engine.get();
   }
+  return nullptr;
 }
 
-Engine* MultiRingCoordinator::ring_of(NodeId node) {
-  const auto entry = ring_index_.find(node);
-  return entry == ring_index_.end() ? nullptr
-                                    : engines_[entry->second].get();
+std::vector<NodeId> MultiRingCoordinator::unserved() const {
+  std::vector<NodeId> result;
+  for (NodeId node = 0; node < topology_->node_count(); ++node) {
+    if (!topology_->alive(node)) continue;
+    const bool served = std::any_of(
+        engines_.begin(), engines_.end(), [node](const auto& engine) {
+          return engine->virtual_ring().contains(node);
+        });
+    if (!served) result.push_back(node);
+  }
+  return result;
 }
 
 double MultiRingCoordinator::coverage() const {

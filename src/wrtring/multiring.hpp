@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "phy/topology.hpp"
-#include "util/flat_map.hpp"
 #include "util/result.hpp"
 #include "wrtring/engine.hpp"
 
@@ -50,17 +49,14 @@ class MultiRingCoordinator {
     return *engines_.at(index);
   }
 
-  /// The ring engine serving `node`, or nullptr when the node is unserved.
-  /// O(log rings-total-members): answered from a membership index that is
-  /// kept current by the engines' membership callbacks (the coordinator
-  /// owns the callback slot of every engine it creates) — federation
-  /// routing calls this on every crossing, so no linear engine scan.
+  /// The ring engine whose virtual ring contains `node`, or nullptr when
+  /// no ring does.  Asks the engines' rings, so the answer is current
+  /// through every join, cut-out, leave and re-formation.
   [[nodiscard]] Engine* ring_of(NodeId node);
 
-  /// Stations alive but in no ring.
-  [[nodiscard]] const std::vector<NodeId>& unserved() const noexcept {
-    return unserved_;
-  }
+  /// Stations alive but in no engine's ring, ascending — including stations
+  /// placed in the topology after init().
+  [[nodiscard]] std::vector<NodeId> unserved() const;
 
   /// Fraction of alive stations that are ring members.
   [[nodiscard]] double coverage() const;
@@ -76,19 +72,10 @@ class MultiRingCoordinator {
   void form_rings_over(const phy::NeighborTable& table,
                        std::vector<NodeId> component);
 
-  /// Membership-callback body: keeps `ring_index_` and `unserved_`
-  /// consistent as engine `index` gains or loses `node` (joins, cut-outs,
-  /// graceful leaves, rebuild exclusions/recruits).
-  void on_membership_change(std::size_t index, NodeId node, bool joined);
-
   phy::Topology* topology_;
   Config config_;
   std::uint64_t seed_;
   std::vector<std::unique_ptr<Engine>> engines_;
-  std::vector<std::vector<NodeId>> memberships_;
-  std::vector<NodeId> unserved_;  ///< sorted
-  /// node -> index into engines_; maintained on churn via callbacks.
-  util::FlatMap<NodeId, std::size_t> ring_index_;
 };
 
 }  // namespace wrt::wrtring

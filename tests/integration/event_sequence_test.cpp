@@ -1,8 +1,9 @@
-// Causal-ordering assertions on the engines' protocol event traces: the
+// Causal-ordering assertions on the engines' protocol event journals: the
 // recovery and join machinery must unfold in the order the paper specifies.
 #include <gtest/gtest.h>
 
 #include "analysis/bounds.hpp"
+#include "telemetry/journal.hpp"
 #include "tests/wrtring/test_helpers.hpp"
 #include "tpt/engine.hpp"
 #include "wrtring/engine.hpp"
@@ -10,42 +11,60 @@
 namespace wrt {
 namespace {
 
-using sim::EventKind;
+using telemetry::Journal;
+using telemetry::JournalKind;
 using wrtring::testing::Harness;
+using wrtring::testing::of_kind;
+
+/// Large enough that no station's ring wraps in these runs.
+constexpr std::size_t kCapacity = 1 << 14;
+
+/// True iff the journal holds both kinds and the first `a` is no later
+/// than the first `b`.
+bool ordered(const Journal& journal, JournalKind a, JournalKind b) {
+  const auto first_a = of_kind(journal, a);
+  const auto first_b = of_kind(journal, b);
+  if (first_a.empty() || first_b.empty()) return false;
+  return first_a.front().second.tick <= first_b.front().second.tick;
+}
 
 TEST(EventSequence, RecoveryUnfoldsInPaperOrder) {
-  Harness h(8, wrtring::Config{});
+  Journal journal(kCapacity);
+  Harness h(8, wrtring::Config{}, 1, 2.4, &journal);
   h.engine.run_slots(100);
   h.engine.drop_sat_once();
   h.engine.run_slots(4 * analysis::sat_time_bound(h.engine.ring_params()));
-  const auto& trace = h.engine.event_trace();
-  // launch -> lost -> detected -> SAT_REC -> cut-out -> recovered.
-  EXPECT_TRUE(trace.ordered(EventKind::kSatLaunched, EventKind::kSatLost));
-  EXPECT_TRUE(trace.ordered(EventKind::kSatLost, EventKind::kLossDetected));
+  ASSERT_EQ(journal.total_dropped(), 0u);
+  // launch -> lost -> detected, SAT_REC sent (one sat-rec-start record) ->
+  // cut-out -> recovered.
+  EXPECT_TRUE(ordered(journal, JournalKind::kSatLaunch, JournalKind::kSatLost));
   EXPECT_TRUE(
-      trace.ordered(EventKind::kLossDetected, EventKind::kSatRecStarted));
-  EXPECT_TRUE(trace.ordered(EventKind::kSatRecStarted, EventKind::kCutOut));
-  EXPECT_TRUE(trace.ordered(EventKind::kCutOut, EventKind::kRecovered));
+      ordered(journal, JournalKind::kSatLost, JournalKind::kSatRecStart));
+  EXPECT_TRUE(
+      ordered(journal, JournalKind::kSatRecStart, JournalKind::kCutOut));
+  EXPECT_TRUE(
+      ordered(journal, JournalKind::kCutOut, JournalKind::kSatRecDone));
   // The detector blamed its ring predecessor.
-  const auto detections = trace.of_kind(EventKind::kLossDetected);
+  const auto detections = of_kind(journal, JournalKind::kSatRecStart);
   ASSERT_EQ(detections.size(), 1u);
-  const auto cut_outs = trace.of_kind(EventKind::kCutOut);
+  const auto cut_outs = of_kind(journal, JournalKind::kCutOut);
   ASSERT_EQ(cut_outs.size(), 1u);
-  EXPECT_EQ(detections[0].other, cut_outs[0].other);
+  EXPECT_EQ(detections[0].second.arg, cut_outs[0].first);
 }
 
 TEST(EventSequence, DetectionLatencyVisibleInTrace) {
-  Harness h(10, wrtring::Config{});
+  Journal journal(kCapacity);
+  Harness h(10, wrtring::Config{}, 1, 2.4, &journal);
   h.engine.run_slots(100);
   h.engine.drop_sat_once();
   const auto bound = analysis::sat_time_bound(h.engine.ring_params());
   h.engine.run_slots(4 * bound);
-  const auto& trace = h.engine.event_trace();
-  const auto lost = trace.of_kind(EventKind::kSatLost);
-  const auto detected = trace.of_kind(EventKind::kLossDetected);
+  ASSERT_EQ(journal.total_dropped(), 0u);
+  const auto lost = of_kind(journal, JournalKind::kSatLost);
+  const auto detected = of_kind(journal, JournalKind::kSatRecStart);
   ASSERT_EQ(lost.size(), 1u);
   ASSERT_EQ(detected.size(), 1u);
-  const Tick latency = detected[0].at - lost[0].at;
+  const Tick latency = detected[0].second.tick - lost[0].second.tick;
   EXPECT_GT(latency, 0);
   EXPECT_LE(ticks_to_slots(latency), bound);
 }
@@ -53,26 +72,28 @@ TEST(EventSequence, DetectionLatencyVisibleInTrace) {
 TEST(EventSequence, JoinEventsCarryIngress) {
   wrtring::Config config;
   config.rap_policy = wrtring::RapPolicy::kRotating;
-  Harness h(6, config);
+  Journal journal(kCapacity);
+  Harness h(6, config, 1, 2.4, &journal);
   const phy::Vec2 mid =
       (h.topology.position(2) + h.topology.position(3)) * 0.5;
   const NodeId joiner = h.topology.add_node(mid);
   h.engine.request_join(joiner, {1, 1});
   h.engine.run_slots(6 * 40 * 10);
-  const auto joins = h.engine.event_trace().of_kind(EventKind::kJoinCompleted);
+  ASSERT_EQ(journal.total_dropped(), 0u);
+  const auto joins = of_kind(journal, JournalKind::kJoin);
   ASSERT_EQ(joins.size(), 1u);
-  EXPECT_EQ(joins[0].station, joiner);
+  EXPECT_EQ(joins[0].first, joiner);
   // The recorded ingress really is the joiner's current ring predecessor.
-  EXPECT_EQ(h.engine.virtual_ring().predecessor(joiner), joins[0].other);
+  EXPECT_EQ(h.engine.virtual_ring().predecessor(joiner), joins[0].second.arg);
   // RAPs preceded the join.
-  EXPECT_TRUE(h.engine.event_trace().ordered(EventKind::kRapStarted,
-                                             EventKind::kJoinCompleted));
+  EXPECT_TRUE(ordered(journal, JournalKind::kRapStart, JournalKind::kJoin));
 }
 
 TEST(EventSequence, RejectedJoinLeavesRejectionEvent) {
   wrtring::Config config;
   config.rap_policy = wrtring::RapPolicy::kRotating;
-  Harness h(6, config);
+  Journal journal(kCapacity);
+  Harness h(6, config, 1, 2.4, &journal);
   h.engine.set_max_sat_time_goal(
       analysis::sat_time_bound(h.engine.ring_params()) + 2);
   const phy::Vec2 mid =
@@ -80,10 +101,9 @@ TEST(EventSequence, RejectedJoinLeavesRejectionEvent) {
   const NodeId greedy = h.topology.add_node(mid);
   h.engine.request_join(greedy, {40, 40});
   h.engine.run_slots(6 * 40 * 10);
-  EXPECT_EQ(h.engine.event_trace().of_kind(EventKind::kJoinRejected).size(),
-            1u);
-  EXPECT_TRUE(
-      h.engine.event_trace().of_kind(EventKind::kJoinCompleted).empty());
+  ASSERT_EQ(journal.total_dropped(), 0u);
+  EXPECT_EQ(of_kind(journal, JournalKind::kJoinReject).size(), 1u);
+  EXPECT_TRUE(of_kind(journal, JournalKind::kJoin).empty());
 }
 
 TEST(EventSequence, TptClaimOrdering) {
@@ -92,15 +112,18 @@ TEST(EventSequence, TptClaimOrdering) {
   tpt::TptConfig config;
   config.ttrt_slots = 32;
   tpt::TptEngine engine(&room, config, 1);
+  Journal journal(kCapacity);
+  engine.set_journal(&journal);
   ASSERT_TRUE(engine.init().ok());
   engine.run_slots(200);
   engine.drop_token_once();
   engine.run_slots(10 * config.ttrt_slots);
-  const auto& trace = engine.event_trace();
-  EXPECT_TRUE(trace.ordered(EventKind::kTokenLost, EventKind::kClaimStarted));
+  ASSERT_EQ(journal.total_dropped(), 0u);
   EXPECT_TRUE(
-      trace.ordered(EventKind::kClaimStarted, EventKind::kClaimSucceeded));
-  EXPECT_TRUE(trace.of_kind(EventKind::kTreeRebuilt).empty());
+      ordered(journal, JournalKind::kTokenLost, JournalKind::kClaimStart));
+  EXPECT_TRUE(
+      ordered(journal, JournalKind::kClaimStart, JournalKind::kClaimDone));
+  EXPECT_TRUE(of_kind(journal, JournalKind::kTreeRebuild).empty());
 }
 
 TEST(EventSequence, TptDeathEndsInTreeRebuild) {
@@ -109,14 +132,16 @@ TEST(EventSequence, TptDeathEndsInTreeRebuild) {
   tpt::TptConfig config;
   config.ttrt_slots = 32;
   tpt::TptEngine engine(&room, config, 1);
+  Journal journal(kCapacity);
+  engine.set_journal(&journal);
   ASSERT_TRUE(engine.init().ok());
   engine.run_slots(200);
   engine.kill_station(4);
   engine.run_slots(40 * config.ttrt_slots);
-  const auto& trace = engine.event_trace();
+  ASSERT_EQ(journal.total_dropped(), 0u);
   EXPECT_TRUE(
-      trace.ordered(EventKind::kClaimStarted, EventKind::kTreeRebuilt));
-  EXPECT_TRUE(trace.of_kind(EventKind::kClaimSucceeded).empty());
+      ordered(journal, JournalKind::kClaimStart, JournalKind::kTreeRebuild));
+  EXPECT_TRUE(of_kind(journal, JournalKind::kClaimDone).empty());
 }
 
 }  // namespace

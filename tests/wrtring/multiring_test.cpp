@@ -11,9 +11,8 @@ namespace wrt::wrtring {
 namespace {
 
 bool is_unserved(const MultiRingCoordinator& coordinator, NodeId node) {
-  return std::find(coordinator.unserved().begin(),
-                   coordinator.unserved().end(),
-                   node) != coordinator.unserved().end();
+  const std::vector<NodeId> unserved = coordinator.unserved();
+  return std::find(unserved.begin(), unserved.end(), node) != unserved.end();
 }
 
 /// Bookkeeping invariant: every station is in exactly one of {a ring,
@@ -116,10 +115,7 @@ TEST(MultiRing, PeelsUnringableAppendage) {
   ASSERT_GE(coordinator.ring_count(), 1u);
   EXPECT_GE(coordinator.ring(0).virtual_ring().size(), 5u);
   const bool pendant_served = coordinator.ring_of(pendant) != nullptr;
-  const bool pendant_unserved =
-      std::find(coordinator.unserved().begin(), coordinator.unserved().end(),
-                pendant) != coordinator.unserved().end();
-  EXPECT_TRUE(pendant_served || pendant_unserved);
+  EXPECT_TRUE(pendant_served || is_unserved(coordinator, pendant));
   EXPECT_GT(coordinator.coverage(), 0.8);
 }
 
@@ -247,6 +243,21 @@ TEST(MultiRing, DeadStationsLeaveTheBookkeepingEntirely) {
   // coverage() likewise ignores the dead.
   EXPECT_FALSE(is_unserved(coordinator, victim));
   EXPECT_DOUBLE_EQ(coordinator.coverage(), 1.0);
+  expect_bookkeeping_consistent(coordinator, topology);
+}
+
+TEST(MultiRing, LateStationIsUnservedUntilARingTakesIt) {
+  // A station placed after init() triggers no membership change in any
+  // ring, yet it is alive: it must surface as unserved, and coverage() must
+  // count it against the rings (12 of 13 served).
+  phy::Topology topology = two_islands();
+  MultiRingCoordinator coordinator(&topology, Config{}, 1);
+  ASSERT_TRUE(coordinator.init().ok());
+  coordinator.run_slots(100);
+  const NodeId late = topology.add_node({100.0, 0.0});
+  EXPECT_EQ(coordinator.ring_of(late), nullptr);
+  EXPECT_EQ(coordinator.unserved(), std::vector<NodeId>{late});
+  EXPECT_DOUBLE_EQ(coordinator.coverage(), 12.0 / 13.0);
   expect_bookkeeping_consistent(coordinator, topology);
 }
 

@@ -1,19 +1,25 @@
 // Section 2.4.1 fairness: "To ensure the fairness, after acting as ingress
 // station, a node has to wait S_round(i) >= N SAT rounds in order to enter
 // the RAP period again" — and the RAP_mutex admits at most one RAP per SAT
-// round.  Verified from the protocol event trace.
+// round.  Verified from the protocol event journal.
 #include <gtest/gtest.h>
 
 #include <map>
 
+#include "telemetry/journal.hpp"
 #include "tests/wrtring/test_helpers.hpp"
 #include "wrtring/engine.hpp"
 
 namespace wrt::wrtring {
 namespace {
 
-using sim::EventKind;
+using telemetry::Journal;
+using telemetry::JournalKind;
 using testing::Harness;
+using testing::of_kind;
+
+/// Large enough that no station's ring wraps in these runs.
+constexpr std::size_t kCapacity = 1 << 14;
 
 Config rap_config() {
   Config config;
@@ -24,12 +30,13 @@ Config rap_config() {
 }
 
 TEST(RapFairness, EveryStationGetsIngressTurns) {
-  Harness h(6, rap_config());
+  Journal journal(kCapacity);
+  Harness h(6, rap_config(), 1, 2.4, &journal);
   h.engine.run_slots(6000);
+  ASSERT_EQ(journal.total_dropped(), 0u);
   std::map<NodeId, int> raps;
-  for (const auto& event : h.engine.event_trace().of_kind(
-           EventKind::kRapStarted)) {
-    ++raps[event.station];
+  for (const auto& rap : of_kind(journal, JournalKind::kRapStart)) {
+    ++raps[rap.first];
   }
   EXPECT_EQ(raps.size(), 6u) << "every station must act as ingress";
   int min_raps = 1 << 30, max_raps = 0;
@@ -43,15 +50,17 @@ TEST(RapFairness, EveryStationGetsIngressTurns) {
 
 TEST(RapFairness, SRoundSpacingRespected) {
   constexpr std::size_t kN = 8;
-  Harness h(kN, rap_config());
+  Journal journal(kCapacity);
+  Harness h(kN, rap_config(), 1, 2.4, &journal);
   h.engine.run_slots(10000);
+  ASSERT_EQ(journal.total_dropped(), 0u);
   // Between two RAPs of the same station, every other station RAPs once:
   // consecutive same-station RAPs are >= N-1 other RAP events apart.
-  const auto raps = h.engine.event_trace().of_kind(EventKind::kRapStarted);
+  const auto raps = of_kind(journal, JournalKind::kRapStart);
   ASSERT_GT(raps.size(), 2 * kN);
   std::map<NodeId, std::size_t> last_index;
   for (std::size_t i = 0; i < raps.size(); ++i) {
-    const NodeId station = raps[i].station;
+    const NodeId station = raps[i].first;
     if (const auto it = last_index.find(station);
         it != last_index.end()) {
       EXPECT_GE(i - it->second, kN - 1)
@@ -71,11 +80,12 @@ TEST(RapFairness, AtMostOneRapPerRound) {
 }
 
 TEST(RapFairness, DisabledPolicyNeverRaps) {
-  Harness h(8, Config{});
+  Journal journal(kCapacity);
+  Harness h(8, Config{}, 1, 2.4, &journal);
   h.engine.run_slots(4000);
+  ASSERT_EQ(journal.total_dropped(), 0u);
   EXPECT_EQ(h.engine.stats().raps_started, 0u);
-  EXPECT_TRUE(
-      h.engine.event_trace().of_kind(EventKind::kRapStarted).empty());
+  EXPECT_TRUE(of_kind(journal, JournalKind::kRapStart).empty());
 }
 
 /// A 7-node topology ringing only stations 0..5, leaving node 6 as a live

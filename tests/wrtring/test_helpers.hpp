@@ -4,8 +4,11 @@
 #include <cmath>
 #include <memory>
 #include <numbers>
+#include <utility>
+#include <vector>
 
 #include "phy/topology.hpp"
+#include "telemetry/journal.hpp"
 #include "wrtring/engine.hpp"
 
 namespace wrt::wrtring::testing {
@@ -21,11 +24,14 @@ inline phy::Topology circle_topology(std::size_t n,
                        phy::RadioParams{chord * range_hops, 0.0});
 }
 
+/// A ring over circle_topology(n, range_hops), initialised.  A `journal`
+/// is attached before init(), so it also holds the init-time SAT launch.
 struct Harness {
   Harness(std::size_t n, Config config, std::uint64_t seed = 1,
-          double range_hops = 2.4)
+          double range_hops = 2.4, telemetry::Journal* journal = nullptr)
       : topology(circle_topology(n, range_hops)),
         engine(&topology, std::move(config), seed) {
+    engine.set_journal(journal);
     const auto status = engine.init();
     if (!status.ok()) {
       throw std::runtime_error("engine init failed: " +
@@ -36,6 +42,16 @@ struct Harness {
   phy::Topology topology;
   Engine engine;
 };
+
+/// The journal's records of `kind`, in timeline order.
+inline std::vector<std::pair<NodeId, telemetry::JournalEvent>> of_kind(
+    const telemetry::Journal& journal, telemetry::JournalKind kind) {
+  std::vector<std::pair<NodeId, telemetry::JournalEvent>> result;
+  for (const auto& record : journal.timeline()) {
+    if (record.second.kind == kind) result.push_back(record);
+  }
+  return result;
+}
 
 /// A real-time flow from station `src` to the diametrically opposite
 /// station (worst-case ring distance).

@@ -10,9 +10,10 @@
 //     in the journal file.
 //   * Access delay: per-Diffserv-class queue->transmit delay from kTransmit
 //     events, with the real-time class checked against Theorem 3 (x = 0).
-//   * Membership and recovery: joins, leaves, cut-outs and SAT_REC
-//     start/done events, plus per-station ring overwrite (drop) counts so a
-//     truncated history is never mistaken for a quiet station.
+//   * Membership and recovery: joins, leaves, cut-outs, SAT losses, SAT_REC
+//     start/done events and finished re-formations, plus per-station ring
+//     overwrite (drop) counts so a truncated history is never mistaken for
+//     a quiet station.
 //
 //   $ build/tools/wrt_report run.jrnl          # human-readable report
 //   $ build/tools/wrt_report --json run.jrnl   # machine-readable JSON
@@ -64,8 +65,10 @@ struct StationReport {
   std::uint64_t joins = 0;
   std::uint64_t leaves = 0;
   std::uint64_t cut_outs = 0;
+  std::uint64_t sat_lost = 0;
   std::uint64_t sat_rec_started = 0;
   std::uint64_t sat_rec_done = 0;
+  std::uint64_t rebuilds_done = 0;  ///< re-formations that ended here
   std::uint64_t stalls = 0;
   std::uint64_t resumes = 0;
   std::uint64_t control_losses = 0;
@@ -110,8 +113,10 @@ StationReport analyze_station(const Journal& journal, wrt::NodeId station,
       case JournalKind::kJoin: ++report.joins; break;
       case JournalKind::kLeave: ++report.leaves; break;
       case JournalKind::kCutOut: ++report.cut_outs; break;
+      case JournalKind::kSatLost: ++report.sat_lost; break;
       case JournalKind::kSatRecStart: ++report.sat_rec_started; break;
       case JournalKind::kSatRecDone: ++report.sat_rec_done; break;
+      case JournalKind::kRebuildDone: ++report.rebuilds_done; break;
       case JournalKind::kStall: ++report.stalls; break;
       case JournalKind::kResume: ++report.resumes; break;
       case JournalKind::kControlLost: ++report.control_losses; break;
@@ -121,6 +126,14 @@ StationReport analyze_station(const Journal& journal, wrt::NodeId station,
       case JournalKind::kSatRelease:
       case JournalKind::kQueueDepth:
       case JournalKind::kSnapshot:
+      case JournalKind::kSatLaunch:
+      case JournalKind::kRebuildStart:
+      case JournalKind::kRapStart:
+      case JournalKind::kJoinReject:
+      case JournalKind::kTokenLost:
+      case JournalKind::kClaimStart:
+      case JournalKind::kClaimDone:
+      case JournalKind::kTreeRebuild:
         break;
     }
   }
@@ -188,9 +201,11 @@ void print_text(std::ostream& out, const Journal& journal,
       out << "  membership: joins " << r.joins << ", leaves " << r.leaves
           << ", cut-outs " << r.cut_outs << '\n';
     }
-    if (r.sat_rec_started + r.sat_rec_done != 0) {
-      out << "  SAT_REC: started " << r.sat_rec_started << ", completed "
-          << r.sat_rec_done << '\n';
+    if (r.sat_lost + r.sat_rec_started + r.sat_rec_done + r.rebuilds_done !=
+        0) {
+      out << "  recovery: SAT lost " << r.sat_lost << ", SAT_REC started "
+          << r.sat_rec_started << ", completed " << r.sat_rec_done
+          << ", re-formations done " << r.rebuilds_done << '\n';
     }
     if (r.stalls + r.resumes != 0) {
       out << "  faults: stalled " << r.stalls << ", resumed " << r.resumes
@@ -234,8 +249,10 @@ void print_json(std::ostream& out, const Journal& journal,
         << (r.rotation_within_bound ? "true" : "false")
         << ", \"deliveries\": " << r.deliveries << ", \"joins\": " << r.joins
         << ", \"leaves\": " << r.leaves << ", \"cut_outs\": " << r.cut_outs
+        << ", \"sat_lost\": " << r.sat_lost
         << ", \"sat_rec_started\": " << r.sat_rec_started
         << ", \"sat_rec_done\": " << r.sat_rec_done
+        << ", \"rebuilds_done\": " << r.rebuilds_done
         << ", \"stalls\": " << r.stalls << ", \"resumes\": " << r.resumes
         << ", \"control_losses\": " << r.control_losses
         << ", \"rebuild_drop_frames\": " << r.rebuild_drop_frames
