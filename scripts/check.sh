@@ -26,7 +26,8 @@
 #                                   # build bench_federation only, then run
 #                                   # its --determinism mode: same (seed, K)
 #                                   # must digest identically for worker
-#                                   # counts W in {1,2,8}
+#                                   # counts W in {1,2,8}, and to the two
+#                                   # pinned values
 #   scripts/check.sh --tsan         # ThreadSanitizer build (build-tsan/) and
 #                                   # the concurrency suite: K engines on K
 #                                   # threads must be race-free AND digest
@@ -114,7 +115,19 @@ if [ "$FEDERATION_SMOKE" = 1 ]; then
   # bench pass below; this gate is the seconds-cheap CI version.
   configure build
   cmake --build build --target bench_federation
-  build/bench/bench_federation --determinism
+  FEDERATION_OUT="$(build/bench/bench_federation --determinism)"
+  echo "$FEDERATION_OUT"
+  # Pinned digests: worker-count invariance alone passes a change that
+  # alters the fabric the same way for every W.  ROADMAP's fixed-bucket
+  # crossing-delay histogram changes both on purpose; recapture them there
+  # (and tests/wrtring/federation_test.cpp's FederationDigest cells).
+  for pinned in "K=2, W in {1,2,8} -> digest 200ee8373956970b" \
+                "K=8, W in {1,2,8} -> digest c7362a384ec5fc41"; do
+    if ! grep -qF "$pinned" <<< "$FEDERATION_OUT"; then
+      echo "federation smoke: expected '$pinned'" >&2
+      exit 1
+    fi
+  done
   echo "FEDERATION SMOKE PASSED"
   exit 0
 fi

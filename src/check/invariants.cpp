@@ -131,8 +131,8 @@ void InvariantAuditor::check_theorem1_oracle(Details& out) const {
   const wrtring::Engine& e = engine_;
   const Tick bound_ticks =
       slots_to_ticks(analysis::sat_time_bound(e.ring_params()));
-  for (std::size_t p = 0; p < e.kernel_.arrival_history_.size(); ++p) {
-    const std::vector<Tick>& history = e.kernel_.arrival_history_[p];
+  for (std::size_t p = 0; p < e.kernel_.size(); ++p) {
+    const wrtring::SlotKernel::ArrivalView history = e.kernel_.arrivals(p);
     for (std::size_t i = 1; i < history.size(); ++i) {
       // Only spans recorded entirely after the last disturbance are covered
       // by the current ring's bound (strict >: an arrival at the
@@ -155,9 +155,8 @@ void InvariantAuditor::check_theorem2_oracle(Details& out) const {
   const Tick bound_ticks = slots_to_ticks(
       analysis::sat_time_n_rounds_bound(e.ring_params(), kTheorem2Window));
   const auto v = static_cast<std::size_t>(kTheorem2Window);
-  for (std::size_t p = 0; p < e.kernel_.arrival_history_.size(); ++p) {
-    const std::vector<Tick>& history = e.kernel_.arrival_history_[p];
-    if (history.size() <= v) continue;
+  for (std::size_t p = 0; p < e.kernel_.size(); ++p) {
+    const wrtring::SlotKernel::ArrivalView history = e.kernel_.arrivals(p);
     for (std::size_t i = 0; i + v < history.size(); ++i) {
       if (history[i] <= oracle_horizon_) continue;
       const Tick span = history[i + v] - history[i];

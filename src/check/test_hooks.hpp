@@ -59,6 +59,13 @@ struct EngineTestHook {
     k.refresh_eligible(b);
   }
 
+  /// Gives the SAT arrival ring's count column one entry more than the
+  /// ring has stations, as a membership path that skipped the other
+  /// columns would.
+  static void desync_arrival_count(wrtring::Engine& engine) {
+    engine.kernel_.arrival_count_.push_back(0);
+  }
+
   // --- single-sat ---------------------------------------------------------
   /// Puts the (held) SAT at a station that is not a ring member.
   static void corrupt_sat_location(wrtring::Engine& engine) {
@@ -128,13 +135,17 @@ struct EngineTestHook {
   }
 
   // --- theorem1-oracle / theorem2-oracle ----------------------------------
-  /// Replaces a station's SAT inter-arrival history wholesale (ticks,
-  /// oldest first) so the analytic oracles can be fed crafted spans.
+  /// Replaces a station's SAT arrival history wholesale (ticks, oldest
+  /// first) so the analytic oracles can be fed crafted spans.  The ring
+  /// keeps the newest SlotKernel::kArrivalSlots of them.
   static void forge_sat_history(wrtring::Engine& engine, NodeId node,
-                                std::vector<Tick> arrivals) {
+                                const std::vector<Tick>& arrivals) {
     const auto position =
         static_cast<std::size_t>(engine.station_position(node));
-    engine.kernel_.arrival_history_[position] = std::move(arrivals);
+    wrtring::SlotKernel& k = engine.kernel_;
+    k.arrival_head_[position] = 0;
+    k.arrival_count_[position] = 0;
+    for (const Tick arrival : arrivals) k.record_arrival(position, arrival);
   }
 
   // --- RecoveryFsm --------------------------------------------------------

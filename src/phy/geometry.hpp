@@ -29,6 +29,22 @@ struct Vec2 {
   return (a - b).norm();
 }
 
+/// distance(a, b) <= range, for every input.  For a range in
+/// [1e-100, 1e100] it compares dx^2 + dy^2 with range^2 whenever the two
+/// differ by more than a 1e-9 relative margin, which dwarfs their rounding
+/// error and that of std::hypot; only inside the margin, and for any other
+/// range (zero, subnormal, huge, infinite, NaN), does it call std::hypot.
+[[nodiscard]] inline bool within_range(Vec2 a, Vec2 b, double range) noexcept {
+  const Vec2 d = a - b;
+  if (range >= 1e-100 && range <= 1e100) {
+    const double d2 = d.x * d.x + d.y * d.y;
+    const double r2 = range * range;
+    if (d2 < r2 * (1.0 - 1e-9)) return true;
+    if (d2 > r2 * (1.0 + 1e-9)) return false;
+  }
+  return d.norm() <= range;
+}
+
 /// Axis-aligned rectangle, used as the movement area ("the room").
 struct Rect {
   Vec2 lo;

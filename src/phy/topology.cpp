@@ -89,7 +89,7 @@ bool Topology::reachable(NodeId a, NodeId b) const {
       partition_group_[a] != partition_group_[b]) {
     return false;
   }
-  return distance(positions_[a], positions_[b]) <= effective_range(a, b);
+  return within_range(positions_[a], positions_[b], effective_range(a, b));
 }
 
 std::vector<NodeId> Topology::neighbors(NodeId node) const {

@@ -12,8 +12,6 @@
 namespace wrt::wrtring {
 
 namespace {
-constexpr std::size_t kArrivalHistoryCap = 64;
-
 /// True when `node` is in the sorted vector (cold-path membership test used
 /// by the rebuild paths; keeps associative containers out of this file).
 bool sorted_contains(const std::vector<NodeId>& sorted, NodeId node) {
@@ -61,6 +59,7 @@ util::Status Engine::init() {
 
   kernel_.clear();
   kernel_.configure(config_.queue_capacity);
+  kernel_.reserve(ring_.size());
   for (std::size_t p = 0; p < ring_.size(); ++p) {
     kernel_.push_station(ring_.station_at(p), quota_for_position(p),
                          config_.k1_assured, now_);
@@ -213,12 +212,17 @@ telemetry::RingMeta Engine::journal_meta() const {
   return meta;
 }
 
-const std::vector<Tick>& Engine::sat_arrival_history(NodeId node) const {
-  static const std::vector<Tick> kEmpty;
+std::vector<Tick> Engine::sat_arrival_history(NodeId node) const {
+  std::vector<Tick> history;
   const std::int32_t position = station_position(node);
-  return position < 0
-             ? kEmpty
-             : kernel_.arrival_history_[static_cast<std::size_t>(position)];
+  if (position < 0) return history;
+  const SlotKernel::ArrivalView arrivals =
+      kernel_.arrivals(static_cast<std::size_t>(position));
+  history.reserve(arrivals.size());
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    history.push_back(arrivals[i]);
+  }
+  return history;
 }
 
 bool Engine::admission_allows(Quota extra) const {
@@ -669,21 +673,15 @@ void Engine::launch_sat(NodeId at) {
 }
 
 void Engine::record_rotation(std::size_t position, Tick arrival) {
-  if (kernel_.last_rotation_arrival_[position] != kNeverTick) {
-    const double rotation = ticks_to_slots_real(
-        arrival - kernel_.last_rotation_arrival_[position]);
+  // The station's previous arrival is its ring's newest entry.
+  if (kernel_.arrival_count_[position] != 0) {
+    const double rotation =
+        ticks_to_slots_real(arrival - kernel_.newest_arrival(position));
     stats_.sat_rotation_slots.add(rotation);
     WRT_BATCH_OBSERVE(telem_batch_, kSatRotationSlots, rotation);
   }
-  kernel_.last_rotation_arrival_[position] = arrival;
-  std::vector<Tick>& history = kernel_.arrival_history_[position];
-  history.push_back(arrival);
+  kernel_.record_arrival(position, arrival);
   WRT_BATCH_COUNT(telem_batch_, kSatArrivals);
-  if (history.size() > kArrivalHistoryCap) {
-    // Once per rotation per station: the 64-entry shift is cheaper than a
-    // deque's allocation churn and keeps the history contiguous.
-    history.erase(history.begin());
-  }
   if (kernel_.ids_[position] == rotation_anchor_) ++stats_.sat_rounds;
 }
 
@@ -1092,6 +1090,7 @@ void Engine::finish_rebuild() {
   // position_index_ stays valid until rebuild_position_index() below.
   SlotKernel new_kernel;
   new_kernel.configure(config_.queue_capacity);
+  new_kernel.reserve(new_ring.size());
   std::vector<NodeId> joined;
   for (std::size_t p = 0; p < new_ring.size(); ++p) {
     const NodeId node = new_ring.station_at(p);
@@ -1131,8 +1130,7 @@ void Engine::finish_rebuild() {
     it = ring_.contains(it->first) ? pending_joins_.erase(it) : ++it;
   }
   // Rotation history across a rebuild would mix two different rings.
-  for (Tick& arrival : kernel_.last_rotation_arrival_) arrival = kNeverTick;
-  for (auto& history : kernel_.arrival_history_) history.clear();
+  kernel_.clear_arrivals();
   if (sat_lost_at_ != kNeverTick) {
     stats_.recovery_total_slots.add(ticks_to_slots_real(now_ - sat_lost_at_));
   }

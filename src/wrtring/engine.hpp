@@ -305,9 +305,10 @@ class WRT_SHARD_CONFINED Engine final {
   /// feed these to analysis::sat_time_bound & friends.
   [[nodiscard]] analysis::RingParams ring_params() const;
 
-  /// Per-station SAT inter-arrival history (most recent last, bounded);
-  /// used by the Theorem-2 property tests and the check:: oracles.
-  [[nodiscard]] const std::vector<Tick>& sat_arrival_history(NodeId node) const;
+  /// A copy of the station's last SlotKernel::kArrivalSlots SAT arrival
+  /// ticks, oldest first (empty for a non-member; a re-formation clears
+  /// every history); used by the Theorem-2 property tests.
+  [[nodiscard]] std::vector<Tick> sat_arrival_history(NodeId node) const;
 
   /// Admission check used by the join handshake and the gateway: would the
   /// ring extended by `extra` still satisfy every admitted deadline?

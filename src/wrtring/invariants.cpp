@@ -7,8 +7,10 @@
 // check::InvariantAuditor::run tallies every violation of every check and
 // then runs its stateful Theorem 1/2 oracles (src/check/invariants.cpp).
 //
-//   ring-lockstep       station, control and link columns sized and
-//                       ordered exactly like the virtual ring
+//   ring-lockstep       station, control, SAT arrival ring and link
+//                       columns sized and ordered exactly like the
+//                       virtual ring; no arrival head or count past the
+//                       ring's 64 slots
 //   position-bijection  NodeId -> position index is a bijection onto the
 //                       current members
 //   single-sat          exactly one coherent SAT (held at a member, or in
@@ -64,6 +66,27 @@ const std::array<Engine::InvariantCheck, 10> Engine::kInvariantChecks{{
          out.push_back("link columns out of lockstep with ring: ring=" +
                        std::to_string(R) + " links=" +
                        std::to_string(e.kernel_.link_columns()));
+       }
+       const auto& heads = e.kernel_.arrival_head_;
+       const auto& counts = e.kernel_.arrival_count_;
+       constexpr std::size_t kSlots = SlotKernel::kArrivalSlots;
+       if (heads.size() != R || counts.size() != R ||
+           e.kernel_.arrival_ticks_.size() != R * kSlots) {
+         out.push_back("SAT arrival ring out of lockstep with ring: ring=" +
+                       std::to_string(R) + " heads=" +
+                       std::to_string(heads.size()) + " counts=" +
+                       std::to_string(counts.size()) + " slots=" +
+                       std::to_string(e.kernel_.arrival_ticks_.size()));
+       } else {
+         for (std::size_t p = 0; p < R; ++p) {
+           if (heads[p] >= kSlots || counts[p] > kSlots) {
+             out.push_back("SAT arrival ring at position " +
+                           std::to_string(p) + " has head " +
+                           std::to_string(heads[p]) + " and count " +
+                           std::to_string(counts[p]) + " in " +
+                           std::to_string(kSlots) + " slots");
+           }
+         }
        }
        for (std::size_t p = 0; p < R; ++p) {
          const NodeId expected = e.ring_.station_at(p);

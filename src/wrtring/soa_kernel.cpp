@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <utility>
 
 namespace wrt::wrtring {
@@ -17,15 +18,33 @@ void SlotKernel::clear() {
   for (auto& column : queues_) column.clear();
   last_sat_arrival_.clear();
   last_sat_departure_.clear();
-  last_rotation_arrival_.clear();
   rounds_since_rap_.clear();
-  arrival_history_.clear();
+  arrival_ticks_.clear();
+  arrival_head_.clear();
+  arrival_count_.clear();
   link_slots_.clear();
   link_tag_.clear();
   link_busy_.clear();
   rot_ = 0;
   eligible_bits_.clear();
   eligible_bits_dirty_ = true;
+}
+
+void SlotKernel::reserve(std::size_t stations) {
+  ids_.reserve(stations);
+  quota_.reserve(stations);
+  k1_assured_.reserve(stations);
+  rt_pck_.reserve(stations);
+  nrt_pck_.reserve(stations);
+  assured_sent_.reserve(stations);
+  drops_.reserve(stations);
+  for (auto& column : queues_) column.reserve(stations);
+  last_sat_arrival_.reserve(stations);
+  last_sat_departure_.reserve(stations);
+  rounds_since_rap_.reserve(stations);
+  arrival_ticks_.reserve(stations * kArrivalSlots);
+  arrival_head_.reserve(stations);
+  arrival_count_.reserve(stations);
 }
 
 void SlotKernel::push_station(NodeId id, Quota quota, std::uint32_t k1,
@@ -41,9 +60,10 @@ void SlotKernel::push_station(NodeId id, Quota quota, std::uint32_t k1,
   for (auto& column : queues_) column.emplace_back();
   last_sat_arrival_.push_back(now);
   last_sat_departure_.push_back(kNeverTick);
-  last_rotation_arrival_.push_back(kNeverTick);
   rounds_since_rap_.push_back(0);
-  arrival_history_.emplace_back();
+  arrival_ticks_.resize(arrival_ticks_.size() + kArrivalSlots);
+  arrival_head_.push_back(0);
+  arrival_count_.push_back(0);
   eligible_bits_dirty_ = true;
 }
 
@@ -64,10 +84,16 @@ void SlotKernel::insert_station(std::size_t position, NodeId id, Quota quota,
   }
   last_sat_arrival_.insert(last_sat_arrival_.begin() + at, now);
   last_sat_departure_.insert(last_sat_departure_.begin() + at, kNeverTick);
-  last_rotation_arrival_.insert(last_rotation_arrival_.begin() + at,
-                                kNeverTick);
   rounds_since_rap_.insert(rounds_since_rap_.begin() + at, 0);
-  arrival_history_.insert(arrival_history_.begin() + at, std::vector<Tick>{});
+  // The later blocks move up byte-wise: their unused slots are
+  // uninitialised.  The new block is empty.
+  const std::size_t later_ticks =
+      arrival_ticks_.size() - position * kArrivalSlots;
+  arrival_ticks_.resize(arrival_ticks_.size() + kArrivalSlots);
+  Tick* block = arrival_ticks_.data() + position * kArrivalSlots;
+  std::memmove(block + kArrivalSlots, block, later_ticks * sizeof(Tick));
+  arrival_head_.insert(arrival_head_.begin() + at, 0);
+  arrival_count_.insert(arrival_count_.begin() + at, 0);
   eligible_bits_dirty_ = true;
 }
 
@@ -84,9 +110,15 @@ void SlotKernel::erase_station(std::size_t position) {
   for (auto& column : queues_) column.erase(column.begin() + at);
   last_sat_arrival_.erase(last_sat_arrival_.begin() + at);
   last_sat_departure_.erase(last_sat_departure_.begin() + at);
-  last_rotation_arrival_.erase(last_rotation_arrival_.begin() + at);
   rounds_since_rap_.erase(rounds_since_rap_.begin() + at);
-  arrival_history_.erase(arrival_history_.begin() + at);
+  // The later blocks move down byte-wise, as in insert_station.
+  Tick* block = arrival_ticks_.data() + position * kArrivalSlots;
+  const std::size_t later_ticks =
+      arrival_ticks_.size() - (position + 1) * kArrivalSlots;
+  std::memmove(block, block + kArrivalSlots, later_ticks * sizeof(Tick));
+  arrival_ticks_.resize(arrival_ticks_.size() - kArrivalSlots);
+  arrival_head_.erase(arrival_head_.begin() + at);
+  arrival_count_.erase(arrival_count_.begin() + at);
   eligible_bits_dirty_ = true;
 }
 
@@ -104,10 +136,21 @@ void SlotKernel::adopt_station(SlotKernel& other, std::size_t from) {
   }
   last_sat_arrival_.push_back(other.last_sat_arrival_[from]);
   last_sat_departure_.push_back(other.last_sat_departure_[from]);
-  last_rotation_arrival_.push_back(other.last_rotation_arrival_[from]);
   rounds_since_rap_.push_back(other.rounds_since_rap_[from]);
-  arrival_history_.push_back(std::move(other.arrival_history_[from]));
+  // Copies only the valid arrivals, oldest first.
+  arrival_ticks_.resize(arrival_ticks_.size() + kArrivalSlots);
+  arrival_head_.push_back(0);
+  arrival_count_.push_back(0);
+  const ArrivalView moved = other.arrivals(from);
+  for (std::size_t i = 0; i < moved.size(); ++i) {
+    record_arrival(size() - 1, moved[i]);
+  }
   eligible_bits_dirty_ = true;
+}
+
+void SlotKernel::clear_arrivals() noexcept {
+  std::fill(arrival_head_.begin(), arrival_head_.end(), 0);
+  std::fill(arrival_count_.begin(), arrival_count_.end(), 0);
 }
 
 void SlotKernel::reset_links() {

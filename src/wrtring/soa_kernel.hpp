@@ -2,7 +2,7 @@
 // hot path sweeps over.
 //
 // Every per-station field — quota and Send-algorithm counters, class
-// queues, SAT timers, rotation history — lives in its own dense vector
+// queues, SAT timers, SAT arrival ring — lives in its own dense column
 // indexed by ring position, so each pass of data_plane_step() /
 // check_sat_timers() streams exactly the arrays it needs and nothing else.
 //
@@ -22,7 +22,11 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <new>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "traffic/traffic.hpp"
@@ -30,8 +34,7 @@
 #include "util/types.hpp"
 
 namespace wrt::check {
-class InvariantAuditor;   // its Theorem 1/2 oracles read arrival_history_
-struct EngineTestHook;    // test-only state corruption (src/check/)
+struct EngineTestHook;  // test-only state corruption (src/check/)
 }  // namespace wrt::check
 
 namespace wrt::wrtring {
@@ -43,6 +46,26 @@ class Station;
 struct LinkFrame {
   traffic::Packet packet;
   Tick entered_ring = 0;
+};
+
+/// std::allocator for a vector that holds uninitialised elements: resize()
+/// leaves new elements uninitialised (no zero-fill), and growth copies
+/// elements byte-wise, which is defined for an uninitialised one where an
+/// element-wise copy is not.
+template <typename T>
+struct UninitAllocator : std::allocator<T> {
+  static_assert(std::is_trivially_copyable_v<T>);
+  template <typename U>
+  struct rebind {
+    using other = UninitAllocator<U>;
+  };
+  UninitAllocator() = default;
+  template <typename U>
+  UninitAllocator(const UninitAllocator<U>& /*other*/) noexcept {}
+  void construct(T* at) noexcept { ::new (static_cast<void*>(at)) T; }
+  void construct(T* at, const T& from) noexcept {
+    std::memcpy(static_cast<void*>(at), &from, sizeof(T));
+  }
 };
 
 /// Shard-confined: the kernel's dense arrays are the per-shard mutable
@@ -59,6 +82,10 @@ class WRT_SHARD_CONFINED SlotKernel final {
 
   [[nodiscard]] std::size_t size() const noexcept { return ids_.size(); }
   void clear();
+
+  /// Reserves every station column for `stations` slots, so the pushes of
+  /// one init() or re-formation allocate each column once.
+  void reserve(std::size_t stations);
 
   // --- membership (cold path; keeps every column in lockstep) -------------
 
@@ -200,6 +227,58 @@ class WRT_SHARD_CONFINED SlotKernel final {
     link_busy_[c >> 6] &= ~(std::uint64_t{1} << (c & 63));
   }
 
+  // --- SAT arrival ring (rotation statistics, Theorem 1/2 oracles) --------
+  //
+  // Position p keeps its last kArrivalSlots SAT arrivals in block p of
+  // arrival_ticks_ (entries [64p, 64p + 64)).  arrival_head_[p] is the
+  // block slot the next arrival overwrites and arrival_count_[p] how many
+  // slots hold arrivals; the rest of the block is never read and stays
+  // uninitialised.  Recording writes one slot, so a full history evicts its
+  // oldest arrival without shifting the others.
+
+  static constexpr std::size_t kArrivalSlots = 64;
+
+  /// Records a SAT arrival at position `p`; a full history drops its
+  /// oldest arrival.
+  void record_arrival(std::size_t p, Tick arrival) noexcept {
+    std::uint32_t& head = arrival_head_[p];
+    arrival_ticks_[p * kArrivalSlots + head] = arrival;
+    head = static_cast<std::uint32_t>((head + 1) % kArrivalSlots);
+    if (arrival_count_[p] < kArrivalSlots) ++arrival_count_[p];
+  }
+  /// One position's arrivals (at most kArrivalSlots), oldest first, read
+  /// in place; valid until the kernel next changes.
+  class ArrivalView {
+   public:
+    ArrivalView(const Tick* block, std::size_t oldest,
+                std::size_t count) noexcept
+        : block_(block), oldest_(oldest), count_(count) {}
+    [[nodiscard]] std::size_t size() const noexcept { return count_; }
+    /// The `i`-th oldest arrival; i < size().
+    [[nodiscard]] Tick operator[](std::size_t i) const noexcept {
+      return block_[(oldest_ + i) % kArrivalSlots];
+    }
+
+   private:
+    const Tick* block_;
+    std::size_t oldest_;
+    std::size_t count_;
+  };
+  [[nodiscard]] ArrivalView arrivals(std::size_t p) const noexcept {
+    return {arrival_ticks_.data() + p * kArrivalSlots,
+            (arrival_head_[p] + kArrivalSlots - arrival_count_[p]) %
+                kArrivalSlots,
+            arrival_count_[p]};
+  }
+  /// The newest arrival at position `p`; arrivals(p).size() > 0.
+  [[nodiscard]] Tick newest_arrival(std::size_t p) const noexcept {
+    const std::size_t slot =
+        (arrival_head_[p] + kArrivalSlots - 1) % kArrivalSlots;
+    return arrival_ticks_[p * kArrivalSlots + slot];
+  }
+  /// Empties every position's arrival history.
+  void clear_arrivals() noexcept;
+
   // --- cold-path column accessors -----------------------------------------
 
   [[nodiscard]] const std::vector<NodeId>& ids() const noexcept {
@@ -212,7 +291,6 @@ class WRT_SHARD_CONFINED SlotKernel final {
  private:
   friend class Engine;
   friend class Station;
-  friend class ::wrt::check::InvariantAuditor;
   friend struct ::wrt::check::EngineTestHook;
 
   std::size_t queue_capacity_ = 4096;
@@ -228,12 +306,13 @@ class WRT_SHARD_CONFINED SlotKernel final {
   // Class queues: queues_[class][position].
   std::vector<traffic::PacketRing> queues_[3];
 
-  // Control-plane timers and rotation history, by ring position.
+  // Control-plane timers and the SAT arrival ring, by ring position.
   std::vector<Tick> last_sat_arrival_;    ///< for SAT_TIMER
   std::vector<Tick> last_sat_departure_;
-  std::vector<Tick> last_rotation_arrival_;  ///< rotation statistics
   std::vector<std::int64_t> rounds_since_rap_;
-  std::vector<std::vector<Tick>> arrival_history_;  ///< bounded, oldest first
+  std::vector<Tick, UninitAllocator<Tick>> arrival_ticks_;  ///< 64 per position
+  std::vector<std::uint32_t> arrival_head_;   ///< next slot to overwrite
+  std::vector<std::uint32_t> arrival_count_;  ///< valid slots, <= 64
 
   // Data plane: logical link p -> p+1 is physical column link_col(p).  The
   // tags stay 32-bit: the injection scan stores into link_tag_ and a char

@@ -100,6 +100,15 @@ TEST_F(InvariantAuditorTest, SwappedStationsTripRingLockstep) {
   expect_only("ring-lockstep");
 }
 
+TEST_F(InvariantAuditorTest, DesyncedArrivalCountTripsRingLockstep) {
+  ASSERT_EQ(auditor_.run("baseline"), 0u);
+  EngineTestHook::desync_arrival_count(harness_.engine);
+  expect_only("ring-lockstep");
+  EXPECT_NE(harness_.engine.check_invariants().error().message.find(
+                "SAT arrival ring out of lockstep"),
+            std::string::npos);
+}
+
 TEST_F(InvariantAuditorTest, SatAtNonMemberTripsSingleSat) {
   ASSERT_EQ(auditor_.run("baseline"), 0u);
   EngineTestHook::corrupt_sat_location(harness_.engine);
@@ -179,6 +188,20 @@ TEST_F(InvariantAuditorTest, ForgedSpanBeyondNRoundBoundTripsTheorem2) {
                                     engine.virtual_ring().station_at(0),
                                     history);
   expect_only("theorem2-oracle");
+}
+
+TEST_F(InvariantAuditorTest, ForgedHistoryKeepsTheNewest64) {
+  const NodeId node = harness_.engine.virtual_ring().station_at(0);
+  std::vector<Tick> arrivals;
+  for (Tick i = 0; i < 100; ++i) arrivals.push_back(1000 + 10 * i);
+  EngineTestHook::forge_sat_history(harness_.engine, node, arrivals);
+  const std::vector<Tick> kept(arrivals.end() - 64, arrivals.end());
+  EXPECT_EQ(harness_.engine.sat_arrival_history(node), kept);
+
+  // A shorter forgery replaces the history outright.
+  EngineTestHook::forge_sat_history(harness_.engine, node, {5, 7});
+  EXPECT_EQ(harness_.engine.sat_arrival_history(node),
+            (std::vector<Tick>{5, 7}));
 }
 
 TEST_F(InvariantAuditorTest, OraclesCanBeDisabled) {

@@ -73,6 +73,7 @@ TEST(LintSelftest, EveryRuleFiresOnItsBadFixtureAndOnlyThere) {
   const std::multiset<std::string> expected = {
       "hot-path-assoc/bad/wrtring/station.hpp:4:hot-path-assoc",
       "hot-path-assoc/bad/wrtring/station.hpp:11:hot-path-assoc",
+      "hot-path-front-erase/bad/wrtring/engine.cpp:7:hot-path-front-erase",
       "by-value-frame-param/bad.hpp:7:by-value-frame-param",
       "stale-include/bad.cpp:2:stale-include",
       "missing-nodiscard/bad.hpp:6:missing-nodiscard",
@@ -94,6 +95,7 @@ TEST(LintSelftest, SuppressedFixturesAloneAreClean) {
   // wrt-lint-allow actually lands on its finding.
   const std::string roots =
       fixture("hot-path-assoc/suppressed") + " " +
+      fixture("hot-path-front-erase/suppressed") + " " +
       fixture("by-value-frame-param/suppressed.hpp") + " " +
       fixture("stale-include/suppressed.cpp") + " " +
       fixture("missing-nodiscard/suppressed.hpp") + " " +
@@ -115,9 +117,9 @@ TEST(LintSelftest, ListSuppressionsInventoriesJustifications) {
   EXPECT_NE(result.output.find("unknown rule 'no-such-rule'"),
             std::string::npos)
       << result.output;
-  // ...while the 11 legitimate suppressions are inventoried with their
+  // ...while the 12 legitimate suppressions are inventoried with their
   // scope tag and justification text.
-  EXPECT_NE(result.output.find("11 active suppression(s)"), std::string::npos)
+  EXPECT_NE(result.output.find("12 active suppression(s)"), std::string::npos)
       << result.output;
   EXPECT_NE(result.output.find(
                 "[file] hot-path-assoc: fixture — cold lookup table"),
@@ -142,10 +144,10 @@ TEST(LintSelftest, ListRulesNamesAllRules) {
   const RunResult result = run_lint("--list-rules");
   EXPECT_EQ(result.exit_code, 0);
   for (const char* rule :
-       {"hot-path-assoc", "by-value-frame-param", "stale-include",
-        "missing-nodiscard", "kernel-aos-access", "mutable-global-state",
-        "cross-shard-handle", "unguarded-shared-field",
-        "recovery-side-effect"}) {
+       {"hot-path-assoc", "hot-path-front-erase", "by-value-frame-param",
+        "stale-include", "missing-nodiscard", "kernel-aos-access",
+        "mutable-global-state", "cross-shard-handle",
+        "unguarded-shared-field", "recovery-side-effect"}) {
     EXPECT_NE(result.output.find(rule), std::string::npos) << rule;
   }
 }

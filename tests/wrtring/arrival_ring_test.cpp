@@ -1,0 +1,203 @@
+// The SAT arrival ring: each ring position keeps its last
+// SlotKernel::kArrivalSlots SAT arrivals in a fixed block with a head and a
+// count.  These tests pin the ring's order across the wrap, its lockstep
+// with the station columns through every membership path, and that the
+// engine's rotation statistics are exactly the consecutive differences of
+// the arrivals it records.
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "tests/wrtring/test_helpers.hpp"
+#include "wrtring/soa_kernel.hpp"
+
+namespace wrt::wrtring {
+namespace {
+
+constexpr std::size_t kSlots = SlotKernel::kArrivalSlots;
+
+/// Position p's arrivals, oldest first.
+std::vector<Tick> history(const SlotKernel& kernel, std::size_t p) {
+  const SlotKernel::ArrivalView arrivals = kernel.arrivals(p);
+  std::vector<Tick> result;
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    result.push_back(arrivals[i]);
+  }
+  return result;
+}
+
+/// Ticks first, first + step, ... (count of them).
+std::vector<Tick> ticks(Tick first, Tick step, std::size_t count) {
+  std::vector<Tick> result;
+  for (std::size_t i = 0; i < count; ++i) {
+    result.push_back(first + static_cast<Tick>(i) * step);
+  }
+  return result;
+}
+
+/// Appends a station and records `arrivals` at it.
+void push_with_history(SlotKernel& kernel, NodeId id,
+                       const std::vector<Tick>& arrivals) {
+  kernel.push_station(id, Quota{1, 1}, 0, 0);
+  for (const Tick arrival : arrivals) {
+    kernel.record_arrival(kernel.size() - 1, arrival);
+  }
+}
+
+/// The newest kSlots of `arrivals`.
+std::vector<Tick> newest(const std::vector<Tick>& arrivals) {
+  const std::size_t keep = std::min(arrivals.size(), kSlots);
+  return {arrivals.end() - static_cast<std::ptrdiff_t>(keep), arrivals.end()};
+}
+
+TEST(ArrivalRing, SixtyFifthArrivalEvictsTheOldest) {
+  SlotKernel kernel;
+  kernel.push_station(0, Quota{1, 1}, 0, 0);
+  EXPECT_EQ(kernel.arrivals(0).size(), 0u);
+
+  const std::vector<Tick> all = ticks(10, 10, 3 * kSlots + 5);
+  for (std::size_t n = 1; n <= all.size(); ++n) {
+    kernel.record_arrival(0, all[n - 1]);
+    const std::vector<Tick> recorded(all.begin(),
+                                     all.begin() +
+                                         static_cast<std::ptrdiff_t>(n));
+    // Oldest first, before, at and across every wrap of the head.
+    ASSERT_EQ(history(kernel, 0), newest(recorded)) << "after " << n;
+    ASSERT_EQ(kernel.newest_arrival(0), all[n - 1]);
+  }
+  EXPECT_EQ(kernel.arrivals(0).size(), kSlots);
+
+  // The 65th arrival in particular drops exactly the first one.
+  SlotKernel fresh;
+  push_with_history(fresh, 0, ticks(1, 1, kSlots));
+  ASSERT_EQ(fresh.arrivals(0)[0], 1);
+  fresh.record_arrival(0, 65);
+  EXPECT_EQ(fresh.arrivals(0).size(), kSlots);
+  EXPECT_EQ(history(fresh, 0), ticks(2, 1, kSlots));
+}
+
+TEST(ArrivalRing, HistoriesMoveWithTheirStations) {
+  // Three stations whose heads sit at different block slots: 5 arrivals,
+  // a wrapped 70 and none.
+  SlotKernel kernel;
+  const std::vector<Tick> a = ticks(100, 3, 5);
+  const std::vector<Tick> b = ticks(1000, 7, 70);
+  push_with_history(kernel, 10, a);
+  push_with_history(kernel, 11, b);
+  push_with_history(kernel, 12, {});
+
+  // A join (insert_station) shifts the later blocks up with their heads.
+  kernel.insert_station(1, 20, Quota{1, 1}, 0, 0);
+  ASSERT_EQ(kernel.size(), 4u);
+  EXPECT_EQ(history(kernel, 0), a);
+  EXPECT_TRUE(history(kernel, 1).empty());
+  EXPECT_EQ(history(kernel, 2), newest(b));
+  EXPECT_TRUE(history(kernel, 3).empty());
+  kernel.record_arrival(1, 5000);
+  EXPECT_EQ(history(kernel, 1), std::vector<Tick>{5000});
+  EXPECT_EQ(history(kernel, 2), newest(b));
+
+  // A cut-out (erase_station) shifts them down.
+  kernel.erase_station(0);
+  ASSERT_EQ(kernel.size(), 3u);
+  EXPECT_EQ(kernel.ids()[1], 11u);
+  EXPECT_EQ(history(kernel, 0), std::vector<Tick>{5000});
+  EXPECT_EQ(history(kernel, 1), newest(b));
+  EXPECT_TRUE(history(kernel, 2).empty());
+
+  // A re-formation re-pack (adopt_station) carries each history to the
+  // station's new position, in any order, and recording continues from
+  // its newest arrival.
+  SlotKernel repacked;
+  repacked.adopt_station(kernel, 2);
+  repacked.adopt_station(kernel, 1);
+  repacked.adopt_station(kernel, 0);
+  ASSERT_EQ(repacked.ids(), (std::vector<NodeId>{12, 11, 20}));
+  EXPECT_TRUE(history(repacked, 0).empty());
+  EXPECT_EQ(history(repacked, 1), newest(b));
+  EXPECT_EQ(history(repacked, 2), std::vector<Tick>{5000});
+  repacked.record_arrival(1, 9999);
+  std::vector<Tick> b_next = b;
+  b_next.push_back(9999);
+  EXPECT_EQ(history(repacked, 1), newest(b_next));
+  EXPECT_EQ(repacked.newest_arrival(1), 9999);
+
+  repacked.clear_arrivals();
+  for (std::size_t p = 0; p < repacked.size(); ++p) {
+    EXPECT_EQ(repacked.arrivals(p).size(), 0u);
+  }
+}
+
+TEST(ArrivalRing, RotationSamplesAreTheConsecutiveDifferences) {
+  // A clean ring stopped before any station holds a full ring: every SAT
+  // arrival since init() is still recorded, so the rotation statistics
+  // must hold exactly the consecutive differences, one per later arrival.
+  testing::Harness h(8, Config{});
+  h.engine.add_source(testing::rt_flow(0, 0, 8));
+  h.engine.add_source(testing::be_flow(1, 3, 8));
+  h.engine.run_slots(300);
+
+  std::vector<double> expected;
+  for (std::size_t p = 0; p < h.engine.virtual_ring().size(); ++p) {
+    const std::vector<Tick> arrivals =
+        h.engine.sat_arrival_history(h.engine.virtual_ring().station_at(p));
+    ASSERT_GE(arrivals.size(), 2u);
+    ASSERT_LT(arrivals.size(), kSlots) << "position " << p << " wrapped";
+    for (std::size_t i = 1; i < arrivals.size(); ++i) {
+      expected.push_back(ticks_to_slots_real(arrivals[i] - arrivals[i - 1]));
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+
+  const sim::SampleStats& samples = h.engine.stats().sat_rotation_slots;
+  ASSERT_EQ(samples.count(), expected.size());
+  EXPECT_EQ(samples.min(), expected.front());
+  EXPECT_EQ(samples.max(), expected.back());
+  // The reservoir holds every sample, so each quantile is exact.
+  const double last = static_cast<double>(expected.size() - 1);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_NEAR(samples.quantile(static_cast<double>(i) / last), expected[i],
+                1e-9)
+        << "rank " << i;
+  }
+}
+
+TEST(ArrivalRing, ReformationClearsEveryHistory) {
+  testing::Harness h(24, Config{});
+  h.engine.run_slots(500);
+  std::size_t before = 0;
+  for (const NodeId node : h.engine.virtual_ring().order()) {
+    before += h.engine.sat_arrival_history(node).size();
+  }
+  ASSERT_GT(before, 0u);
+
+  // Six stations walled off: no cut-out bridges the gap, so the ring
+  // re-forms over the other eighteen.  Step until the re-formation ends.
+  h.topology.set_partition({{0, 1, 2, 3, 4, 5}});
+  bool rebuilding = false;
+  Tick step_start = 0;
+  for (int i = 0; i < 20000; ++i) {
+    step_start = h.engine.now();
+    h.engine.step();
+    if (h.engine.sat_state() == SatState::kRebuilding) {
+      rebuilding = true;
+    } else if (rebuilding) {
+      break;
+    }
+  }
+  ASSERT_TRUE(rebuilding);
+  ASSERT_NE(h.engine.sat_state(), SatState::kRebuilding);
+  ASSERT_GE(h.engine.stats().ring_rebuilds, 1u);
+
+  // Nothing the old ring recorded survives, in adopted stations or new.
+  for (const NodeId node : h.engine.virtual_ring().order()) {
+    for (const Tick arrival : h.engine.sat_arrival_history(node)) {
+      EXPECT_GE(arrival, step_start) << "station " << node;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace wrt::wrtring

@@ -6,8 +6,23 @@
 // reservation brokering (source ring + backbone class + destination
 // ring), conservation of crossing frames through the
 // mailbox -> backbone -> ring pipeline, and the Gateway backbone mode.
+//
+// FederationDigest pins the digest's value on a few (seed, K) cells: the
+// worker-count test holds it equal across W, which a change that alters
+// the fabric the same way for every W would still pass.  Regenerating
+// after a *deliberate* behaviour change:
+//   WRT_DIGEST_CAPTURE=1 ./test_wrtring --gtest_filter='*FederationDigest*'
+// and paste the printed cells into kFederationCells.  The digest hashes
+// every crossing-delay sample, so the fixed-bucket delay histogram planned
+// in ROADMAP ("Federation on the wall clock") changes every cell on
+// purpose, together with the two values scripts/check.sh
+// --federation-smoke pins; recapture all of them in that change.
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <numbers>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -232,6 +247,53 @@ TEST(FederationTest, GatewayReservesRingCapacityForCarrier) {
   ASSERT_TRUE(gateway.release(601).ok());
   EXPECT_EQ(ring.station(carrier).quota().l, before.l);
 }
+
+struct FederationCell {
+  std::uint64_t seed;
+  std::uint32_t shards;  // K
+  std::uint64_t digest;
+};
+
+constexpr FederationCell kFederationCells[] = {
+    {1, 1, 0xa1fe2d889ce27485ULL},
+    {7, 2, 0x0e9f2da70fe6998cULL},
+    {42, 4, 0x05a9eacfa6de01ffULL},
+    {99, 2, 0x9abd47b80eb96be4ULL},
+};
+
+// Prints the cell, not its bytes (padding included), into the listed test
+// name.
+void PrintTo(const FederationCell& cell, std::ostream* os) {
+  *os << "seed=" << cell.seed << " K=" << cell.shards;
+}
+
+class FederationDigest : public ::testing::TestWithParam<FederationCell> {};
+
+TEST_P(FederationDigest, MatchesGoldenOracle) {
+  const FederationCell& cell = GetParam();
+  FederationConfig config = small_config();
+  config.shards = cell.shards;
+  config.worker_threads = 1;
+  const std::uint64_t digest = run_digest(config, cell.seed, 16);
+  if (std::getenv("WRT_DIGEST_CAPTURE") != nullptr) {
+    std::printf("CAPTURE {%llu, %u, 0x%016llxULL},\n",
+                static_cast<unsigned long long>(cell.seed), cell.shards,
+                static_cast<unsigned long long>(digest));
+    GTEST_SKIP() << "capture mode";
+  }
+  EXPECT_EQ(digest, cell.digest)
+      << "seed=" << cell.seed << " K=" << cell.shards;
+}
+
+std::string federation_cell_name(
+    const ::testing::TestParamInfo<FederationCell>& cell_info) {
+  return "seed" + std::to_string(cell_info.param.seed) + "_K" +
+         std::to_string(cell_info.param.shards);
+}
+
+INSTANTIATE_TEST_SUITE_P(Oracle, FederationDigest,
+                         ::testing::ValuesIn(kFederationCells),
+                         federation_cell_name);
 
 }  // namespace
 }  // namespace wrt::wrtring

@@ -6,6 +6,10 @@
 //   hot-path-assoc       The per-slot engine hot path is position-indexed
 //                        by design (PR 1); node-based associative
 //                        containers are banned from the hot-path files.
+//   hot-path-front-erase `x.erase(x.begin())` in a hot-path file shifts
+//                        every later element on each call; a bounded
+//                        history belongs in a fixed ring with a head
+//                        index (SlotKernel's SAT arrival ring).
 //   by-value-frame-param Packet / LinkFrame parameters must be passed by
 //                        reference (or moved); silent copies on the data
 //                        path are the repo's most common perf regression.
@@ -101,9 +105,9 @@ struct SourceFile {
 };
 
 const std::set<std::string> kRules = {
-    "hot-path-assoc",       "by-value-frame-param", "stale-include",
-    "missing-nodiscard",    "kernel-aos-access",    "mutable-global-state",
-    "cross-shard-handle",   "unguarded-shared-field",
+    "hot-path-assoc",       "hot-path-front-erase", "by-value-frame-param",
+    "stale-include",        "missing-nodiscard",    "kernel-aos-access",
+    "mutable-global-state", "cross-shard-handle",   "unguarded-shared-field",
     "recovery-side-effect"};
 
 /// Active suppression, for --list-suppressions.
@@ -159,7 +163,7 @@ const std::vector<std::pair<std::string, std::string>> kIncludeUsage = {
      R"(std::hash\s*<|std::plus|std::minus|std::less|std::greater)"},
     {"memory",
      R"(std::unique_ptr|std::shared_ptr|std::weak_ptr|std::make_unique|)"
-     R"(std::make_shared|std::addressof|std::pmr)"},
+     R"(std::make_shared|std::addressof|std::pmr|std::allocator\b)"},
     {"sstream", R"(std::[io]?stringstream)"},
 };
 
@@ -326,6 +330,26 @@ void rule_hot_path_assoc(const SourceFile& file,
            "associative container '" + it->str() +
                "' in a hot-path file; use util::FlatMap, a dense "
                "position-indexed vector, or a sorted vector",
+           findings);
+  }
+}
+
+void rule_hot_path_front_erase(const SourceFile& file,
+                               std::vector<Finding>& findings) {
+  if (!is_hot_path(file.path)) return;
+  // The container expression must repeat verbatim: x.erase(x.begin()) and
+  // a->b.erase(a->b.begin()) match, x.erase(x.begin() + i) does not.
+  static const std::regex kFrontErase(
+      R"(\b([A-Za-z_]\w*(\s*(\.|->)\s*[A-Za-z_]\w*)*)\s*(\.|->)\s*)"
+      R"(erase\s*\(\s*\1\s*\4\s*begin\s*\(\s*\)\s*\))");
+  for (auto it = std::sregex_iterator(file.code.begin(), file.code.end(),
+                                      kFrontErase);
+       it != std::sregex_iterator(); ++it) {
+    report(file, "hot-path-front-erase",
+           line_of(file.code, static_cast<std::size_t>(it->position())),
+           "front erase '" + it->str() +
+               "' in a hot-path file shifts every later element; keep a "
+               "bounded history in a fixed ring with a head index",
            findings);
   }
 }
@@ -863,6 +887,7 @@ int main(int argc, char** argv) {
   // Pass 2: the rules.
   for (SourceFile& file : sources) {
     rule_hot_path_assoc(file, findings);
+    rule_hot_path_front_erase(file, findings);
     rule_by_value_frame_param(file, findings);
     rule_stale_include(file, findings);
     rule_missing_nodiscard(file, findings);
