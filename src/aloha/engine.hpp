@@ -62,9 +62,9 @@ struct AlohaConfig {
 
 struct AlohaStats {
   traffic::Sink sink;
-  sim::SampleStats access_delay_slots;     ///< creation -> successful tx
-  sim::SampleStats rt_access_delay_slots;
-  sim::SampleStats attempts_per_success;   ///< tx tries each delivery took
+  sim::Moments access_delay_slots;   ///< creation -> successful tx
+  sim::Moments rt_access_delay_slots;
+  sim::Moments attempts_per_success; ///< tx tries each delivery took
   std::uint64_t transmissions = 0;   ///< frames put on the air
   std::uint64_t successes = 0;       ///< frames received at their dst
   std::uint64_t collisions = 0;      ///< slots with >= 2 audible transmitters

@@ -104,7 +104,7 @@ struct CallScore {
 
 /// Scores one call from the sink's per-flow delay series and miss/drop
 /// counters.  A call with zero deliveries scores MOS 1.0 (all frames lost);
-/// degenerate distributions are safe by the SampleStats contract.
+/// the per-flow sim::Moments report 0.0, not infinities, when empty.
 [[nodiscard]] CallScore score_call(const VoiceCall& call,
                                    const traffic::Sink& sink,
                                    const VoiceCallParams& params);

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
-
-#include "util/math.hpp"
 
 namespace wrt::sim {
 
@@ -15,29 +12,15 @@ SampleStats::SampleStats(std::size_t reservoir_capacity, std::uint64_t seed)
 }
 
 void SampleStats::add(double value) {
-  ++count_;
-  const double delta = value - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (value - mean_);
-  min_ = std::min(min_, value);
-  max_ = std::max(max_, value);
-
+  Moments::add(value);
   if (reservoir_.size() < reservoir_capacity_) {
     reservoir_.push_back(value);
   } else if (reservoir_capacity_ > 0) {
     // Vitter's algorithm R.
-    const auto slot = rng_.uniform_int(count_);
+    const auto slot = rng_.uniform_int(count());
     if (slot < reservoir_capacity_) reservoir_[slot] = value;
   }
 }
-
-double SampleStats::mean() const noexcept { return count_ == 0 ? 0.0 : mean_; }
-
-double SampleStats::variance() const noexcept {
-  return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-}
-
-double SampleStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 double SampleStats::quantile(double q) const {
   // Validate q before the degenerate-size checks so a bad argument is
@@ -55,38 +38,8 @@ double SampleStats::quantile(double q) const {
 }
 
 void SampleStats::reset() {
-  count_ = 0;
-  mean_ = 0.0;
-  m2_ = 0.0;
-  min_ = std::numeric_limits<double>::infinity();
-  max_ = -std::numeric_limits<double>::infinity();
+  static_cast<Moments&>(*this) = Moments{};
   reservoir_.clear();
-}
-
-void SampleStats::merge(const SampleStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  // Chan et al. parallel-merge of moments.
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  for (const double value : other.reservoir_) {
-    if (reservoir_.size() < reservoir_capacity_) {
-      reservoir_.push_back(value);
-    } else if (reservoir_capacity_ > 0 &&
-               rng_.bernoulli(n2 / total)) {
-      reservoir_[rng_.uniform_int(reservoir_capacity_)] = value;
-    }
-  }
 }
 
 void TimeWeightedStats::update(Tick now, double value) {
@@ -109,63 +62,6 @@ void TimeWeightedStats::reset(Tick now) {
   start_ = now;
   weighted_sum_ = 0.0;
   max_ = 0.0;
-}
-
-double Counter::rate_per_slot(Tick t0, Tick t1) const noexcept {
-  if (t1 <= t0) return 0.0;
-  const double slots = ticks_to_slots_real(t1 - t0);
-  return slots == 0.0 ? 0.0 : static_cast<double>(value_) / slots;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  if (bins == 0 || hi <= lo) {
-    throw std::invalid_argument("Histogram: need bins > 0 and hi > lo");
-  }
-}
-
-void Histogram::add(double value) noexcept {
-  ++total_;
-  if (value < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (value >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const auto bin = static_cast<std::size_t>((value - lo_) / width_);
-  ++counts_[std::min(bin, counts_.size() - 1)];
-}
-
-std::uint64_t Histogram::bin_count(std::size_t bin) const {
-  return counts_.at(bin);
-}
-
-double Histogram::bin_lower(std::size_t bin) const {
-  if (bin >= counts_.size()) throw std::out_of_range("Histogram::bin_lower");
-  return lo_ + width_ * static_cast<double>(bin);
-}
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return lo_;
-  const auto target = static_cast<std::uint64_t>(
-      q * static_cast<double>(total_));
-  std::uint64_t cumulative = underflow_;
-  if (cumulative > target) return lo_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (cumulative + counts_[i] > target) {
-      const double inside =
-          counts_[i] == 0
-              ? 0.0
-              : static_cast<double>(target - cumulative) /
-                    static_cast<double>(counts_[i]);
-      return bin_lower(i) + inside * width_;
-    }
-    cumulative += counts_[i];
-  }
-  return hi_;
 }
 
 }  // namespace wrt::sim

@@ -2,14 +2,21 @@
 //
 // The experiment harnesses report means, maxima, quantiles, and
 // time-weighted averages of protocol quantities (SAT rotation time, access
-// delay, queue length, throughput).  Collectors store exact sample moments
-// plus a bounded reservoir for quantiles, so memory stays O(1) per metric
-// over arbitrarily long runs.
+// delay, queue length, throughput).  Two collectors keep a sample series in
+// O(1) memory over arbitrarily long runs:
+//   - Moments: exact count, mean, variance, min, max and sum, updated inline
+//     with no allocation.  Every per-event engine statistic (EngineStats,
+//     TptStats, AlohaStats) and each flow's delay (traffic::Sink::per_flow)
+//     uses it: their readers need only those moments.
+//   - SampleStats: Moments plus a bounded uniform reservoir for quantiles.
+//     Only the per-class delivery delay (traffic::Sink::ClassStats) keeps
+//     one, because reports and benches print its p99.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -17,25 +24,51 @@
 
 namespace wrt::sim {
 
-/// Scalar sample statistics: count / mean / variance (Welford) / min / max,
-/// plus a fixed-size uniform reservoir for quantile estimates.
-class SampleStats {
+/// Exact sample moments: count / mean / variance (Welford) / min / max /
+/// sum, with no quantiles.
+class Moments {
  public:
-  explicit SampleStats(std::size_t reservoir_capacity = 4096,
-                       std::uint64_t seed = 0x5eed);
-
-  void add(double value);
+  void add(double value) noexcept {
+    ++count_;
+    const double delta = value - mean_;
+    mean_ += delta / static_cast<double>(count_);
+    m2_ += delta * (value - mean_);
+    min_ = std::min(min_, value);
+    max_ = std::max(max_, value);
+  }
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-  [[nodiscard]] double mean() const noexcept;
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
+  [[nodiscard]] double mean() const noexcept { return count_ == 0 ? 0.0 : mean_; }
+  [[nodiscard]] double variance() const noexcept {
+    return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
+  }
   /// Empty collectors report 0.0 (not +/-inf) so per-class tables and JSON
   /// emission stay finite when a sweep cell produced no samples — e.g. the
   /// voice admission cliff, where a class sees zero deliveries.
   [[nodiscard]] double min() const noexcept { return count_ == 0 ? 0.0 : min_; }
   [[nodiscard]] double max() const noexcept { return count_ == 0 ? 0.0 : max_; }
   [[nodiscard]] double sum() const noexcept { return count_ == 0 ? 0.0 : mean_ * static_cast<double>(count_); }
+
+ private:
+  std::uint64_t count_ = 0;
+  double mean_ = 0.0;
+  double m2_ = 0.0;
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = -std::numeric_limits<double>::infinity();
+};
+
+// Per-event collectors sit on the SAT-hop and delivery paths: no heap state.
+static_assert(std::is_trivially_copyable_v<Moments>);
+
+/// Moments plus a fixed-size uniform reservoir (Vitter's algorithm R) for
+/// quantile estimates.
+class SampleStats : public Moments {
+ public:
+  explicit SampleStats(std::size_t reservoir_capacity = 4096,
+                       std::uint64_t seed = 0x5eed);
+
+  /// Adds to the moments and offers the sample to the reservoir.
+  void add(double value);
 
   /// Quantile in [0, 1] from the reservoir; exact when count <= capacity.
   /// Degenerate distributions are well-defined rather than caller-guarded:
@@ -45,16 +78,7 @@ class SampleStats {
 
   void reset();
 
-  /// Merges another collector (used when aggregating replications).  The
-  /// merged reservoir is a capacity-bounded subsample of both.
-  void merge(const SampleStats& other);
-
  private:
-  std::uint64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
   std::vector<double> reservoir_;
   std::size_t reservoir_capacity_;
   util::RngStream rng_;
@@ -79,47 +103,6 @@ class TimeWeightedStats {
   double weighted_sum_ = 0.0;
   double max_ = 0.0;
   Tick start_ = 0;
-};
-
-/// Monotonic counter with rate helper.
-class Counter {
- public:
-  void increment(std::uint64_t by = 1) noexcept { value_ += by; }
-  [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
-  /// Events per slot over [t0, t1].
-  [[nodiscard]] double rate_per_slot(Tick t0, Tick t1) const noexcept;
-  void reset() noexcept { value_ = 0; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-/// Fixed-width histogram over [lo, hi) with overflow/underflow bins;
-/// used for delay distributions in the benches.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double value) noexcept;
-
-  [[nodiscard]] std::uint64_t bin_count(std::size_t bin) const;
-  [[nodiscard]] std::uint64_t underflow() const noexcept { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const noexcept { return overflow_; }
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] double bin_lower(std::size_t bin) const;
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-
-  /// Quantile estimate by linear interpolation inside the located bin.
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace wrt::sim

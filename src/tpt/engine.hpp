@@ -65,9 +65,9 @@ struct TptConfig {
 };
 
 struct TptStats {
-  sim::SampleStats token_rotation_slots;
-  sim::SampleStats access_delay_slots;
-  sim::SampleStats rt_access_delay_slots;
+  sim::Moments token_rotation_slots;
+  sim::Moments access_delay_slots;
+  sim::Moments rt_access_delay_slots;
   traffic::Sink sink;
   std::uint64_t token_hops = 0;
   std::uint64_t token_rounds = 0;
@@ -79,9 +79,9 @@ struct TptStats {
   std::uint64_t frames_lost = 0;
   std::uint64_t data_channel_losses = 0;   ///< Gilbert–Elliott data fades
   std::uint64_t token_channel_losses = 0;  ///< token hops lost to fades
-  sim::SampleStats loss_detection_slots;
-  sim::SampleStats recovery_total_slots;
-  sim::SampleStats join_latency_slots;
+  sim::Moments loss_detection_slots;
+  sim::Moments recovery_total_slots;
+  sim::Moments join_latency_slots;
 };
 
 enum class TokenState : std::uint8_t {

@@ -156,9 +156,11 @@ class SaturatedSource {
 ///
 /// Degenerate distributions are first-class: a class (or flow) with zero or
 /// one delivery reports finite, well-defined statistics — mean()/min()/max()
-/// of an empty series are 0.0 and quantile() of a single sample is that
-/// sample — so sweep harnesses (e.g. the voice admission cliff, where a
+/// of an empty series are 0.0 and a class's quantile() of a single sample is
+/// that sample — so sweep harnesses (e.g. the voice admission cliff, where a
 /// class legitimately sees nothing) never have to guard their reporting.
+/// Only the per-class delay keeps a quantile reservoir: reports print its
+/// p99, while per-flow readers (app::score_call) need only the moments.
 class Sink {
  public:
   void record_delivery(const Packet& packet, Tick now);
@@ -188,8 +190,8 @@ class Sink {
   /// Mean delivered throughput in packets/slot over [t0, t1].
   [[nodiscard]] double throughput(Tick t0, Tick t1) const noexcept;
 
-  /// Per-flow delay stats (present only for flows with deliveries).
-  [[nodiscard]] const util::FlatMap<FlowId, sim::SampleStats>& per_flow()
+  /// Per-flow delay moments (present only for flows with deliveries).
+  [[nodiscard]] const util::FlatMap<FlowId, sim::Moments>& per_flow()
       const {
     return per_flow_delay_;
   }
@@ -205,7 +207,7 @@ class Sink {
   ClassStats classes_[3];
   // Flat map: record_delivery() sits on the per-delivery hot path and a
   // simulation has few distinct flows.
-  util::FlatMap<FlowId, sim::SampleStats> per_flow_delay_;
+  util::FlatMap<FlowId, sim::Moments> per_flow_delay_;
   // Touched only on the miss/drop paths, so clean runs pay nothing.
   util::FlatMap<FlowId, FlowCounts> per_flow_counts_;
 };

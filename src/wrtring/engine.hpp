@@ -77,10 +77,10 @@ namespace wrt::wrtring {
 
 /// Aggregate protocol statistics exposed to harnesses.
 struct EngineStats {
-  sim::SampleStats sat_rotation_slots;   ///< per-arrival rotation samples
-  sim::SampleStats sat_hold_slots;       ///< per-seizure SAT hold durations
-  sim::SampleStats access_delay_slots;   ///< packet queue -> first tx
-  sim::SampleStats rt_access_delay_slots;
+  sim::Moments sat_rotation_slots;       ///< per-arrival rotation samples
+  sim::Moments sat_hold_slots;           ///< per-seizure SAT hold durations
+  sim::Moments access_delay_slots;       ///< packet queue -> first tx
+  sim::Moments rt_access_delay_slots;
   traffic::Sink sink;                    ///< delivery accounting
   std::uint64_t sat_hops = 0;            ///< SAT link traversals
   std::uint64_t sat_rounds = 0;          ///< completed rotations (station 0)
@@ -115,9 +115,9 @@ struct EngineStats {
   std::uint64_t joins_completed = 0;
   std::uint64_t joins_rejected = 0;
   std::uint64_t leaves_completed = 0;
-  sim::SampleStats sat_loss_detection_slots;  ///< actual loss -> detection
-  sim::SampleStats recovery_total_slots;      ///< actual loss -> SAT restored
-  sim::SampleStats join_latency_slots;        ///< request -> in ring
+  sim::Moments sat_loss_detection_slots;  ///< actual loss -> detection
+  sim::Moments recovery_total_slots;      ///< actual loss -> SAT restored
+  sim::Moments join_latency_slots;        ///< request -> in ring
   std::uint64_t cdma_collisions = 0;
   /// Fidelity mode: headers that failed the encode/decode round trip
   /// (must stay 0; a CRC/codec bug would show here).

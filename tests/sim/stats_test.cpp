@@ -3,9 +3,100 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <string_view>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace wrt::sim {
 namespace {
+
+// Pinned moment arithmetic.  kPinned holds count, mean, variance, min, max
+// and sum as hex floats, as SampleStats computed them while it still held
+// its own Welford update; every collector must reproduce them bit for bit.
+// Regenerating after a *deliberate* change to the arithmetic:
+//   WRT_DIGEST_CAPTURE=1 ./test_sim --gtest_filter='MomentsDigest*'
+// and paste the printed lines back into kPinned.
+struct Pinned {
+  const char* sequence;
+  std::uint64_t count;
+  double mean;
+  double variance;
+  double min;
+  double max;
+  double sum;
+};
+
+constexpr Pinned kPinned[] = {
+    {"slot_delays", 10000, 0x1.91ff559b3d07ap+7, 0x1.9ab0d7434b211p+13,
+     0x0p+0, 0x1.8fp+8, 0x1.eab82fffffffdp+20},
+    {"signed_fractions", 257, 0x1.2095ed2fe0a28p+0, 0x1.72199b8bf704dp+9,
+     -0x1.8477a335332f6p+5, 0x1.8f7463fab102ep+5, 0x1.21b6831d10832p+8},
+    {"constant", 500, 0x1.9p+3, 0x0p+0, 0x1.9p+3, 0x1.9p+3, 0x1.86ap+12},
+    {"one_sample", 1, -0x1.dp+2, 0x0p+0, -0x1.dp+2, -0x1.dp+2, -0x1.dp+2},
+    {"empty", 0, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0},
+};
+
+std::vector<double> pinned_sequence(std::string_view name) {
+  std::vector<double> values;
+  if (name == "slot_delays") {
+    // Integer slot delays, well past the 4,096-sample reservoir.
+    util::RngStream rng(0xDE1A7);
+    for (int i = 0; i < 10000; ++i) {
+      values.push_back(static_cast<double>(rng.uniform_int(400)));
+    }
+  } else if (name == "signed_fractions") {
+    util::RngStream rng(0x51C4);
+    for (int i = 0; i < 257; ++i) values.push_back(rng.uniform(-50.0, 50.0));
+  } else if (name == "constant") {
+    values.assign(500, 12.5);
+  } else if (name == "one_sample") {
+    values.push_back(-7.25);
+  }
+  return values;  // "empty"
+}
+
+template <typename Stats>
+Stats fed(std::string_view sequence) {
+  Stats stats;
+  for (const double value : pinned_sequence(sequence)) stats.add(value);
+  return stats;
+}
+
+template <typename Stats>
+void expect_pinned() {
+  for (const Pinned& pin : kPinned) {
+    const Stats s = fed<Stats>(pin.sequence);
+    EXPECT_EQ(s.count(), pin.count) << pin.sequence;
+    EXPECT_EQ(s.mean(), pin.mean) << pin.sequence;
+    EXPECT_EQ(s.variance(), pin.variance) << pin.sequence;
+    EXPECT_EQ(s.min(), pin.min) << pin.sequence;
+    EXPECT_EQ(s.max(), pin.max) << pin.sequence;
+    EXPECT_EQ(s.sum(), pin.sum) << pin.sequence;
+  }
+}
+
+TEST(MomentsDigest, SampleStatsReproducesPinnedMoments) {
+  if (std::getenv("WRT_DIGEST_CAPTURE") != nullptr) {
+    for (const char* name : {"slot_delays", "signed_fractions", "constant",
+                             "one_sample", "empty"}) {
+      const SampleStats s = fed<SampleStats>(name);
+      std::printf("CAPTURE {\"%s\", %llu, %a, %a, %a, %a, %a},\n", name,
+                  static_cast<unsigned long long>(s.count()), s.mean(),
+                  s.variance(), s.min(), s.max(), s.sum());
+    }
+    GTEST_SKIP() << "capture mode";
+  }
+  ASSERT_EQ(std::size(kPinned), 5u);
+  expect_pinned<SampleStats>();
+}
+
+TEST(MomentsDigest, MomentsReproducesPinnedMoments) {
+  expect_pinned<Moments>();
+}
 
 TEST(SampleStats, MeanAndVariance) {
   SampleStats s;
@@ -87,38 +178,6 @@ TEST(SampleStats, ResetClears) {
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
 }
 
-TEST(SampleStats, MergeMatchesCombined) {
-  SampleStats a, b, combined;
-  for (int i = 0; i < 50; ++i) {
-    const double v = static_cast<double>(i * i % 37);
-    a.add(v);
-    combined.add(v);
-  }
-  for (int i = 0; i < 70; ++i) {
-    const double v = static_cast<double>((i * 13) % 41);
-    b.add(v);
-    combined.add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), combined.count());
-  EXPECT_NEAR(a.mean(), combined.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), combined.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), combined.min());
-  EXPECT_DOUBLE_EQ(a.max(), combined.max());
-}
-
-TEST(SampleStats, MergeWithEmpty) {
-  SampleStats a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  SampleStats b;
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.5);
-}
-
 TEST(TimeWeighted, PiecewiseConstantAverage) {
   TimeWeightedStats tw;
   tw.reset(0);
@@ -141,56 +200,6 @@ TEST(TimeWeighted, ZeroElapsedReturnsCurrent) {
   tw.reset(100);
   tw.update(100, 7.0);
   EXPECT_DOUBLE_EQ(tw.time_average(100), 7.0);
-}
-
-TEST(Counter, IncrementAndRate) {
-  Counter c;
-  c.increment();
-  c.increment(9);
-  EXPECT_EQ(c.value(), 10u);
-  // 10 events over 5 slots.
-  EXPECT_DOUBLE_EQ(c.rate_per_slot(0, slots_to_ticks(5)), 2.0);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Counter, RateZeroInterval) {
-  Counter c;
-  c.increment();
-  EXPECT_DOUBLE_EQ(c.rate_per_slot(5, 5), 0.0);
-}
-
-TEST(Histogram, BinsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-1.0);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(10.0);
-  h.add(25.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(Histogram, QuantileInterpolates) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i) + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 10.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(10.0, 0.0, 4), std::invalid_argument);
-}
-
-TEST(Histogram, BinLowerBounds) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lower(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_lower(4), 8.0);
-  EXPECT_THROW((void)h.bin_lower(5), std::out_of_range);
 }
 
 }  // namespace
