@@ -5,8 +5,10 @@
 // >= 2x over the map-indexed baseline), the same load over a lossy channel
 // (the data plane's per-hop visit), the repo benchmark's sparse CBR shape
 // from 64 to 4096 stations (the traffic poll's cost against ring size) and
-// over a lossy channel (the per-hop visit at partial occupancy), plus the
-// membership-churn path that exercises the dense-vector repack.
+// over a lossy channel (the per-hop visit at partial occupancy), 64 rings
+// of 64 stations stepped in turn as a federation shard steps them (the
+// per-position columns cold on every epoch), plus the membership-churn path
+// that exercises the dense-vector repack.
 //
 // `--digest` runs a fixed-seed 32-station scenario instead and prints the
 // protocol counters; the output must be bit-identical across builds of the
@@ -16,6 +18,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <vector>
 
 #include "analysis/bounds.hpp"
 #include "bench/bench_common.hpp"
@@ -185,6 +189,48 @@ void BM_HotPathLossySparse(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_HotPathLossySparse)->Arg(64)->Arg(1024);
+
+/// A federation shard's access pattern: `rings` rings of 64 stations, each
+/// with the federation's two saturated best-effort sources, stepped 64
+/// slots (one epoch) in turn.  Every other cell steps one ring whose state
+/// stays in cache; here each ring's columns go cold while the others run.
+/// Items are station-slots.
+void BM_HotPathRingsInTurn(benchmark::State& state) {
+  const auto rings = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kStations = 64;
+  constexpr std::int64_t kEpochSlots = 64;
+  std::vector<std::unique_ptr<phy::Topology>> topologies;
+  std::vector<std::unique_ptr<wrtring::Engine>> engines;
+  for (std::size_t r = 0; r < rings; ++r) {
+    topologies.push_back(
+        std::make_unique<phy::Topology>(bench::ring_room(kStations)));
+    engines.push_back(std::make_unique<wrtring::Engine>(
+        topologies.back().get(), wrtring::Config{}, r + 1));
+    wrtring::Engine& engine = *engines.back();
+    if (!engine.init().ok()) {
+      state.SkipWithError("init failed");
+      return;
+    }
+    // As FederationEngine::build_rings: stations 1 and 2 backlogged to the
+    // stations half a ring away, the gateway (station 0) exempt.
+    for (NodeId i = 0; i < 2; ++i) {
+      traffic::FlowSpec spec;
+      spec.id = i;
+      spec.src = 1 + i;
+      spec.dst = static_cast<NodeId>(1 + (i + (kStations - 1) / 2));
+      spec.cls = TrafficClass::kBestEffort;
+      engine.add_saturated_source(spec, 4);
+    }
+    engine.run_slots(256);
+  }
+  for (auto _ : state) {
+    for (const auto& engine : engines) engine->run_slots(kEpochSlots);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rings * kStations) *
+                          kEpochSlots);
+}
+BENCHMARK(BM_HotPathRingsInTurn)->Arg(64);
 
 /// Membership churn: a graceful leave plus the SAT_REC cut-out machinery
 /// every iteration — the slow path the dense repack must not regress.

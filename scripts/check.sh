@@ -4,7 +4,8 @@
 # the command CI (or a suspicious reviewer) runs.
 #
 #   scripts/check.sh                # regular pass
-#   scripts/check.sh --asan         # additionally build + ctest under ASan/UBSan,
+#   scripts/check.sh --asan         # additionally build + ctest under ASan/UBSan
+#                                   # (float-cast-overflow included),
 #                                   # then the wrt_chaos soak and flap matrix
 #                                   # with the 64-slot audit (Debug build)
 #   scripts/check.sh --lint         # additionally run wrt_lint (+ clang-tidy
@@ -252,7 +253,7 @@ fi
 
 if [ "$WITH_ASAN" = 1 ]; then
   echo "== ASan/UBSan build + tests =="
-  SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
+  SAN_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all -fno-omit-frame-pointer"
   configure build-asan -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="$SAN_FLAGS" -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS"
   cmake --build build-asan

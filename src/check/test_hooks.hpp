@@ -11,6 +11,7 @@
 // for tests/check/ only.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -66,6 +67,15 @@ struct EngineTestHook {
     engine.kernel_.arrival_count_.push_back(0);
   }
 
+  /// Re-lays the SAT arrival rows at a stride one column short of the
+  /// ring: the last position of each row would alias the first of the next.
+  static void narrow_arrival_stride(wrtring::Engine& engine) {
+    wrtring::SlotKernel& k = engine.kernel_;
+    k.arrival_stride_ = k.size() - 1;
+    k.arrival_ticks_.resize(wrtring::SlotKernel::kArrivalSlots *
+                            k.arrival_stride_);
+  }
+
   // --- single-sat ---------------------------------------------------------
   /// Puts the (held) SAT at a station that is not a ring member.
   static void corrupt_sat_location(wrtring::Engine& engine) {
@@ -116,6 +126,14 @@ struct EngineTestHook {
                                  std::size_t position) {
     wrtring::SlotKernel& k = engine.kernel_;
     (void)k.occupy(k.link_col(position), traffic::Packet{}, engine.now_);
+  }
+
+  /// Plans the rotation calendar into a power of two of buckets below
+  /// R + 3, so two flight ends in one bucket would alias.
+  static void alias_calendar(wrtring::Engine& engine) {
+    engine.calendar_.resize(std::bit_floor(engine.ring_.size() + 2));
+    engine.calendar_mask_ = engine.calendar_.size() - 1;
+    engine.calendar_stale_ = false;
   }
 
   /// Flips link `position`'s bit in the busy-link bitmap and leaves its

@@ -99,7 +99,31 @@ struct HistogramLayout {
   std::uint32_t bucket_count = 32;
 };
 
-[[nodiscard]] HistogramLayout histogram_layout(HistogramId id) noexcept;
+/// Layout of each histogram.  constexpr, so a WRT_BATCH_OBSERVE folds its
+/// layout at compile time and a power-of-two width divides by a multiply.
+[[nodiscard]] constexpr HistogramLayout histogram_layout(
+    HistogramId id) noexcept {
+  switch (id) {
+    // Rotation: Theorem-1 bounds on the reference rings land well under
+    // 1024 slots; 64 x 16-slot buckets resolve the distribution shape.
+    case HistogramId::kSatRotationSlots: return {0.0, 16.0, 64};
+    case HistogramId::kRtAccessDelaySlots: return {0.0, 8.0, 64};
+    case HistogramId::kBeAccessDelaySlots: return {0.0, 32.0, 64};
+    case HistogramId::kQueueDepth: return {0.0, 2.0, 64};
+    case HistogramId::kJoinLatencySlots: return {0.0, 64.0, 64};
+    case HistogramId::kSatRecSlots: return {0.0, 32.0, 64};
+    // Detection latency is bounded by SAT_TIME (Theorem 1); finer buckets
+    // than kSatRecSlots since MTTD excludes the rebuild tail.
+    case HistogramId::kSatDetectSlots: return {0.0, 16.0, 64};
+    // Wall-clock spans: 1us buckets up to 64us; slower spans overflow.
+    case HistogramId::kSpanNanos: return {0.0, 1000.0, 64};
+    // MTTR spans detection + SAT_REC circuit (and, worst case, a rebuild);
+    // wider buckets than kSatRecSlots to keep the rebuild tail resolved.
+    case HistogramId::kRecoveryMttrSlots: return {0.0, 32.0, 64};
+    case HistogramId::kCount_: break;
+  }
+  return {};
+}
 
 }  // namespace wrt::telemetry
 

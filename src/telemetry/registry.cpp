@@ -60,29 +60,6 @@ const char* histogram_name(HistogramId id) noexcept {
   return "unknown";
 }
 
-HistogramLayout histogram_layout(HistogramId id) noexcept {
-  switch (id) {
-    // Rotation: Theorem-1 bounds on the reference rings land well under
-    // 1024 slots; 64 x 16-slot buckets resolve the distribution shape.
-    case HistogramId::kSatRotationSlots: return {0.0, 16.0, 64};
-    case HistogramId::kRtAccessDelaySlots: return {0.0, 8.0, 64};
-    case HistogramId::kBeAccessDelaySlots: return {0.0, 32.0, 64};
-    case HistogramId::kQueueDepth: return {0.0, 2.0, 64};
-    case HistogramId::kJoinLatencySlots: return {0.0, 64.0, 64};
-    case HistogramId::kSatRecSlots: return {0.0, 32.0, 64};
-    // Detection latency is bounded by SAT_TIME (Theorem 1); finer buckets
-    // than kSatRecSlots since MTTD excludes the rebuild tail.
-    case HistogramId::kSatDetectSlots: return {0.0, 16.0, 64};
-    // Wall-clock spans: 1us buckets up to 64us; slower spans overflow.
-    case HistogramId::kSpanNanos: return {0.0, 1000.0, 64};
-    // MTTR spans detection + SAT_REC circuit (and, worst case, a rebuild);
-    // wider buckets than kSatRecSlots to keep the rebuild tail resolved.
-    case HistogramId::kRecoveryMttrSlots: return {0.0, 32.0, 64};
-    case HistogramId::kCount_: break;
-  }
-  return {};
-}
-
 double RegistrySnapshot::HistogramData::quantile(double q) const noexcept {
   if (total == 0) return 0.0;
   if (q < 0.0) q = 0.0;
@@ -100,37 +77,44 @@ double RegistrySnapshot::HistogramData::quantile(double q) const noexcept {
   return layout.lo + layout.width * static_cast<double>(layout.bucket_count);
 }
 
+namespace {
+
+/// Adds `delta` to a running sum, saturating at the int64 range.
+void add_saturating(std::atomic<std::int64_t>& sum,
+                    std::int64_t delta) noexcept {
+  if (delta == 0) return;
+  std::int64_t seen = sum.load(std::memory_order_relaxed);
+  while (!sum.compare_exchange_weak(seen, saturating_add(seen, delta),
+                                    std::memory_order_relaxed)) {
+  }
+}
+
+}  // namespace
+
 void MetricRegistry::observe(HistogramId id, double value) noexcept {
   PaddedHistogram& h = histograms_[static_cast<std::size_t>(id)];
-  const HistogramLayout layout = histogram_layout(id);
-  h.sum_scaled.fetch_add(static_cast<std::int64_t>(value * kSumScale),
-                        std::memory_order_relaxed);
-  if (value < layout.lo) {
+  add_saturating(h.sum_scaled, scaled_sum(value));
+  const std::size_t bucket = histogram_bucket(histogram_layout(id), value);
+  if (bucket == kUnderflowBucket) {
     h.underflow.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  const double offset = (value - layout.lo) / layout.width;
-  std::size_t bucket = offset >= static_cast<double>(layout.bucket_count)
-                           ? layout.bucket_count  // overflow bucket
-                           : static_cast<std::size_t>(offset);
   h.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
 }
 
-void MetricRegistry::merge_histogram(HistogramId id,
+void MetricRegistry::merge_histogram(HistogramId id, std::size_t first,
                                      const std::uint64_t* buckets,
-                                     std::size_t bucket_count,
+                                     std::size_t count,
                                      std::uint64_t underflow,
                                      std::int64_t sum_scaled) noexcept {
   PaddedHistogram& h = histograms_[static_cast<std::size_t>(id)];
-  if (sum_scaled != 0) {
-    h.sum_scaled.fetch_add(sum_scaled, std::memory_order_relaxed);
-  }
+  add_saturating(h.sum_scaled, sum_scaled);
   if (underflow != 0) {
     h.underflow.fetch_add(underflow, std::memory_order_relaxed);
   }
-  for (std::size_t b = 0; b < bucket_count && b <= kMaxBuckets; ++b) {
-    if (buckets[b] != 0) {
-      h.buckets[b].fetch_add(buckets[b], std::memory_order_relaxed);
+  for (std::size_t i = 0; i < count && first + i <= kMaxBuckets; ++i) {
+    if (buckets[i] != 0) {
+      h.buckets[first + i].fetch_add(buckets[i], std::memory_order_relaxed);
     }
   }
 }
@@ -145,10 +129,17 @@ void TelemetryBatch::flush() noexcept {
   }
   for (std::size_t i = 0; i < kHistogramCount; ++i) {
     Histogram& h = histograms_[i];
-    if (!h.touched) continue;
-    registry.merge_histogram(static_cast<HistogramId>(i), h.buckets.data(),
-                             h.buckets.size(), h.underflow, h.sum_scaled);
-    h = Histogram{};
+    const bool any_bucket = h.first <= h.last;
+    if (!any_bucket && h.underflow == 0) continue;  // untouched
+    const std::size_t count = any_bucket ? h.last - h.first + 1 : 0;
+    std::uint64_t* touched = h.buckets.data() + (any_bucket ? h.first : 0);
+    registry.merge_histogram(static_cast<HistogramId>(i), h.first, touched,
+                             count, h.underflow, h.sum_scaled);
+    std::fill(touched, touched + count, 0);
+    h.sum_scaled = 0;
+    h.underflow = 0;
+    h.first = MetricRegistry::kMaxBuckets + 1;
+    h.last = 0;
   }
 }
 

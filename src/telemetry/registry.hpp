@@ -12,7 +12,9 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,43 @@ class TelemetryBatch;
 /// Fixed-point scale for histogram running sums: atomic doubles would need
 /// a CAS loop, a 1/1024th-scaled integer keeps the hot path to one add.
 inline constexpr double kSumScale = 1024.0;
+
+/// histogram_bucket()'s answer for a value below the layout's `lo`.
+inline constexpr std::size_t kUnderflowBucket = ~std::size_t{0};
+
+/// The bucket `value` lands in: 0 .. bucket_count - 1 for the linear
+/// buckets, bucket_count for the overflow bucket (values past the top, NaN
+/// and +inf), kUnderflowBucket below `lo` (-inf included).
+[[nodiscard]] constexpr std::size_t histogram_bucket(
+    const HistogramLayout& layout, double value) noexcept {
+  if (value < layout.lo) return kUnderflowBucket;
+  const double offset = (value - layout.lo) / layout.width;
+  // NaN fails the comparison and overflows; no NaN is converted.
+  return offset < static_cast<double>(layout.bucket_count)
+             ? static_cast<std::size_t>(offset)
+             : layout.bucket_count;
+}
+
+/// `value` in kSumScale fixed point, for a histogram's running sum: NaN and
+/// +-inf add nothing, and a finite value past the int64 range saturates.
+[[nodiscard]] inline std::int64_t scaled_sum(double value) noexcept {
+  if (!std::isfinite(value)) return 0;
+  constexpr double kTwo63 = 9223372036854775808.0;
+  const double scaled = value * kSumScale;
+  if (scaled >= kTwo63) return std::numeric_limits<std::int64_t>::max();
+  if (scaled < -kTwo63) return std::numeric_limits<std::int64_t>::min();
+  return static_cast<std::int64_t>(scaled);
+}
+
+/// a + b, saturated at the int64 range.
+[[nodiscard]] constexpr std::int64_t saturating_add(std::int64_t a,
+                                                    std::int64_t b) noexcept {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  if (b > 0 && a > kMax - b) return kMax;
+  if (b < 0 && a < kMin - b) return kMin;
+  return a + b;
+}
 
 /// Point-in-time copy of every counter and histogram; what the exporters
 /// and the periodic snapshotter consume.
@@ -88,9 +127,11 @@ class MetricRegistry {
   void observe(HistogramId id, double value) noexcept;
 
   /// Bulk merge of locally staged histogram state (TelemetryBatch::flush):
-  /// one fetch_add per *touched* bucket rather than per observation.
-  void merge_histogram(HistogramId id, const std::uint64_t* buckets,
-                       std::size_t bucket_count, std::uint64_t underflow,
+  /// `buckets[i]` is the count of bucket `first + i`, for i < `count`; one
+  /// fetch_add per non-zero bucket rather than per observation.
+  void merge_histogram(HistogramId id, std::size_t first,
+                       const std::uint64_t* buckets, std::size_t count,
+                       std::uint64_t underflow,
                        std::int64_t sum_scaled) noexcept;
 
   [[nodiscard]] std::uint64_t counter(CounterId id) const noexcept {
@@ -138,8 +179,8 @@ class MetricRegistry {
   /// the hot path stays at two relaxed fetch_adds (sum + bucket).
   struct PaddedHistogram {
     alignas(64) std::atomic<std::uint64_t> underflow{0};
-    /// Sum of observations, in fixed-point 1/1024ths (atomic doubles need a
-    /// CAS loop; a scaled integer keeps the hot path to one fetch_add).
+    /// Sum of observations, in fixed-point 1/1024ths, saturated at the
+    /// int64 range (scaled_sum, saturating_add).
     std::atomic<std::int64_t> sum_scaled{0};
     /// kMaxBuckets linear buckets + 1 overflow slot.
     std::array<std::atomic<std::uint64_t>, kMaxBuckets + 1> buckets{};
@@ -180,32 +221,33 @@ class WRT_SHARD_CONFINED TelemetryBatch {
     counters_[static_cast<std::size_t>(id)] += by;
   }
 
+  /// Stages one observation.  With a constant `id` (WRT_BATCH_OBSERVE)
+  /// the layout folds at compile time.
   void observe(HistogramId id, double value) noexcept {
-    const HistogramLayout layout = histogram_layout(id);
+    const std::size_t bucket = histogram_bucket(histogram_layout(id), value);
     Histogram& h = histograms_[static_cast<std::size_t>(id)];
-    h.touched = true;
-    h.sum_scaled += static_cast<std::int64_t>(value * kSumScale);
-    if (value < layout.lo) {
+    h.sum_scaled = saturating_add(h.sum_scaled, scaled_sum(value));
+    if (bucket == kUnderflowBucket) {
       ++h.underflow;
       return;
     }
-    const double offset = (value - layout.lo) / layout.width;
-    const std::size_t bucket =
-        offset >= static_cast<double>(layout.bucket_count)
-            ? layout.bucket_count  // overflow bucket
-            : static_cast<std::size_t>(offset);
     ++h.buckets[bucket];
+    const auto b = static_cast<std::uint32_t>(bucket);
+    if (b < h.first) h.first = b;
+    if (b > h.last) h.last = b;
   }
 
   /// Publishes every staged delta to MetricRegistry::instance() and zeroes
-  /// the staging arrays.
+  /// what it published: each histogram's touched bucket range only.
   void flush() noexcept;
 
  private:
   struct Histogram {
     std::int64_t sum_scaled = 0;
     std::uint64_t underflow = 0;
-    bool touched = false;
+    /// Touched bucket range [first, last]; empty while first > last.
+    std::uint32_t first = MetricRegistry::kMaxBuckets + 1;
+    std::uint32_t last = 0;
     std::array<std::uint64_t, MetricRegistry::kMaxBuckets + 1> buckets{};
   };
 

@@ -347,13 +347,7 @@ void Engine::deliver(LinkFrame& frame, NodeId at) {
   if (delivery_tap_) delivery_tap_(frame.packet, at, now_);
 }
 
-void Engine::refresh_hot_caches() {
-  const std::uint64_t topology_version = topology_->version();
-  if (cache_topology_version_ == topology_version &&
-      cache_membership_epoch_ == membership_epoch_ &&
-      cache_stall_epoch_ == stall_epoch_) {
-    return;
-  }
+void Engine::rebuild_hot_caches() {
   const std::size_t R = ring_.size();
   const std::vector<NodeId>& order = ring_.order();
   active_cache_.resize(R);
@@ -377,7 +371,7 @@ void Engine::refresh_hot_caches() {
     if (k < R) next_barrier_[q] = distance;
   }
   calendar_stale_ = true;
-  cache_topology_version_ = topology_version;
+  cache_topology_version_ = topology_->version();
   cache_membership_epoch_ = membership_epoch_;
   cache_stall_epoch_ = stall_epoch_;
 }
@@ -457,10 +451,13 @@ void Engine::schedule_flight_end(std::uint32_t column, std::uint32_t tag,
   // The flight ends `ahead` arrivals after the next one: in slot + ahead,
   // at position arrive + ahead.  Arrival number R + 2 takes the hop count
   // past R + 1: the stale purge.
+  // Positions wrap by compare-and-subtract: both operands of each sum are
+  // below R, except the stale purge's `ahead`, which is at most R + 1.
   std::int64_t ahead = std::max<std::int64_t>(R + 2 - age, 0);
   FlightEnd end = FlightEnd::kStale;
   if (dst_position >= 0) {
-    const std::int64_t to_dst = (dst_position - a + R) % R;
+    std::int64_t to_dst = dst_position - a;
+    if (to_dst < 0) to_dst += R;
     if (to_dst <= ahead) {
       ahead = to_dst;
       end = FlightEnd::kDeliver;
@@ -468,21 +465,25 @@ void Engine::schedule_flight_end(std::uint32_t column, std::uint32_t tag,
   }
   const std::uint32_t barrier = next_barrier_[arrive];
   if (barrier != kNoBarrier) {
-    const bool silent =
-        active_cache_[static_cast<std::size_t>((a + barrier) % R)] == 0;
+    std::int64_t at = a + barrier;
+    if (at >= R) at -= R;
+    const bool silent = active_cache_[static_cast<std::size_t>(at)] == 0;
     if (barrier < ahead || (barrier == ahead && silent)) {
       ahead = barrier;
       end = silent ? FlightEnd::kSilent : FlightEnd::kUnreachable;
     }
   }
-  const auto buckets = static_cast<std::int64_t>(calendar_.size());
-  calendar_[static_cast<std::size_t>((slot + ahead) % buckets)].push_back(
-      {column, static_cast<std::uint32_t>((a + ahead) % R), tag, end});
+  std::int64_t position = a + ahead;
+  if (position >= R) position -= R;
+  if (position >= R) position -= R;
+  calendar_[static_cast<std::size_t>(slot + ahead) & calendar_mask_].push_back(
+      {column, static_cast<std::uint32_t>(position), tag, end});
 }
 
 void Engine::replan_calendar() {
   const std::size_t R = ring_.size();
-  calendar_.resize(R + 3);
+  calendar_.resize(std::bit_ceil(R + 3));
+  calendar_mask_ = calendar_.size() - 1;
   for (auto& bucket : calendar_) bucket.clear();
   const std::int64_t now_slot = now_slots();
   for (std::size_t p = 0; p < R; ++p) {
@@ -516,8 +517,7 @@ void Engine::data_plane_step() {
   // per slot; sorting visits the arrivals in ascending position.
   std::uint64_t delivered_now = 0;
   std::uint64_t lost_now = 0;
-  auto& bucket =
-      calendar_[static_cast<std::size_t>(now_slot) % calendar_.size()];
+  auto& bucket = calendar_[static_cast<std::size_t>(now_slot) & calendar_mask_];
   if (bucket.size() > 1) {
     std::sort(bucket.begin(), bucket.end(),
               [](const DataEvent& a, const DataEvent& b) {
@@ -756,7 +756,8 @@ void Engine::sat_release(NodeId from) {
   ++kernel_.rounds_since_rap_[from_position];
 
   const std::size_t R = ring_.size();
-  NodeId target = ring_.order()[(from_position + 1) % R];
+  NodeId target =
+      ring_.order()[from_position + 1 == R ? 0 : from_position + 1];
   bool rerouted = false;
 
   if (sat_.is_rec && target == sat_.rec_failed) {

@@ -486,8 +486,16 @@ class WRT_SHARD_CONFINED Engine final {
   void maybe_periodic_audit();
   /// Rebuilds the per-position liveness/reachability caches and the
   /// barrier table when their (topology version, membership epoch, stall
-  /// epoch) key went stale, and marks the calendar for a replan.
-  void refresh_hot_caches();
+  /// epoch) key went stale, and marks the calendar for a replan.  The key
+  /// check is inline; only a rebuild calls out.
+  void refresh_hot_caches() {
+    if (cache_topology_version_ != topology_->version() ||
+        cache_membership_epoch_ != membership_epoch_ ||
+        cache_stall_epoch_ != stall_epoch_) {
+      rebuild_hot_caches();
+    }
+  }
+  void rebuild_hot_caches();
   /// Which casualty counter a data-plane teardown charges its in-flight
   /// frames to: recovery paths (cut-out, ring re-formation) indict the
   /// failure machinery, a join's update phase is planned churn.
@@ -576,11 +584,14 @@ class WRT_SHARD_CONFINED Engine final {
   std::uint64_t cache_stall_epoch_ = ~std::uint64_t{0};
   std::uint64_t stall_epoch_ = 0;  ///< bumped by stall/resume
 
-  // Rotation calendar.  calendar_[slot % (R + 3)] holds the arrivals that
-  // end a flight in that slot; `column` is the frame's physical link
-  // column, fixed for its whole flight under the rotation.  A frame lost
-  // to a channel draw leaves its entry behind: the tag no longer matches
-  // the column, so the entry is skipped.
+  // Rotation calendar.  calendar_[slot & calendar_mask_] holds the
+  // arrivals that end a flight in that slot; `column` is the frame's
+  // physical link column, fixed for its whole flight under the rotation.
+  // A flight ends at most R + 2 slots ahead, so the bucket count is a power
+  // of two of at least R + 3 (fewer would alias two flight ends), and a
+  // slot indexes it by mask.  A frame lost to a channel draw leaves its
+  // entry behind: the tag no longer matches the column, so the entry is
+  // skipped.
   struct DataEvent {
     std::uint32_t column;
     std::uint32_t position;  ///< arrival position (the visit order)
@@ -588,6 +599,7 @@ class WRT_SHARD_CONFINED Engine final {
     FlightEnd end;
   };
   std::vector<std::vector<DataEvent>> calendar_;
+  std::size_t calendar_mask_ = 0;  ///< calendar_.size() - 1
   std::uint64_t in_flight_ = 0;
   bool calendar_stale_ = true;  ///< replan before the next data-plane step
 

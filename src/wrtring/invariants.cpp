@@ -9,8 +9,9 @@
 //
 //   ring-lockstep       station, control, SAT arrival ring and link
 //                       columns sized and ordered exactly like the
-//                       virtual ring; no arrival head or count past the
-//                       ring's 64 slots
+//                       virtual ring; the arrival rows 64 x a stride of at
+//                       least R; no arrival head or count past the ring's
+//                       64 slots
 //   position-bijection  NodeId -> position index is a bijection onto the
 //                       current members
 //   single-sat          exactly one coherent SAT (held at a member, or in
@@ -20,10 +21,11 @@
 //                       dangles on a departed station
 //   quota-conservation  per-round RT_PCK/NRT_PCK counters within (l, k),
 //                       Diffserv split within k, deliveries <= transmissions
-//   link-pipeline       every occupied link column has exactly one pending
-//                       terminal event in the rotation calendar, and the
-//                       engine's in-flight count equals the number of
-//                       occupied columns
+//   link-pipeline       a planned rotation calendar has a power-of-two
+//                       bucket count of at least R + 3; every occupied link
+//                       column has exactly one pending terminal event in
+//                       it, and the engine's in-flight count equals the
+//                       number of occupied columns
 //   frame-conservation  every transmitted frame is delivered, lost on a
 //                       link, lost to a rebuild or to churn, purged as
 //                       stale, or still in flight
@@ -35,6 +37,7 @@
 //                       a revertive re-insertion put the station back after
 //                       its recorded anchor (checked while the membership
 //                       epoch it was recorded under is still current)
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -70,12 +73,14 @@ const std::array<Engine::InvariantCheck, 10> Engine::kInvariantChecks{{
        const auto& heads = e.kernel_.arrival_head_;
        const auto& counts = e.kernel_.arrival_count_;
        constexpr std::size_t kSlots = SlotKernel::kArrivalSlots;
-       if (heads.size() != R || counts.size() != R ||
-           e.kernel_.arrival_ticks_.size() != R * kSlots) {
+       const std::size_t stride = e.kernel_.arrival_stride_;
+       if (heads.size() != R || counts.size() != R || stride < R ||
+           e.kernel_.arrival_ticks_.size() != kSlots * stride) {
          out.push_back("SAT arrival ring out of lockstep with ring: ring=" +
                        std::to_string(R) + " heads=" +
                        std::to_string(heads.size()) + " counts=" +
-                       std::to_string(counts.size()) + " slots=" +
+                       std::to_string(counts.size()) + " stride=" +
+                       std::to_string(stride) + " slots=" +
                        std::to_string(e.kernel_.arrival_ticks_.size()));
        } else {
          for (std::size_t p = 0; p < R; ++p) {
@@ -225,6 +230,21 @@ const std::array<Engine::InvariantCheck, 10> Engine::kInvariantChecks{{
      }},
     {"link-pipeline",
      [](const Engine& e, Details& out) {
+       // A flight ends up to R + 2 slots ahead, and a slot indexes the
+       // calendar by mask: fewer than R + 3 buckets, or a count that is not
+       // a power of two, would file two flight ends in one bucket.  A stale
+       // calendar is re-planned before the next data-plane step.
+       const std::size_t R = e.ring_.size();
+       const std::size_t buckets = e.calendar_.size();
+       if (!e.calendar_stale_ &&
+           (buckets < R + 3 || !std::has_single_bit(buckets) ||
+            e.calendar_mask_ != buckets - 1)) {
+         out.push_back("rotation calendar has " + std::to_string(buckets) +
+                       " buckets (mask " + std::to_string(e.calendar_mask_) +
+                       ") for a ring of " + std::to_string(R) +
+                       ": needs a power of two of at least " +
+                       std::to_string(R + 3));
+       }
        // The rotation calendar ends every flight at exactly one scheduled
        // arrival.  Entries left behind by frames lost to a channel draw
        // carry a tag their column no longer holds and do not count.

@@ -20,6 +20,7 @@ void SlotKernel::clear() {
   last_sat_departure_.clear();
   rounds_since_rap_.clear();
   arrival_ticks_.clear();
+  arrival_stride_ = 0;
   arrival_head_.clear();
   arrival_count_.clear();
   link_slots_.clear();
@@ -42,14 +43,36 @@ void SlotKernel::reserve(std::size_t stations) {
   last_sat_arrival_.reserve(stations);
   last_sat_departure_.reserve(stations);
   rounds_since_rap_.reserve(stations);
-  arrival_ticks_.reserve(stations * kArrivalSlots);
+  if (stations > arrival_stride_) relayout_arrivals(stations);
   arrival_head_.reserve(stations);
   arrival_count_.reserve(stations);
+}
+
+void SlotKernel::fit_arrival_stride(std::size_t stations) {
+  if (stations > arrival_stride_) {
+    relayout_arrivals(std::max(stations, 2 * arrival_stride_));
+  }
+}
+
+void SlotKernel::relayout_arrivals(std::size_t stride) {
+  assert(stride >= size());
+  // Byte-wise copies: a row's unused columns are uninitialised.
+  std::vector<Tick, UninitAllocator<Tick>> ticks(kArrivalSlots * stride);
+  if (size() != 0) {
+    for (std::size_t h = 0; h < kArrivalSlots; ++h) {
+      std::memcpy(ticks.data() + h * stride,
+                  arrival_ticks_.data() + h * arrival_stride_,
+                  size() * sizeof(Tick));
+    }
+  }
+  arrival_ticks_ = std::move(ticks);
+  arrival_stride_ = stride;
 }
 
 void SlotKernel::push_station(NodeId id, Quota quota, std::uint32_t k1,
                               Tick now) {
   assert(k1 <= quota.k);
+  fit_arrival_stride(size() + 1);
   ids_.push_back(id);
   quota_.push_back(quota);
   k1_assured_.push_back(k1);
@@ -61,7 +84,6 @@ void SlotKernel::push_station(NodeId id, Quota quota, std::uint32_t k1,
   last_sat_arrival_.push_back(now);
   last_sat_departure_.push_back(kNeverTick);
   rounds_since_rap_.push_back(0);
-  arrival_ticks_.resize(arrival_ticks_.size() + kArrivalSlots);
   arrival_head_.push_back(0);
   arrival_count_.push_back(0);
   eligible_bits_dirty_ = true;
@@ -71,6 +93,16 @@ void SlotKernel::insert_station(std::size_t position, NodeId id, Quota quota,
                                 std::uint32_t k1, Tick now) {
   assert(position <= size());
   assert(k1 <= quota.k);
+  // Each row's later columns move up one, byte-wise: their unused slots
+  // are uninitialised.  The new column is empty.
+  fit_arrival_stride(size() + 1);
+  if (position < size()) {
+    for (std::size_t h = 0; h < kArrivalSlots; ++h) {
+      Tick* row = arrival_ticks_.data() + h * arrival_stride_;
+      std::memmove(row + position + 1, row + position,
+                   (size() - position) * sizeof(Tick));
+    }
+  }
   const auto at = static_cast<std::ptrdiff_t>(position);
   ids_.insert(ids_.begin() + at, id);
   quota_.insert(quota_.begin() + at, quota);
@@ -85,13 +117,6 @@ void SlotKernel::insert_station(std::size_t position, NodeId id, Quota quota,
   last_sat_arrival_.insert(last_sat_arrival_.begin() + at, now);
   last_sat_departure_.insert(last_sat_departure_.begin() + at, kNeverTick);
   rounds_since_rap_.insert(rounds_since_rap_.begin() + at, 0);
-  // The later blocks move up byte-wise: their unused slots are
-  // uninitialised.  The new block is empty.
-  const std::size_t later_ticks =
-      arrival_ticks_.size() - position * kArrivalSlots;
-  arrival_ticks_.resize(arrival_ticks_.size() + kArrivalSlots);
-  Tick* block = arrival_ticks_.data() + position * kArrivalSlots;
-  std::memmove(block + kArrivalSlots, block, later_ticks * sizeof(Tick));
   arrival_head_.insert(arrival_head_.begin() + at, 0);
   arrival_count_.insert(arrival_count_.begin() + at, 0);
   eligible_bits_dirty_ = true;
@@ -99,6 +124,14 @@ void SlotKernel::insert_station(std::size_t position, NodeId id, Quota quota,
 
 void SlotKernel::erase_station(std::size_t position) {
   assert(position < size());
+  // Each row's later columns move down one, as in insert_station.
+  if (position + 1 < size()) {
+    for (std::size_t h = 0; h < kArrivalSlots; ++h) {
+      Tick* row = arrival_ticks_.data() + h * arrival_stride_;
+      std::memmove(row + position, row + position + 1,
+                   (size() - position - 1) * sizeof(Tick));
+    }
+  }
   const auto at = static_cast<std::ptrdiff_t>(position);
   ids_.erase(ids_.begin() + at);
   quota_.erase(quota_.begin() + at);
@@ -111,12 +144,6 @@ void SlotKernel::erase_station(std::size_t position) {
   last_sat_arrival_.erase(last_sat_arrival_.begin() + at);
   last_sat_departure_.erase(last_sat_departure_.begin() + at);
   rounds_since_rap_.erase(rounds_since_rap_.begin() + at);
-  // The later blocks move down byte-wise, as in insert_station.
-  Tick* block = arrival_ticks_.data() + position * kArrivalSlots;
-  const std::size_t later_ticks =
-      arrival_ticks_.size() - (position + 1) * kArrivalSlots;
-  std::memmove(block, block + kArrivalSlots, later_ticks * sizeof(Tick));
-  arrival_ticks_.resize(arrival_ticks_.size() - kArrivalSlots);
   arrival_head_.erase(arrival_head_.begin() + at);
   arrival_count_.erase(arrival_count_.begin() + at);
   eligible_bits_dirty_ = true;
@@ -124,6 +151,7 @@ void SlotKernel::erase_station(std::size_t position) {
 
 void SlotKernel::adopt_station(SlotKernel& other, std::size_t from) {
   assert(from < other.size());
+  fit_arrival_stride(size() + 1);
   ids_.push_back(other.ids_[from]);
   quota_.push_back(other.quota_[from]);
   k1_assured_.push_back(other.k1_assured_[from]);
@@ -138,7 +166,6 @@ void SlotKernel::adopt_station(SlotKernel& other, std::size_t from) {
   last_sat_departure_.push_back(other.last_sat_departure_[from]);
   rounds_since_rap_.push_back(other.rounds_since_rap_[from]);
   // Copies only the valid arrivals, oldest first.
-  arrival_ticks_.resize(arrival_ticks_.size() + kArrivalSlots);
   arrival_head_.push_back(0);
   arrival_count_.push_back(0);
   const ArrivalView moved = other.arrivals(from);

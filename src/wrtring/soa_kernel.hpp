@@ -83,8 +83,9 @@ class WRT_SHARD_CONFINED SlotKernel final {
   [[nodiscard]] std::size_t size() const noexcept { return ids_.size(); }
   void clear();
 
-  /// Reserves every station column for `stations` slots, so the pushes of
-  /// one init() or re-formation allocate each column once.
+  /// Reserves every station column for `stations` slots, and lays the SAT
+  /// arrival rows at a stride of `stations` columns, so the pushes of one
+  /// init() or re-formation allocate each column once.
   void reserve(std::size_t stations);
 
   // --- membership (cold path; keeps every column in lockstep) -------------
@@ -229,52 +230,57 @@ class WRT_SHARD_CONFINED SlotKernel final {
 
   // --- SAT arrival ring (rotation statistics, Theorem 1/2 oracles) --------
   //
-  // Position p keeps its last kArrivalSlots SAT arrivals in block p of
-  // arrival_ticks_ (entries [64p, 64p + 64)).  arrival_head_[p] is the
-  // block slot the next arrival overwrites and arrival_count_[p] how many
-  // slots hold arrivals; the rest of the block is never read and stays
-  // uninitialised.  Recording writes one slot, so a full history evicts its
-  // oldest arrival without shifting the others.
+  // Position p keeps its last kArrivalSlots SAT arrivals in column p of a
+  // slot-major table: arrival_ticks_ is kArrivalSlots rows of
+  // arrival_stride_ ticks, and ring slot h of position p is entry
+  // h * arrival_stride_ + p.  arrival_head_[p] is the ring slot the next
+  // arrival overwrites and arrival_count_[p] how many slots hold arrivals;
+  // the other slots are never read and stay uninitialised.  Recording
+  // writes one slot, so a full history evicts its oldest arrival without
+  // shifting the others.  The SAT visits p, p + 1, ... and their heads
+  // move together, so consecutive hops read and write adjacent ticks.
+  // The stride is at least size(): reserve() sets it, and a push, insert
+  // or adopt that outgrows it re-lays the rows at double the stride.
 
   static constexpr std::size_t kArrivalSlots = 64;
+  static_assert((kArrivalSlots & (kArrivalSlots - 1)) == 0);
 
   /// Records a SAT arrival at position `p`; a full history drops its
   /// oldest arrival.
   void record_arrival(std::size_t p, Tick arrival) noexcept {
     std::uint32_t& head = arrival_head_[p];
-    arrival_ticks_[p * kArrivalSlots + head] = arrival;
-    head = static_cast<std::uint32_t>((head + 1) % kArrivalSlots);
+    arrival_ticks_[head * arrival_stride_ + p] = arrival;
+    head = static_cast<std::uint32_t>((head + 1) & (kArrivalSlots - 1));
     if (arrival_count_[p] < kArrivalSlots) ++arrival_count_[p];
   }
   /// One position's arrivals (at most kArrivalSlots), oldest first, read
-  /// in place; valid until the kernel next changes.
+  /// in place down its column; valid until the kernel next changes.
   class ArrivalView {
    public:
-    ArrivalView(const Tick* block, std::size_t oldest,
+    ArrivalView(const Tick* column, std::size_t stride, std::size_t oldest,
                 std::size_t count) noexcept
-        : block_(block), oldest_(oldest), count_(count) {}
+        : column_(column), stride_(stride), oldest_(oldest), count_(count) {}
     [[nodiscard]] std::size_t size() const noexcept { return count_; }
     /// The `i`-th oldest arrival; i < size().
     [[nodiscard]] Tick operator[](std::size_t i) const noexcept {
-      return block_[(oldest_ + i) % kArrivalSlots];
+      return column_[((oldest_ + i) & (kArrivalSlots - 1)) * stride_];
     }
 
    private:
-    const Tick* block_;
+    const Tick* column_;
+    std::size_t stride_;
     std::size_t oldest_;
     std::size_t count_;
   };
   [[nodiscard]] ArrivalView arrivals(std::size_t p) const noexcept {
-    return {arrival_ticks_.data() + p * kArrivalSlots,
-            (arrival_head_[p] + kArrivalSlots - arrival_count_[p]) %
-                kArrivalSlots,
+    return {arrival_ticks_.data() + p, arrival_stride_,
+            (arrival_head_[p] - arrival_count_[p]) & (kArrivalSlots - 1),
             arrival_count_[p]};
   }
   /// The newest arrival at position `p`; arrivals(p).size() > 0.
   [[nodiscard]] Tick newest_arrival(std::size_t p) const noexcept {
-    const std::size_t slot =
-        (arrival_head_[p] + kArrivalSlots - 1) % kArrivalSlots;
-    return arrival_ticks_[p * kArrivalSlots + slot];
+    const std::size_t slot = (arrival_head_[p] - 1) & (kArrivalSlots - 1);
+    return arrival_ticks_[slot * arrival_stride_ + p];
   }
   /// Empties every position's arrival history.
   void clear_arrivals() noexcept;
@@ -293,6 +299,14 @@ class WRT_SHARD_CONFINED SlotKernel final {
   friend class Station;
   friend struct ::wrt::check::EngineTestHook;
 
+  /// Re-lays the arrival rows when `stations` columns outgrow the stride,
+  /// at the larger of `stations` and double the stride, so that growth
+  /// is amortised.
+  void fit_arrival_stride(std::size_t stations);
+  /// Re-lays the arrival rows at `stride` (>= size()), keeping every
+  /// position's column.
+  void relayout_arrivals(std::size_t stride);
+
   std::size_t queue_capacity_ = 4096;
 
   // Station identity and Send-algorithm state, by ring position.
@@ -310,7 +324,9 @@ class WRT_SHARD_CONFINED SlotKernel final {
   std::vector<Tick> last_sat_arrival_;    ///< for SAT_TIMER
   std::vector<Tick> last_sat_departure_;
   std::vector<std::int64_t> rounds_since_rap_;
-  std::vector<Tick, UninitAllocator<Tick>> arrival_ticks_;  ///< 64 per position
+  /// kArrivalSlots rows of arrival_stride_ ticks; (h, p) at h * stride + p.
+  std::vector<Tick, UninitAllocator<Tick>> arrival_ticks_;
+  std::size_t arrival_stride_ = 0;            ///< >= size()
   std::vector<std::uint32_t> arrival_head_;   ///< next slot to overwrite
   std::vector<std::uint32_t> arrival_count_;  ///< valid slots, <= 64
 

@@ -109,6 +109,15 @@ TEST_F(InvariantAuditorTest, DesyncedArrivalCountTripsRingLockstep) {
             std::string::npos);
 }
 
+TEST_F(InvariantAuditorTest, NarrowedArrivalStrideTripsRingLockstep) {
+  ASSERT_EQ(auditor_.run("baseline"), 0u);
+  EngineTestHook::narrow_arrival_stride(harness_.engine);
+  expect_only("ring-lockstep");
+  EXPECT_NE(harness_.engine.check_invariants().error().message.find(
+                "SAT arrival ring out of lockstep"),
+            std::string::npos);
+}
+
 TEST_F(InvariantAuditorTest, SatAtNonMemberTripsSingleSat) {
   ASSERT_EQ(auditor_.run("baseline"), 0u);
   EngineTestHook::corrupt_sat_location(harness_.engine);
@@ -151,6 +160,16 @@ TEST_F(InvariantAuditorTest, DesyncedBusyLinkBitTripsLinkPipeline) {
   ASSERT_EQ(auditor_.run("baseline"), 0u);
   EngineTestHook::desync_link_busy(harness_.engine, 5);
   expect_only("link-pipeline");
+}
+
+TEST_F(InvariantAuditorTest, AliasingCalendarTripsLinkPipeline) {
+  ASSERT_EQ(auditor_.run("baseline"), 0u);
+  EngineTestHook::alias_calendar(harness_.engine);
+  expect_only("link-pipeline");
+  EXPECT_NE(harness_.engine.check_invariants().error().message.find(
+                "rotation calendar has 8 buckets"),
+            std::string::npos)
+      << harness_.engine.check_invariants().error().message;
 }
 
 TEST_F(InvariantAuditorTest, LeakedFrameTripsFrameConservation) {

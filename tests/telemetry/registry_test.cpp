@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -85,6 +87,111 @@ TEST_F(RegistryTest, ObserveRoutesUnderflowAndOverflow) {
   EXPECT_EQ(h.total, 3u);
   EXPECT_EQ(h.underflow, 1u);
   EXPECT_EQ(h.buckets[layout.bucket_count], 2u);  // overflow slot
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kSumMax =
+    static_cast<double>(std::numeric_limits<std::int64_t>::max()) / kSumScale;
+constexpr double kSumMin =
+    static_cast<double>(std::numeric_limits<std::int64_t>::min()) / kSumScale;
+
+/// Checks the edge-bucket and sum rules for non-finite values on the
+/// histogram `observe` fed: NaN and +inf overflow, -inf underflows, and
+/// none of them adds to the sum.
+void expect_non_finite_placement() {
+  const RegistrySnapshot snap = MetricRegistry::instance().snapshot();
+  const auto& h = snap.histogram(HistogramId::kSatRotationSlots);
+  EXPECT_EQ(h.total, 5u);
+  EXPECT_EQ(h.underflow, 1u);
+  EXPECT_EQ(h.buckets[h.layout.bucket_count], 3u);  // overflow slot
+  EXPECT_EQ(h.buckets[1], 1u);
+  EXPECT_EQ(h.sum, 20.0);  // only the finite value
+}
+
+/// Checks that a finite value past the int64 range saturates the sum of
+/// kSatRotationSlots (upward) and kQueueDepth (downward) instead of
+/// wrapping it.
+void expect_saturated_sums() {
+  const RegistrySnapshot snap = MetricRegistry::instance().snapshot();
+  const auto& up = snap.histogram(HistogramId::kSatRotationSlots);
+  EXPECT_EQ(up.total, 3u);
+  EXPECT_EQ(up.buckets[up.layout.bucket_count], 3u);
+  EXPECT_EQ(up.sum, kSumMax);
+  const auto& down = snap.histogram(HistogramId::kQueueDepth);
+  EXPECT_EQ(down.total, 2u);
+  EXPECT_EQ(down.underflow, 2u);
+  EXPECT_EQ(down.sum, kSumMin);
+}
+
+TEST_F(RegistryTest, NonFiniteObservationsLandInTheEdgeBuckets) {
+  auto& reg = MetricRegistry::instance();
+  reg.observe(HistogramId::kSatRotationSlots, kNaN);
+  reg.observe(HistogramId::kSatRotationSlots, -kNaN);
+  reg.observe(HistogramId::kSatRotationSlots, kInf);
+  reg.observe(HistogramId::kSatRotationSlots, -kInf);
+  reg.observe(HistogramId::kSatRotationSlots, 20.0);
+  expect_non_finite_placement();
+}
+
+TEST_F(RegistryTest, BatchedNonFiniteObservationsLandInTheEdgeBuckets) {
+  TelemetryBatch batch;
+  batch.observe(HistogramId::kSatRotationSlots, kNaN);
+  batch.observe(HistogramId::kSatRotationSlots, -kNaN);
+  batch.observe(HistogramId::kSatRotationSlots, kInf);
+  batch.observe(HistogramId::kSatRotationSlots, -kInf);
+  batch.observe(HistogramId::kSatRotationSlots, 20.0);
+  batch.flush();
+  expect_non_finite_placement();
+}
+
+TEST_F(RegistryTest, HugeObservationsSaturateTheSum) {
+  auto& reg = MetricRegistry::instance();
+  reg.observe(HistogramId::kSatRotationSlots, 1e300);
+  reg.observe(HistogramId::kSatRotationSlots, 1e300);
+  reg.observe(HistogramId::kSatRotationSlots, 1e18);
+  reg.observe(HistogramId::kQueueDepth, -1e300);
+  reg.observe(HistogramId::kQueueDepth, -1e18);
+  expect_saturated_sums();
+}
+
+TEST_F(RegistryTest, BatchedHugeObservationsSaturateTheSum) {
+  // Both the staged sum and the registry's merge saturate: the two flushes
+  // each carry a saturated delta.
+  TelemetryBatch batch;
+  batch.observe(HistogramId::kSatRotationSlots, 1e300);
+  batch.observe(HistogramId::kSatRotationSlots, 1e300);
+  batch.observe(HistogramId::kQueueDepth, -1e300);
+  batch.flush();
+  batch.observe(HistogramId::kSatRotationSlots, 1e18);
+  batch.observe(HistogramId::kQueueDepth, -1e18);
+  batch.flush();
+  expect_saturated_sums();
+}
+
+TEST_F(RegistryTest, BatchFlushPublishesTheTouchedBucketsOnce) {
+  // kSatRotationSlots: 64 buckets of width 16 from 0.
+  TelemetryBatch batch;
+  batch.observe(HistogramId::kSatRotationSlots, 170.0);  // bucket 10
+  batch.observe(HistogramId::kSatRotationSlots, 50.0);   // bucket 3
+  batch.observe(HistogramId::kSatRotationSlots, 52.0);   // bucket 3
+  batch.flush();
+  batch.flush();  // nothing staged: publishes nothing
+  batch.observe(HistogramId::kSatRotationSlots, 90.0);   // bucket 5
+  batch.observe(HistogramId::kQueueDepth, -1.0);         // underflow only
+  batch.flush();
+  const RegistrySnapshot snap = MetricRegistry::instance().snapshot();
+  const auto& h = snap.histogram(HistogramId::kSatRotationSlots);
+  EXPECT_EQ(h.total, 4u);
+  for (std::size_t b = 0; b < h.buckets.size(); ++b) {
+    const std::uint64_t want = b == 3 ? 2u : (b == 5 || b == 10) ? 1u : 0u;
+    EXPECT_EQ(h.buckets[b], want) << "bucket " << b;
+  }
+  EXPECT_EQ(h.sum, 170.0 + 50.0 + 52.0 + 90.0);
+  const auto& depth = snap.histogram(HistogramId::kQueueDepth);
+  EXPECT_EQ(depth.total, 1u);
+  EXPECT_EQ(depth.underflow, 1u);
+  EXPECT_EQ(depth.sum, -1.0);
 }
 
 TEST_F(RegistryTest, QuantileReturnsBucketLowerEdge) {

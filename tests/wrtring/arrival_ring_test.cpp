@@ -1,11 +1,14 @@
 // The SAT arrival ring: each ring position keeps its last
-// SlotKernel::kArrivalSlots SAT arrivals in a fixed block with a head and a
-// count.  These tests pin the ring's order across the wrap, its lockstep
-// with the station columns through every membership path, and that the
-// engine's rotation statistics are exactly the consecutive differences of
-// the arrivals it records.
+// SlotKernel::kArrivalSlots SAT arrivals in its column of a slot-major
+// table, with a head and a count.  These tests pin the ring's order across
+// the wrap, its lockstep with the station columns through every membership
+// path (against a per-position deque model, through re-layouts of the
+// rows), and that the engine's rotation statistics are exactly the
+// consecutive differences of the arrivals it records.
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -128,6 +131,159 @@ TEST(ArrivalRing, HistoriesMoveWithTheirStations) {
   for (std::size_t p = 0; p < repacked.size(); ++p) {
     EXPECT_EQ(repacked.arrivals(p).size(), 0u);
   }
+}
+
+/// The reference model of one kernel: each position's newest kSlots
+/// arrivals, oldest first.
+class ArrivalModel {
+ public:
+  void insert(std::size_t position) {
+    columns_.insert(columns_.begin() + static_cast<std::ptrdiff_t>(position),
+                    std::deque<Tick>{});
+  }
+  void erase(std::size_t position) {
+    columns_.erase(columns_.begin() + static_cast<std::ptrdiff_t>(position));
+  }
+  void append(const std::deque<Tick>& column) { columns_.push_back(column); }
+  void record(std::size_t position, Tick arrival) {
+    std::deque<Tick>& column = columns_[position];
+    column.push_back(arrival);
+    if (column.size() > kSlots) {
+      column.pop_front();
+      ++evictions_;
+    }
+  }
+  void clear() {
+    for (std::deque<Tick>& column : columns_) column.clear();
+  }
+  [[nodiscard]] std::size_t size() const { return columns_.size(); }
+  [[nodiscard]] const std::deque<Tick>& at(std::size_t p) const {
+    return columns_[p];
+  }
+  /// Arrivals a full history has dropped.
+  [[nodiscard]] std::size_t evictions() const { return evictions_; }
+
+ private:
+  std::vector<std::deque<Tick>> columns_;
+  std::size_t evictions_ = 0;
+};
+
+/// Every position's arrivals equal the model's, and the newest matches.
+void expect_matches(const SlotKernel& kernel, const ArrivalModel& model,
+                    std::size_t call) {
+  ASSERT_EQ(kernel.size(), model.size()) << "after call " << call;
+  for (std::size_t p = 0; p < kernel.size(); ++p) {
+    const std::deque<Tick>& want = model.at(p);
+    ASSERT_EQ(history(kernel, p), std::vector<Tick>(want.begin(), want.end()))
+        << "position " << p << " after call " << call;
+    if (!want.empty()) {
+      ASSERT_EQ(kernel.newest_arrival(p), want.back())
+          << "position " << p << " after call " << call;
+    }
+  }
+}
+
+TEST(ArrivalRing, MatchesAPerPositionDequeModel) {
+  // Seeded random membership and recording calls against the model.  The
+  // kernel reserves 4 columns and grows past 100 stations, so its rows are
+  // re-laid at a wider stride several times; SAT rounds fill and wrap the
+  // histories, and the adopt calls copy a donor kernel's histories.
+  std::mt19937_64 rng(20261019);
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  SlotKernel kernel;
+  kernel.reserve(4);
+  ArrivalModel model;
+  SlotKernel donor;
+  ArrivalModel donor_model;
+  for (NodeId id = 0; id < 6; ++id) {
+    donor.push_station(id, Quota{1, 1}, 0, 0);
+    donor_model.insert(donor_model.size());
+  }
+  Tick now = 0;
+  NodeId next_id = 100;
+  std::size_t max_size = 0;
+  constexpr std::size_t kCalls = 4000;
+  const auto erase_one = [&] {
+    if (kernel.size() == 0) return;
+    const std::size_t p = below(kernel.size());
+    kernel.erase_station(p);
+    model.erase(p);
+  };
+  for (std::size_t call = 0; call < kCalls; ++call) {
+    // Membership grows to 120 stations, then churns around that size.
+    const bool grow = kernel.size() < 120;
+    switch (below(8)) {
+      case 0:
+        if (!grow) {
+          erase_one();
+          break;
+        }
+        kernel.push_station(next_id++, Quota{1, 1}, 0, now);
+        model.insert(model.size());
+        break;
+      case 1:
+        erase_one();
+        break;
+      case 2: {
+        if (!grow) {
+          erase_one();
+          break;
+        }
+        // At the front, in the middle or at the end.
+        const std::size_t n = kernel.size();
+        const std::size_t choice = below(3);
+        const std::size_t p = choice == 0 ? 0
+                              : choice == 2 || n == 0 ? n
+                                                      : below(n + 1);
+        kernel.insert_station(p, next_id++, Quota{1, 1}, 0, now);
+        model.insert(p);
+        break;
+      }
+      case 3: {
+        if (!grow) {
+          erase_one();
+          break;
+        }
+        const std::size_t from = below(donor.size());
+        kernel.adopt_station(donor, from);
+        model.append(donor_model.at(from));
+        break;
+      }
+      case 4:
+        // A SAT round over the donor, so adopted histories wrap too.
+        for (std::size_t p = 0; p < donor.size(); ++p) {
+          donor.record_arrival(p, ++now);
+          donor_model.record(p, now);
+        }
+        break;
+      case 5:
+      case 6:
+        // A SAT round: every position records once, in ring order.
+        for (std::size_t p = 0; p < kernel.size(); ++p) {
+          kernel.record_arrival(p, ++now);
+          model.record(p, now);
+        }
+        break;
+      default:
+        if (below(64) == 0) {
+          kernel.clear_arrivals();
+          model.clear();
+        } else if (kernel.size() != 0) {
+          const std::size_t p = below(kernel.size());
+          kernel.record_arrival(p, ++now);
+          model.record(p, now);
+        }
+        break;
+    }
+    max_size = std::max(max_size, kernel.size());
+    expect_matches(kernel, model, call);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(max_size, 100u);  // grown well past the reserved stride
+  EXPECT_GT(model.evictions(), 0u);        // histories wrapped
+  EXPECT_GT(donor_model.evictions(), 0u);  // and adopted ones too
 }
 
 TEST(ArrivalRing, RotationSamplesAreTheConsecutiveDifferences) {
