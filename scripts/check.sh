@@ -223,13 +223,14 @@ ctest --test-dir build --output-on-failure
 if [ "$WITH_LINT" = 1 ]; then
   echo "== lint: wrt_lint =="
   # Everything that ships: library code, tools, benches and examples.
-  # tests/ is exempt (fixtures under tests/lint/fixtures are deliberately
-  # rule-violating inputs for the linter's own self-test).
-  build/tools/wrt_lint src tools bench examples
+  # tests/ is read for name uses only (unreferenced-api counts a test's
+  # call as a use); no rule reports in it, and wrt_lint skips the
+  # deliberately rule-violating fixtures under tests/lint/fixtures.
+  build/tools/wrt_lint src tools bench examples tests
 
   echo "== lint: suppression inventory =="
   # Fails on suppressions that name a rule wrt_lint does not implement.
-  build/tools/wrt_lint --list-suppressions src tools bench examples
+  build/tools/wrt_lint --list-suppressions src tools bench examples tests
 
   # External analyzers are optional (not baked into every container); the
   # repo-specific linter above is the part that must always run and gate.

@@ -141,20 +141,6 @@ util::Status check_feasibility(const RingParams& params,
   return util::Status::success();
 }
 
-std::uint32_t max_uniform_l(std::int64_t ring_latency_slots,
-                            std::int64_t t_rap_slots, std::int64_t n_stations,
-                            std::uint32_t k_per_station,
-                            std::int64_t max_sat_time_slots) {
-  // Invert Eq (2): S + T_rap + 2 N (l + k) <= max  =>
-  // l <= (max - S - T_rap) / (2 N) - k.
-  if (n_stations <= 0) return 0;
-  const std::int64_t numerator =
-      max_sat_time_slots - ring_latency_slots - t_rap_slots;
-  const std::int64_t per_station = numerator / (2 * n_stations);
-  const std::int64_t l = per_station - static_cast<std::int64_t>(k_per_station);
-  return l > 0 ? static_cast<std::uint32_t>(l) : 0;
-}
-
 std::string to_string(AllocationScheme scheme) {
   switch (scheme) {
     case AllocationScheme::kEqualPartition:

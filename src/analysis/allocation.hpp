@@ -66,15 +66,6 @@ struct AllocationInput {
 [[nodiscard]] util::Status check_feasibility(
     const RingParams& params, const std::vector<RtRequirement>& flows);
 
-/// Largest uniform (l, k) quota such that the Theorem-1 bound stays below
-/// `max_sat_time_slots`; used by admission control to translate a delay goal
-/// into quota budgets.  Returns 0 when even l = 0 does not fit.
-[[nodiscard]] std::uint32_t max_uniform_l(std::int64_t ring_latency_slots,
-                                          std::int64_t t_rap_slots,
-                                          std::int64_t n_stations,
-                                          std::uint32_t k_per_station,
-                                          std::int64_t max_sat_time_slots);
-
 [[nodiscard]] std::string to_string(AllocationScheme scheme);
 
 }  // namespace wrt::analysis

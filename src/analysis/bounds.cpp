@@ -55,10 +55,6 @@ std::int64_t access_time_bound(const RingParams& params, std::size_t station,
   return sat_time_n_rounds_bound(params, rounds);
 }
 
-std::int64_t sat_loss_detection_bound(const RingParams& params) {
-  return sat_time_bound(params);
-}
-
 std::int64_t TptParams::h_sum() const noexcept {
   std::int64_t sum = 0;
   for (const std::int64_t h : h_sync_slots) sum += h;

@@ -62,10 +62,6 @@ struct RingParams {
                                              std::size_t station,
                                              std::int64_t x);
 
-/// Reaction bound: a station declares the SAT lost after SAT_TIME slots
-/// (Section 2.5), i.e. the Theorem 1 bound.
-[[nodiscard]] std::int64_t sat_loss_detection_bound(const RingParams& params);
-
 // ---------------------------------------------------------------------------
 // TPT (Token Passing Tree) baseline formulas, Section 3.
 // ---------------------------------------------------------------------------

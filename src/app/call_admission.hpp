@@ -55,9 +55,6 @@ class CallAdmission {
   [[nodiscard]] std::size_t admitted_count() const noexcept {
     return admitted_.size();
   }
-  [[nodiscard]] const std::vector<FlowId>& admitted_flows() const noexcept {
-    return admitted_;
-  }
 
  private:
   wrtring::AdmissionController* controller_;

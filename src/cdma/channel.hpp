@@ -101,9 +101,6 @@ class Channel {
   }
   [[nodiscard]] Tick now() const noexcept { return now_; }
 
-  /// Re-points the channel at a (possibly replaced) topology.
-  void set_topology(const phy::Topology* topology) { topology_ = topology; }
-
  private:
   const phy::Topology* topology_;
   Tick now_ = 0;

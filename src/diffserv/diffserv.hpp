@@ -184,7 +184,6 @@ class BackboneSegment {
     return premium_capacity_;
   }
 
-  [[nodiscard]] std::size_t hop_count() const noexcept { return hops_.size(); }
   [[nodiscard]] std::size_t queue_depth() const;
 
   /// Total per-class tail drops summed over every hop.

@@ -76,7 +76,6 @@ class GeProcess {
   /// then advances the chain.  Returns true when the message is lost.
   [[nodiscard]] bool offer() noexcept;
 
-  [[nodiscard]] bool in_bad_state() const noexcept { return bad_; }
   [[nodiscard]] const GeParams& params() const noexcept { return params_; }
 
  private:

@@ -50,8 +50,6 @@ struct Rect {
   Vec2 lo;
   Vec2 hi;
 
-  [[nodiscard]] constexpr double width() const noexcept { return hi.x - lo.x; }
-  [[nodiscard]] constexpr double height() const noexcept { return hi.y - lo.y; }
   [[nodiscard]] constexpr bool contains(Vec2 p) const noexcept {
     return p.x >= lo.x && p.x <= hi.x && p.y >= lo.y && p.y <= hi.y;
   }

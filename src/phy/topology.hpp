@@ -71,10 +71,6 @@ class Topology {
   /// Forces a specific link down regardless of distance (failure injection).
   void fail_link(NodeId a, NodeId b);
   void restore_link(NodeId a, NodeId b);
-  void clear_failed_links() {
-    failed_links_.clear();
-    ++version_;
-  }
 
   /// Splits the network into isolated groups (a wall slides in / the
   /// spectrum is jammed between rooms): nodes in different groups are
@@ -84,9 +80,6 @@ class Topology {
   void clear_partition() {
     partition_group_.clear();
     ++version_;
-  }
-  [[nodiscard]] bool partitioned() const noexcept {
-    return !partition_group_.empty();
   }
 
   /// True iff a and b can communicate over a single hop right now.

@@ -302,17 +302,4 @@ util::Result<VirtualRing> build_ring_over(const phy::Topology& topology,
       "no Hamiltonian cycle found within the search budget");
 }
 
-bool can_insert(const VirtualRing& ring, const phy::Topology& topology,
-                NodeId newcomer, NodeId* ingress_out) {
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    const NodeId a = ring.station_at(i);
-    const NodeId b = ring.station_at(i + 1);
-    if (topology.reachable(newcomer, a) && topology.reachable(newcomer, b)) {
-      if (ingress_out != nullptr) *ingress_out = a;
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace wrt::ring

@@ -87,12 +87,4 @@ class VirtualRing {
 [[nodiscard]] std::vector<NodeId> largest_component(
     const phy::Topology& topology);
 
-/// True if `newcomer` can be inserted into `ring`: there exist consecutive
-/// stations s_i, s_{i+1} both one-hop reachable from `newcomer`
-/// (Section 2.4.1).  Writes the chosen ingress station to `ingress_out`
-/// when non-null.
-[[nodiscard]] bool can_insert(const VirtualRing& ring,
-                              const phy::Topology& topology, NodeId newcomer,
-                              NodeId* ingress_out = nullptr);
-
 }  // namespace wrt::ring

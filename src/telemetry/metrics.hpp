@@ -56,7 +56,6 @@ enum class CounterId : std::uint16_t {
   kTptTokenRounds,        ///< TPT: completed token tours
   kTptClaims,             ///< TPT: claim processes started
   kTptTreeRebuilds,       ///< TPT: full tree re-formations
-  kJournalEvents,         ///< journal appends (any station)
   kSnapshots,             ///< registry snapshots taken
   kRecoveryFsmTransitions,///< RecoveryFsm state changes
   kStaleRecSuppressed,    ///< stale SAT_REC / SF indications suppressed

@@ -33,7 +33,6 @@ const char* counter_name(CounterId id) noexcept {
     case CounterId::kTptTokenRounds: return "tpt_token_rounds";
     case CounterId::kTptClaims: return "tpt_claims";
     case CounterId::kTptTreeRebuilds: return "tpt_tree_rebuilds";
-    case CounterId::kJournalEvents: return "journal_events";
     case CounterId::kSnapshots: return "snapshots";
     case CounterId::kRecoveryFsmTransitions: return "recovery_fsm_transitions";
     case CounterId::kStaleRecSuppressed: return "stale_rec_suppressed";

@@ -122,7 +122,6 @@ class TrafficSource {
   [[nodiscard]] Tick next_arrival() const noexcept { return next_arrival_; }
 
   [[nodiscard]] const FlowSpec& spec() const noexcept { return spec_; }
-  [[nodiscard]] std::uint64_t generated() const noexcept { return sequence_; }
 
  private:
   [[nodiscard]] Tick draw_gap();

@@ -16,10 +16,4 @@ namespace wrt::util {
   return (num + den - 1) / den;
 }
 
-/// Conversion helper for mixed-width arithmetic in stats code.
-template <typename Integer>
-[[nodiscard]] constexpr double as_double(Integer v) noexcept {
-  return static_cast<double>(v);
-}
-
 }  // namespace wrt::util

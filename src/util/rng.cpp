@@ -47,30 +47,4 @@ double RngStream::normal(double mean, double stddev) noexcept {
   return mean + stddev * u * factor;
 }
 
-std::uint64_t RngStream::geometric(double p) noexcept {
-  if (p >= 1.0) return 0;
-  if (p <= 0.0) return ~std::uint64_t{0};
-  double u = uniform();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return static_cast<std::uint64_t>(std::log(u) / std::log1p(-p));
-}
-
-std::uint64_t RngStream::poisson(double mean) noexcept {
-  if (mean <= 0.0) return 0;
-  if (mean < 30.0) {
-    // Knuth's multiplicative method.
-    const double limit = std::exp(-mean);
-    std::uint64_t count = 0;
-    double product = uniform();
-    while (product > limit) {
-      ++count;
-      product *= uniform();
-    }
-    return count;
-  }
-  // Normal approximation with continuity correction for large means.
-  const double sample = normal(mean, std::sqrt(mean));
-  return sample < 0.5 ? 0 : static_cast<std::uint64_t>(sample + 0.5);
-}
-
 }  // namespace wrt::util

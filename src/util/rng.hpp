@@ -98,13 +98,6 @@ class RngStream {
   /// Standard normal via Marsaglia polar method.
   [[nodiscard]] double normal(double mean = 0.0, double stddev = 1.0) noexcept;
 
-  /// Geometric: number of failures before first success, p in (0, 1].
-  [[nodiscard]] std::uint64_t geometric(double p) noexcept;
-
-  /// Poisson-distributed count with the given mean (Knuth for small mean,
-  /// normal approximation for large mean).
-  [[nodiscard]] std::uint64_t poisson(double mean) noexcept;
-
   /// Raw 64 random bits.
   [[nodiscard]] std::uint64_t bits() noexcept { return gen_(); }
 

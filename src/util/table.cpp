@@ -24,7 +24,7 @@ std::string Table::render_cell(const Cell& cell) const {
     return std::to_string(*integer);
   }
   std::ostringstream oss;
-  oss << std::fixed << std::setprecision(precision_) << std::get<double>(cell);
+  oss << std::fixed << std::setprecision(3) << std::get<double>(cell);
   return oss.str();
 }
 
@@ -67,19 +67,6 @@ void Table::print(std::ostream& os) const {
     os << '\n';
   }
   rule();
-}
-
-void Table::print_markdown(std::ostream& os) const {
-  os << "**" << title_ << "**\n\n|";
-  for (const auto& column : columns_) os << ' ' << column << " |";
-  os << "\n|";
-  for (std::size_t i = 0; i < columns_.size(); ++i) os << "---|";
-  os << '\n';
-  for (const auto& row : rows_) {
-    os << '|';
-    for (const auto& cell : row) os << ' ' << render_cell(cell) << " |";
-    os << '\n';
-  }
 }
 
 void Table::print_csv(std::ostream& os) const {

@@ -12,7 +12,8 @@
 
 namespace wrt::util {
 
-/// A cell is a string, an integer, or a real (printed with fixed precision).
+/// A cell is a string, an integer, or a real (printed with three digits
+/// after the point).
 using Cell = std::variant<std::string, std::int64_t, double>;
 
 class Table {
@@ -34,19 +35,12 @@ class Table {
   /// our numeric tables, but strings containing commas are quoted anyway).
   void print_csv(std::ostream& os) const;
 
-  /// Renders a GitHub-flavoured markdown table (for EXPERIMENTS.md rows).
-  void print_markdown(std::ostream& os) const;
-
-  /// Real-number print precision (digits after the point); default 3.
-  void set_precision(int digits) noexcept { precision_ = digits; }
-
  private:
   [[nodiscard]] std::string render_cell(const Cell& cell) const;
 
   std::string title_;
   std::vector<std::string> columns_;
   std::vector<std::vector<Cell>> rows_;
-  int precision_ = 3;
 };
 
 }  // namespace wrt::util

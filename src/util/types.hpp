@@ -65,11 +65,6 @@ enum class TrafficClass : std::uint8_t {
   kBestEffort = 2 ///< Best-effort; consumes the k2 share of the k quota.
 };
 
-/// True for classes that consume the non-real-time (k) quota.
-[[nodiscard]] constexpr bool is_non_real_time(TrafficClass c) noexcept {
-  return c != TrafficClass::kRealTime;
-}
-
 [[nodiscard]] std::string to_string(TrafficClass c);
 
 /// Per-station transmission quotas (Section 2.2).  `l` bounds the number of

@@ -10,11 +10,9 @@
 #include "analysis/allocation.hpp"   // IWYU pragma: export
 #include "analysis/delay_model.hpp"  // IWYU pragma: export
 #include "analysis/bounds.hpp"       // IWYU pragma: export
-#include "analysis/schedulability.hpp"  // IWYU pragma: export
 #include "cdma/channel.hpp"          // IWYU pragma: export
 #include "cdma/code_assignment.hpp"  // IWYU pragma: export
 #include "diffserv/diffserv.hpp"     // IWYU pragma: export
-#include "phy/link_quality.hpp"      // IWYU pragma: export
 #include "phy/mobility.hpp"          // IWYU pragma: export
 #include "phy/topology.hpp"          // IWYU pragma: export
 #include "ring/frame.hpp"            // IWYU pragma: export

@@ -33,10 +33,6 @@ util::Status Config::validate() const {
     return util::Error::invalid_argument(
         "join_backoff_base_slots must be >= 1");
   }
-  if (join_backoff_exp_cap > 30) {
-    return util::Error::invalid_argument(
-        "join_backoff_exp_cap must be <= 30 (shift overflow)");
-  }
   if (join_max_attempts < 1) {
     return util::Error::invalid_argument("join_max_attempts must be >= 1");
   }

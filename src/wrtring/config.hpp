@@ -85,11 +85,10 @@ struct Config {
   /// Lossy-join retry policy (Section 2.4.1 under loss).  A joiner whose
   /// JOIN_REQ or JOIN_ACK is lost observes a RAP round with no acknowledged
   /// insertion and backs off: it ignores NEXT_FREE broadcasts for
-  /// base << min(attempt-1, exp_cap) slots, then listens again with a
-  /// cleared NEXT_FREE table.  After `join_max_attempts` lost messages the
-  /// join is abandoned cleanly (nothing half-inserted, RAP_mutex free).
+  /// base << min(attempt-1, 6) slots, then listens again with a cleared
+  /// NEXT_FREE table.  After `join_max_attempts` lost messages the join is
+  /// abandoned cleanly (nothing half-inserted, RAP_mutex free).
   std::int64_t join_backoff_base_slots = 8;
-  std::uint32_t join_backoff_exp_cap = 6;
   std::uint32_t join_max_attempts = 10;
 
   /// A healthy station cut out by a spurious SAT_REC (the paper blames the

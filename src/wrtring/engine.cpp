@@ -1358,8 +1358,10 @@ void Engine::register_join_backoff(NodeId joiner) {
     pending_joins_.erase(it);
     return;
   }
+  // The backoff doubles per lost message up to base << 6, then stays there.
+  constexpr std::uint32_t kJoinBackoffExpCap = 6;
   const std::uint32_t exponent =
-      std::min(join.attempts - 1, config_.join_backoff_exp_cap);
+      std::min(join.attempts - 1, kJoinBackoffExpCap);
   join.backoff_until =
       now_ +
       slots_to_ticks(config_.join_backoff_base_slots << exponent);

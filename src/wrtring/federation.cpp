@@ -270,7 +270,6 @@ void FederationEngine::run_epochs(std::int64_t epochs) {
     critical_path_ns_ += epoch_max_ns;
 
     now_slots_ += config_.epoch_slots;
-    ++epochs_run_;
   }
 }
 

@@ -107,18 +107,11 @@ class FederationEngine {
   void run_epochs(std::int64_t epochs);
 
   [[nodiscard]] std::int64_t now_slots() const noexcept { return now_slots_; }
-  [[nodiscard]] std::int64_t epochs_run() const noexcept {
-    return epochs_run_;
-  }
   [[nodiscard]] std::uint32_t shard_count() const noexcept {
     return static_cast<std::uint32_t>(shards_.size());
   }
   [[nodiscard]] std::uint32_t ring_count() const noexcept {
     return config_.rings;
-  }
-  [[nodiscard]] std::uint64_t total_stations() const noexcept {
-    return static_cast<std::uint64_t>(config_.rings) *
-           config_.stations_per_ring;
   }
   [[nodiscard]] const std::vector<CrossingFlow>& crossing_flows()
       const noexcept {
@@ -158,7 +151,6 @@ class FederationEngine {
   std::uint32_t rt_admitted_ = 0;
   std::uint32_t rt_rejected_ = 0;
   std::int64_t now_slots_ = 0;
-  std::int64_t epochs_run_ = 0;
   std::int64_t critical_path_ns_ = 0;
   bool initialized_ = false;
 };

@@ -87,7 +87,6 @@ void RecoveryFsm::enter(RecoveryState next, Tick now) {
   (void)now;
   if (next == state_) return;
   state_ = next;
-  ++transitions_;
   WRT_COUNT(kRecoveryFsmTransitions);
 }
 

@@ -220,9 +220,6 @@ class RecoveryFsm {
 
   // -- observability -------------------------------------------------------
 
-  [[nodiscard]] std::uint64_t transitions() const noexcept {
-    return transitions_;
-  }
   [[nodiscard]] std::uint64_t stale_rec_suppressed() const noexcept {
     return stale_rec_suppressed_;
   }
@@ -285,7 +282,6 @@ class RecoveryFsm {
   RevertOutcome last_revert_;
   NodeId forced_ = kInvalidNode;
 
-  std::uint64_t transitions_ = 0;
   std::uint64_t stale_rec_suppressed_ = 0;
   std::uint64_t duplicate_requests_dropped_ = 0;
   std::uint64_t wtr_holdoffs_ = 0;

@@ -3,8 +3,8 @@
 // Examples and operational tooling repeatedly print the same digest of an
 // engine's state: ring composition, the analytical guarantees currently in
 // force, per-class delivery quality, and the recovery history.  These
-// builders render that digest as util::Table objects (printable as text,
-// CSV or markdown) so every binary shows the same numbers the same way.
+// builders render that digest as util::Table objects (printable as text or
+// CSV) so every binary shows the same numbers the same way.
 #pragma once
 
 #include "tpt/engine.hpp"

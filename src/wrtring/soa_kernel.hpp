@@ -56,12 +56,14 @@ template <typename T>
 struct UninitAllocator : std::allocator<T> {
   static_assert(std::is_trivially_copyable_v<T>);
   template <typename U>
+  // wrt-lint-allow(unreferenced-api): std::allocator_traits reads rebind<U>::other by name; where std::allocator still declares rebind (before C++20) the base's would yield std::allocator<U>
   struct rebind {
     using other = UninitAllocator<U>;
   };
   UninitAllocator() = default;
   template <typename U>
   UninitAllocator(const UninitAllocator<U>& /*other*/) noexcept {}
+  // wrt-lint-allow(unreferenced-api): std::allocator_traits calls construct by name; it is what leaves resize()d elements uninitialised
   void construct(T* at) noexcept { ::new (static_cast<void*>(at)) T; }
   void construct(T* at, const T& from) noexcept {
     std::memcpy(static_cast<void*>(at), &from, sizeof(T));

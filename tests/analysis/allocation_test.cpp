@@ -174,21 +174,6 @@ TEST(Feasibility, TheoremThreeConsistency) {
       check_feasibility(params, {{0, 100, 1, exact - 1}}).ok());
 }
 
-TEST(MaxUniformL, InvertsProposition1) {
-  // Pick l from the bound and verify the bound holds, and l+1 would not.
-  const std::int64_t s = 10, t_rap = 4, n = 8;
-  const std::uint32_t k = 1;
-  const std::int64_t goal = 200;
-  const std::uint32_t l = max_uniform_l(s, t_rap, n, k, goal);
-  ASSERT_GT(l, 0u);
-  EXPECT_LE(sat_time_bound_uniform(s, t_rap, n, {l, k}), goal);
-  EXPECT_GT(sat_time_bound_uniform(s, t_rap, n, {l + 1, k}), goal);
-}
-
-TEST(MaxUniformL, ZeroWhenGoalTooTight) {
-  EXPECT_EQ(max_uniform_l(100, 10, 8, 1, 50), 0u);
-}
-
 TEST(SchemeNames, Stringify) {
   EXPECT_EQ(to_string(AllocationScheme::kEqualPartition), "equal-partition");
   EXPECT_EQ(to_string(AllocationScheme::kProportional), "proportional");

@@ -113,11 +113,6 @@ TEST(Theorem3, Validation) {
   EXPECT_THROW((void)access_time_bound(zero_l, 0, 0), std::invalid_argument);
 }
 
-TEST(SatLossDetection, EqualsTheorem1Bound) {
-  const auto params = uniform_params(10, 5, 6, {1, 1});
-  EXPECT_EQ(sat_loss_detection_bound(params), sat_time_bound(params));
-}
-
 TEST(TptBound, MatchesEquation7) {
   TptParams params;
   params.h_sync_slots = {2, 3, 1, 2};  // sum = 8

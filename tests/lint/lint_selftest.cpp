@@ -86,6 +86,9 @@ TEST(LintSelftest, EveryRuleFiresOnItsBadFixtureAndOnlyThere) {
       "recovery-side-effect/bad/wrtring/watchdog.cpp:11:recovery-side-effect",
       "recovery-side-effect/bad/wrtring/watchdog.cpp:13:recovery-side-effect",
       "lint-suppression/bad.cpp:3:lint-suppression",
+      "unreferenced-api/bad/src/gauge.hpp:10:unreferenced-api",
+      "unreferenced-api/bad/src/gauge.hpp:12:unreferenced-api",
+      "unreferenced-api/bad/src/gauge.hpp:13:unreferenced-api",
   };
   EXPECT_EQ(parse_findings(result.output), expected) << result.output;
 }
@@ -103,7 +106,8 @@ TEST(LintSelftest, SuppressedFixturesAloneAreClean) {
       fixture("mutable-global-state/suppressed.cpp") + " " +
       fixture("cross-shard-handle/suppressed") + " " +
       fixture("unguarded-shared-field/suppressed.hpp") + " " +
-      fixture("recovery-side-effect/suppressed");
+      fixture("recovery-side-effect/suppressed") + " " +
+      fixture("unreferenced-api/suppressed");
   const RunResult result = run_lint(roots);
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("clean"), std::string::npos) << result.output;
@@ -117,9 +121,9 @@ TEST(LintSelftest, ListSuppressionsInventoriesJustifications) {
   EXPECT_NE(result.output.find("unknown rule 'no-such-rule'"),
             std::string::npos)
       << result.output;
-  // ...while the 12 legitimate suppressions are inventoried with their
+  // ...while the 13 legitimate suppressions are inventoried with their
   // scope tag and justification text.
-  EXPECT_NE(result.output.find("12 active suppression(s)"), std::string::npos)
+  EXPECT_NE(result.output.find("13 active suppression(s)"), std::string::npos)
       << result.output;
   EXPECT_NE(result.output.find(
                 "[file] hot-path-assoc: fixture — cold lookup table"),
@@ -147,7 +151,8 @@ TEST(LintSelftest, ListRulesNamesAllRules) {
        {"hot-path-assoc", "hot-path-front-erase", "by-value-frame-param",
         "stale-include", "missing-nodiscard", "kernel-aos-access",
         "mutable-global-state", "cross-shard-handle",
-        "unguarded-shared-field", "recovery-side-effect"}) {
+        "unguarded-shared-field", "recovery-side-effect",
+        "unreferenced-api"}) {
     EXPECT_NE(result.output.find(rule), std::string::npos) << rule;
   }
 }

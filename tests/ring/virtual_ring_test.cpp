@@ -139,37 +139,5 @@ TEST(BuildRing, BacktrackingSolvesNonConvexPlacement) {
   EXPECT_TRUE(result.value().valid_over(t));
 }
 
-TEST(CanInsert, FindsConsecutivePair) {
-  const phy::Topology base = circle_topology(6);
-  phy::Topology t = base;
-  // Place the newcomer just outside the circle between stations 0 and 1.
-  const phy::Vec2 p0 = t.position(0);
-  const phy::Vec2 p1 = t.position(1);
-  const phy::Vec2 mid = (p0 + p1) * 0.5;
-  const NodeId newcomer = t.add_node(mid * 1.05);
-  const auto ring = build_ring(base);
-  ASSERT_TRUE(ring.ok());
-  NodeId ingress = kInvalidNode;
-  ASSERT_TRUE(can_insert(ring.value(), t, newcomer, &ingress));
-  // Ingress must be one of the two flanking stations.
-  EXPECT_TRUE(ingress == 0 || ingress == 1);
-}
-
-TEST(CanInsert, RejectsSingleReachableStation) {
-  phy::Topology t = circle_topology(8);
-  // Far away, reaching only station 0.
-  const phy::Vec2 p0 = t.position(0);
-  const NodeId newcomer = t.add_node({p0.x * 1.6, p0.y * 1.6});
-  const auto ring = build_ring(t);
-  // Ring was built including the far newcomer? Ensure ring over originals:
-  phy::Topology original = circle_topology(8);
-  const auto ring0 = build_ring(original);
-  ASSERT_TRUE(ring0.ok());
-  if (t.neighbors(newcomer).size() < 2) {
-    EXPECT_FALSE(can_insert(ring0.value(), t, newcomer, nullptr));
-  }
-  (void)ring;
-}
-
 }  // namespace
 }  // namespace wrt::ring

@@ -106,31 +106,6 @@ TEST(RngStream, NormalMoments) {
   EXPECT_NEAR(var, 4.0, 0.1);
 }
 
-TEST(RngStream, PoissonSmallMean) {
-  RngStream rng(71);
-  double sum = 0.0;
-  constexpr int kSamples = 100000;
-  for (int i = 0; i < kSamples; ++i) {
-    sum += static_cast<double>(rng.poisson(3.0));
-  }
-  EXPECT_NEAR(sum / kSamples, 3.0, 0.05);
-}
-
-TEST(RngStream, PoissonLargeMeanUsesNormalApprox) {
-  RngStream rng(72);
-  double sum = 0.0;
-  constexpr int kSamples = 50000;
-  for (int i = 0; i < kSamples; ++i) {
-    sum += static_cast<double>(rng.poisson(100.0));
-  }
-  EXPECT_NEAR(sum / kSamples, 100.0, 0.5);
-}
-
-TEST(RngStream, PoissonZeroMean) {
-  RngStream rng(73);
-  EXPECT_EQ(rng.poisson(0.0), 0u);
-}
-
 TEST(RngStream, BernoulliProbability) {
   RngStream rng(81);
   int hits = 0;
@@ -139,17 +114,6 @@ TEST(RngStream, BernoulliProbability) {
     if (rng.bernoulli(0.3)) ++hits;
   }
   EXPECT_NEAR(static_cast<double>(hits) / kSamples, 0.3, 0.01);
-}
-
-TEST(RngStream, GeometricMean) {
-  RngStream rng(91);
-  double sum = 0.0;
-  constexpr int kSamples = 100000;
-  for (int i = 0; i < kSamples; ++i) {
-    sum += static_cast<double>(rng.geometric(0.25));
-  }
-  // Mean failures before success = (1 - p) / p = 3.
-  EXPECT_NEAR(sum / kSamples, 3.0, 0.1);
 }
 
 TEST(RngStream, ShufflePreservesElements) {

@@ -30,34 +30,12 @@ TEST(Table, CsvRoundTrip) {
   EXPECT_NE(out.find("\"with,comma\""), std::string::npos);
 }
 
-TEST(Table, PrecisionIsConfigurable) {
-  Table t("p", {"v"});
-  t.set_precision(1);
-  t.add_row({3.14159});
-  std::ostringstream os;
-  t.print(os);
-  EXPECT_NE(os.str().find("3.1"), std::string::npos);
-  EXPECT_EQ(os.str().find("3.14"), std::string::npos);
-}
-
 TEST(Table, CountsRows) {
   Table t("r", {"v"});
   EXPECT_EQ(t.rows(), 0u);
   t.add_row({std::int64_t{1}});
   t.add_row({std::int64_t{2}});
   EXPECT_EQ(t.rows(), 2u);
-}
-
-TEST(Table, MarkdownRendering) {
-  Table t("md", {"a", "b"});
-  t.add_row({std::int64_t{1}, std::string("x")});
-  std::ostringstream os;
-  t.print_markdown(os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("**md**"), std::string::npos);
-  EXPECT_NE(out.find("| a | b |"), std::string::npos);
-  EXPECT_NE(out.find("|---|---|"), std::string::npos);
-  EXPECT_NE(out.find("| 1 | x |"), std::string::npos);
 }
 
 TEST(Table, AlignsWideCells) {

@@ -42,12 +42,6 @@ TEST(TrafficClassNames, AllStringify) {
   EXPECT_EQ(to_string(TrafficClass::kBestEffort), "best-effort");
 }
 
-TEST(TrafficClassNames, NonRealTimePredicate) {
-  EXPECT_FALSE(is_non_real_time(TrafficClass::kRealTime));
-  EXPECT_TRUE(is_non_real_time(TrafficClass::kAssured));
-  EXPECT_TRUE(is_non_real_time(TrafficClass::kBestEffort));
-}
-
 TEST(Math, CeilDiv) {
   EXPECT_EQ(util::ceil_div(0, 3), 0);
   EXPECT_EQ(util::ceil_div(1, 3), 1);

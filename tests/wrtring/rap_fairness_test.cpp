@@ -163,6 +163,31 @@ TEST(LossyJoin, PersistentLossAbandonsCleanlyWithoutWedgingTheRap) {
   EXPECT_TRUE(h.engine.virtual_ring().contains(6));
 }
 
+/// Runs station 6's join with every JOIN_REQ lost until the join is
+/// abandoned (or `horizon` slots pass); returns the slot of each loss.
+std::vector<std::int64_t> join_req_loss_slots(const Config& config,
+                                              std::uint64_t seed,
+                                              std::int64_t horizon) {
+  Harness h = harness_with_joiner(config, seed);
+  h.engine.run_slots(100);
+  h.engine.request_join(6, {1, 1});
+  std::vector<std::int64_t> loss_slots;
+  std::uint64_t seen = 0;
+  while (h.engine.stats().joins_abandoned == 0 &&
+         h.engine.now_slots() < horizon) {
+    h.engine.drop_control_once(Engine::ControlMsg::kJoinReq);
+    while (h.engine.stats().control_messages_lost == seen &&
+           h.engine.now_slots() < horizon) {
+      h.engine.run_slots(1);
+    }
+    if (h.engine.stats().control_messages_lost > seen) {
+      seen = h.engine.stats().control_messages_lost;
+      loss_slots.push_back(h.engine.now_slots());
+    }
+  }
+  return loss_slots;
+}
+
 /// Exponential backoff must actually space the retries out: with the
 /// channel losing every control message, later attempts are further apart.
 TEST(LossyJoin, BackoffDelaysGrow) {
@@ -171,23 +196,8 @@ TEST(LossyJoin, BackoffDelaysGrow) {
   // Large enough base that the exponential ladder dominates the RAP
   // cadence quantisation by the final attempt.
   config.join_backoff_base_slots = 256;
-  Harness h = harness_with_joiner(config, 47);
-  h.engine.run_slots(100);
-  h.engine.request_join(6, {1, 1});
-  std::vector<std::int64_t> loss_slots;
-  std::uint64_t seen = 0;
-  while (h.engine.stats().joins_abandoned == 0 &&
-         h.engine.now_slots() < 40000) {
-    h.engine.drop_control_once(Engine::ControlMsg::kJoinReq);
-    while (h.engine.stats().control_messages_lost == seen &&
-           h.engine.now_slots() < 40000) {
-      h.engine.run_slots(1);
-    }
-    if (h.engine.stats().control_messages_lost > seen) {
-      seen = h.engine.stats().control_messages_lost;
-      loss_slots.push_back(h.engine.now_slots());
-    }
-  }
+  const std::vector<std::int64_t> loss_slots =
+      join_req_loss_slots(config, 47, 40000);
   ASSERT_EQ(loss_slots.size(), 4u);
   // Attempt 3 -> 4 waits at least base << 2 slots; attempt 1 -> 2 only
   // base << 0 plus RAP cadence, so the last gap dominates the first.
@@ -195,6 +205,27 @@ TEST(LossyJoin, BackoffDelaysGrow) {
   const auto last_gap = loss_slots[3] - loss_slots[2];
   EXPECT_GE(last_gap, config.join_backoff_base_slots << 2);
   EXPECT_GT(last_gap, first_gap);
+}
+
+/// The doubling stops at base << 6: from the 7th lost JOIN_REQ on, each
+/// backoff is base << 6 slots, so the gaps after losses 7, 8 and 9 are
+/// equal, at least base << 6 and short of base << 7.
+TEST(LossyJoin, BackoffStopsDoublingAtTheCap) {
+  const Config config = rap_config();
+  ASSERT_EQ(config.join_max_attempts, 10u);
+  ASSERT_EQ(config.join_backoff_base_slots, 8);
+  const std::vector<std::int64_t> loss_slots =
+      join_req_loss_slots(config, 47, 40000);
+  ASSERT_EQ(loss_slots.size(), 10u);
+  const std::int64_t base = config.join_backoff_base_slots;
+  const auto capped_gap = loss_slots[7] - loss_slots[6];
+  for (std::size_t loss = 7; loss <= 9; ++loss) {
+    SCOPED_TRACE(loss);
+    const auto gap = loss_slots[loss] - loss_slots[loss - 1];
+    EXPECT_EQ(gap, capped_gap);
+    EXPECT_GE(gap, base << 6);
+    EXPECT_LT(gap, base << 7);
+  }
 }
 
 }  // namespace

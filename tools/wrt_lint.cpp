@@ -55,16 +55,29 @@
 //                        in wrtring/ bypass the guard window, WTR hold-off,
 //                        and request de-duplication; the FSM's own
 //                        dispatch sites carry justified suppressions.
+//   unreferenced-api     A function, type or k-constant declared in a
+//                        header under src/ whose name occurs nowhere but at
+//                        its declaration and its out-of-line definition.
+//                        Names are counted over every scanned file, so the
+//                        gate scans every tree that can call src/.  Names
+//                        match by spelling alone: a member that shares its
+//                        name with a name used anywhere is not reported.
+//                        Hooks that the language or a library calls by name
+//                        carry justified suppressions.
+//
+// Files under a tests/ directory are read for name uses only: no rule
+// reports findings in them, and lint fixtures (fixtures/ below a scanned
+// directory) are skipped.
 //
 // Suppressions (a justification is mandatory):
 //   // wrt-lint-allow(<rule>): <reason>        same line or line above
 //   // wrt-lint-allow-file(<rule>): <reason>   whole file
 //
 // Usage: wrt_lint [--list-rules] [--list-suppressions] [dir-or-file ...]
-// (default: src).  Exits 0 when clean, 1 when any finding survives
-// suppression.  --list-suppressions dumps every active wrt-lint-allow with
-// its justification and fails on suppressions naming a rule that no longer
-// exists (stale-suppression rot).
+// (default: src tools bench examples tests).  Exits 0 when clean, 1 when
+// any finding survives suppression.  --list-suppressions dumps every
+// active wrt-lint-allow with its justification and fails on suppressions
+// naming a rule that no longer exists (stale-suppression rot).
 //
 // The scanner is textual by intent: it blanks comments and string literals
 // and then works with regular expressions.  That keeps it dependency-free
@@ -81,6 +94,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fs = std::filesystem;
@@ -99,6 +113,11 @@ struct SourceFile {
   std::string raw;             // exact file content
   std::string code;            // comments + string literals blanked
   bool is_header = false;
+  bool api_header = false;     // a header under src/
+  bool uses_only = false;      // under tests/: read for name uses only
+  // The functions, types and k-constants an API header declares, with
+  // the line of each (unreferenced-api).
+  std::vector<std::pair<std::string, std::size_t>> api_names;
   // rule -> raw lines carrying a justified wrt-lint-allow for it.
   std::map<std::string, std::set<std::size_t>> suppressed_lines;
   std::set<std::string> suppressed_rules;  // file-wide
@@ -108,7 +127,7 @@ const std::set<std::string> kRules = {
     "hot-path-assoc",       "hot-path-front-erase", "by-value-frame-param",
     "stale-include",        "missing-nodiscard",    "kernel-aos-access",
     "mutable-global-state", "cross-shard-handle",   "unguarded-shared-field",
-    "recovery-side-effect"};
+    "recovery-side-effect", "unreferenced-api"};
 
 /// Active suppression, for --list-suppressions.
 struct Suppression {
@@ -120,10 +139,15 @@ struct Suppression {
 };
 
 /// Cross-file context built in a first pass over every input file: the
-/// shared-type registrations the unguarded-shared-field rule checks.
+/// shared-type registrations the unguarded-shared-field rule checks, and
+/// the name counts the unreferenced-api rule checks.
 struct LintContext {
   std::set<std::string> shared_types;
   std::vector<Suppression> suppressions;
+  // Every identifier's occurrences, and how many of them declare or
+  // define the name rather than use it.
+  std::map<std::string, std::size_t> name_occurrences;
+  std::map<std::string, std::size_t> name_declarations;
 };
 
 // Files whose per-slot code, or the code every ring re-formation runs (the
@@ -173,6 +197,16 @@ std::size_t line_of(const std::string& text, std::size_t offset) {
                             static_cast<std::ptrdiff_t>(offset), '\n'));
 }
 
+/// True when the ' at `at` separates digits of a number (1'000'000).
+bool is_digit_separator(const std::string& text, std::size_t at) {
+  std::size_t start = at;
+  while (start > 0 && (std::isalnum(static_cast<unsigned char>(text[start - 1])) != 0 ||
+                       text[start - 1] == '\'' || text[start - 1] == '_')) {
+    --start;
+  }
+  return start < at && std::isdigit(static_cast<unsigned char>(text[start])) != 0;
+}
+
 /// Blanks //- and /* */-comments plus string and char literals with spaces
 /// (newlines preserved so offsets keep mapping to the same lines).
 std::string strip_comments_and_strings(const std::string& raw) {
@@ -192,7 +226,7 @@ std::string strip_comments_and_strings(const std::string& raw) {
           out[i] = ' ';
         } else if (c == '"') {
           state = State::kString;
-        } else if (c == '\'') {
+        } else if (c == '\'' && !is_digit_separator(out, i)) {
           state = State::kChar;
         }
         break;
@@ -794,38 +828,374 @@ void rule_unguarded_shared_field(const SourceFile& file,
   }
 }
 
-bool load(const fs::path& path, SourceFile& file, LintContext& context,
+// --- unreferenced-api -------------------------------------------------------
+
+/// How one occurrence of a name stands.  Only an unqualified declaration
+/// of a function, type or k-constant in an API header is reported when the
+/// name has no use.
+enum class NameRole { kUse, kDeclaration, kFunction, kType, kConstant };
+
+const std::set<std::string> kKeywords = {
+    "alignas", "alignof", "asm", "auto", "bool", "break", "case", "catch",
+    "char", "class", "co_await", "co_return", "co_yield", "concept", "const",
+    "const_cast", "consteval", "constexpr", "constinit", "continue",
+    "decltype", "default", "delete", "do", "double", "dynamic_cast", "else",
+    "enum", "explicit", "extern", "false", "final", "float", "for", "friend",
+    "goto", "if", "inline", "int", "long", "mutable", "namespace", "new",
+    "noexcept", "nullptr", "operator", "override", "private", "protected",
+    "public", "register", "reinterpret_cast", "requires", "return", "short",
+    "signed", "sizeof", "static", "static_assert", "static_cast", "struct",
+    "switch", "template", "this", "thread_local", "throw", "true", "try",
+    "typedef", "typeid", "typename", "union", "unsigned", "using", "virtual",
+    "void", "volatile", "while"};
+
+/// Words that make the name after them part of an expression.
+const std::set<std::string> kExpressionWords = {
+    "return", "else", "throw", "new", "delete", "case", "goto", "do",
+    "co_return", "co_yield", "co_await", "sizeof", "namespace", "operator",
+    "using"};
+
+/// Words that may stand before a constructor's name.
+const std::set<std::string> kCtorPrefixWords = {
+    "static", "inline", "constexpr", "consteval", "explicit", "virtual",
+    "friend", "extern", "public", "private", "protected"};
+
+bool is_ident_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+std::size_t skip_space_forward(const std::string& code, std::size_t at) {
+  while (at < code.size() &&
+         std::isspace(static_cast<unsigned char>(code[at])) != 0) {
+    ++at;
+  }
+  return at;
+}
+
+/// One past the last non-space character before `at` (0 when none).
+std::size_t skip_space_back(const std::string& code, std::size_t at) {
+  while (at > 0 && std::isspace(static_cast<unsigned char>(code[at - 1])) != 0) {
+    --at;
+  }
+  return at;
+}
+
+/// True when `word` stands at `at` as a whole word.
+bool word_at(const std::string& code, std::size_t at, std::string_view word) {
+  return code.compare(at, word.size(), word) == 0 &&
+         (at + word.size() >= code.size() ||
+          !is_ident_char(code[at + word.size()]));
+}
+
+/// The identifiers of `text`, in order.
+std::vector<std::string> words_of(const std::string& text) {
+  std::vector<std::string> words;
+  for (std::size_t i = 0; i < text.size();) {
+    if (!is_ident_char(text[i])) {
+      ++i;
+      continue;
+    }
+    std::size_t end = i;
+    while (end < text.size() && is_ident_char(text[end])) ++end;
+    if (std::isdigit(static_cast<unsigned char>(text[i])) == 0) {
+      words.push_back(text.substr(i, end - i));
+    }
+    i = end;
+  }
+  return words;
+}
+
+bool is_k_constant(const std::string& name) {
+  return name.size() > 1 && name[0] == 'k' &&
+         std::isupper(static_cast<unsigned char>(name[1])) != 0;
+}
+
+/// A constructor's spelling: starts upper case and is not an ALL_CAPS macro.
+bool is_camel_case(const std::string& name) {
+  return std::isupper(static_cast<unsigned char>(name[0])) != 0 &&
+         std::any_of(name.begin(), name.end(), [](char c) {
+           return std::islower(static_cast<unsigned char>(c)) != 0;
+         });
+}
+
+bool on_preprocessor_line(const std::string& code, std::size_t at) {
+  const std::size_t newline = at == 0 ? std::string::npos
+                                      : code.find_last_of('\n', at - 1);
+  const std::size_t first = code.find_first_not_of(
+      " \t", newline == std::string::npos ? 0 : newline + 1);
+  return first != std::string::npos && first < at && code[first] == '#';
+}
+
+/// The declaration text in front of `at`: from the previous ';', '{' or
+/// '}', without preprocessor lines, [[attributes]] and a template header.
+std::string declaration_prefix(const std::string& code, std::size_t at) {
+  std::size_t start =
+      at == 0 ? std::string::npos : code.find_last_of(";{}", at - 1);
+  start = start == std::string::npos ? 0 : start + 1;
+  std::string prefix;
+  std::istringstream lines(code.substr(start, at - start));
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t first = line.find_first_not_of(" \t");
+    if (first != std::string::npos && line[first] == '#') continue;
+    prefix += line;
+    prefix += '\n';
+  }
+  for (std::size_t open; (open = prefix.find("[[")) != std::string::npos;) {
+    const std::size_t close = prefix.find("]]", open);
+    prefix.erase(open, close == std::string::npos ? std::string::npos
+                                                  : close + 2 - open);
+  }
+  const std::size_t first = prefix.find_first_not_of(" \t\n");
+  if (first != std::string::npos && word_at(prefix, first, "template")) {
+    int depth = 0;
+    for (std::size_t i = first; i < prefix.size(); ++i) {
+      if (prefix[i] == '<') ++depth;
+      if (prefix[i] == '>' && --depth == 0) {
+        prefix.erase(0, i + 1);
+        break;
+      }
+    }
+  }
+  return prefix;
+}
+
+/// Classifies the name at [begin, end) of `code`.  A qualified name
+/// `A::B::c` is judged as a whole: by the character after its last name
+/// and by the text in front of its first.
+NameRole classify(const std::string& code, std::size_t begin,
+                  std::size_t end) {
+  std::string last(code, begin, end - begin);
+  if (kKeywords.count(last) != 0) return NameRole::kUse;
+  // The chain in front: `A::B::` (or `A::~`) before this name.
+  std::size_t head = begin;
+  std::size_t at = skip_space_back(code, head);
+  bool destructor = at > 0 && code[at - 1] == '~';
+  if (destructor) head = at - 1;
+  bool qualified = false;
+  for (;;) {
+    at = skip_space_back(code, head);
+    if (at < 2 || code[at - 1] != ':' || code[at - 2] != ':') break;
+    qualified = true;
+    const std::size_t word_end = skip_space_back(code, at - 2);
+    std::size_t word = word_end;
+    while (word > 0 && is_ident_char(code[word - 1])) --word;
+    head = word < word_end ? word : at - 2;
+    if (word == word_end) break;  // `Foo<T>::name` or a leading `::`
+  }
+  // The chain behind: `::c` (or `::~C`) after this name.
+  bool tail = false;
+  std::size_t after = skip_space_forward(code, end);
+  while (after + 1 < code.size() && code[after] == ':' &&
+         code[after + 1] == ':') {
+    tail = true;
+    at = skip_space_forward(code, after + 2);
+    destructor = at < code.size() && code[at] == '~';
+    if (destructor) at = skip_space_forward(code, at + 1);
+    std::size_t word_end = at;
+    while (word_end < code.size() && is_ident_char(code[word_end])) ++word_end;
+    if (word_end == at) return NameRole::kUse;
+    last.assign(code, at, word_end - at);
+    after = skip_space_forward(code, word_end);
+  }
+  if (kKeywords.count(last) != 0) return NameRole::kUse;
+  const char next = after < code.size() ? code[after] : '\0';
+  const bool final_next = word_at(code, after, "final");
+  if (std::string_view("({=;[:").find(next) == std::string_view::npos &&
+      !final_next) {
+    return NameRole::kUse;
+  }
+
+  const std::string prefix = declaration_prefix(code, head);
+  const std::vector<std::string> words = words_of(prefix);
+  const std::size_t trimmed = skip_space_back(prefix, prefix.size());
+  const bool ends_in_word = trimmed > 0 && is_ident_char(prefix[trimmed - 1]);
+  const std::string last_word =
+      ends_in_word && !words.empty() ? words.back() : std::string();
+  const bool scoped = qualified || tail;
+
+  if (last_word == "struct" || last_word == "class" || last_word == "union" ||
+      last_word == "enum") {
+    const bool declares =
+        next == '{' || next == ';' || next == ':' || final_next;
+    if (!declares) return NameRole::kUse;
+    return scoped ? NameRole::kDeclaration : NameRole::kType;
+  }
+  if (last_word == "using") {
+    return next == '=' && !scoped ? NameRole::kType : NameRole::kUse;
+  }
+  if (next == ':' || final_next) return NameRole::kUse;
+  for (const std::string& word : words) {
+    if (kExpressionWords.count(word) != 0) return NameRole::kUse;
+  }
+  if (prefix.find_first_not_of("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstu"
+                               "vwxyz0123456789_:<>,*& \t\n") !=
+      std::string::npos) {
+    return NameRole::kUse;
+  }
+  const bool bare = std::all_of(words.begin(), words.end(), [](const auto& w) {
+    return kCtorPrefixWords.count(w) != 0;
+  });
+  if (bare) {
+    // A constructor or destructor declaration; otherwise a call statement.
+    return next == '(' && (destructor || is_camel_case(last))
+               ? NameRole::kDeclaration
+               : NameRole::kUse;
+  }
+  const bool after_type =
+      ends_in_word || (trimmed > 0 && std::string_view(">*&").find(
+                                          prefix[trimmed - 1]) !=
+                                          std::string_view::npos);
+  if (!after_type) return NameRole::kUse;
+  if (scoped || destructor) return NameRole::kDeclaration;
+  if (next == '(') return NameRole::kFunction;
+  return is_k_constant(last) ? NameRole::kConstant : NameRole::kDeclaration;
+}
+
+/// Offsets of the enumerator names in every enum body of `code`.
+std::set<std::size_t> enumerator_offsets(const std::string& code) {
+  static const std::regex kEnumBody(
+      R"(\benum\b(?:\s+(?:class|struct))?(?:\s+\w+)?\s*(?::[^;{}]*)?\{)");
+  std::set<std::size_t> offsets;
+  for (auto it = std::sregex_iterator(code.begin(), code.end(), kEnumBody);
+       it != std::sregex_iterator(); ++it) {
+    int depth = 0;
+    bool item_start = true;
+    for (auto i = static_cast<std::size_t>(it->position() + it->length());
+         i < code.size(); ++i) {
+      const char c = code[i];
+      if (c == '{' || c == '(') {
+        ++depth;
+      } else if (c == '}' || c == ')') {
+        if (depth-- == 0) break;
+      } else if (depth == 0 && c == ',') {
+        item_start = true;
+      } else if (item_start &&
+                 std::isspace(static_cast<unsigned char>(c)) == 0) {
+        if (is_ident_char(c)) offsets.insert(i);
+        item_start = false;
+      }
+    }
+  }
+  return offsets;
+}
+
+/// Counts every identifier of `file` into the context and records the
+/// functions, types and k-constants an API header declares.
+void scan_names(SourceFile& file, LintContext& context) {
+  const std::string& code = file.code;
+  const std::set<std::size_t> enumerators = enumerator_offsets(code);
+  for (std::size_t i = 0; i < code.size();) {
+    if (!is_ident_char(code[i])) {
+      ++i;
+      continue;
+    }
+    std::size_t end = i;
+    while (end < code.size() && is_ident_char(code[end])) ++end;
+    if (std::isdigit(static_cast<unsigned char>(code[i])) != 0) {
+      i = end;  // a number literal
+      continue;
+    }
+    const std::string name = code.substr(i, end - i);
+    ++context.name_occurrences[name];
+    NameRole role = NameRole::kUse;
+    if (enumerators.count(i) != 0) {
+      role = is_k_constant(name) ? NameRole::kConstant : NameRole::kDeclaration;
+    } else if (!on_preprocessor_line(code, i)) {
+      role = classify(code, i, end);
+    }
+    if (role != NameRole::kUse) ++context.name_declarations[name];
+    if (file.api_header && role != NameRole::kUse &&
+        role != NameRole::kDeclaration) {
+      file.api_names.emplace_back(name, line_of(code, i));
+    }
+    i = end;
+  }
+}
+
+/// unreferenced-api: a function, type or k-constant that an API header
+/// declares and that no scanned file names anywhere else.
+void rule_unreferenced_api(const SourceFile& file, const LintContext& context,
+                           std::vector<Finding>& findings) {
+  std::set<std::string> seen;
+  for (const auto& [name, line] : file.api_names) {
+    if (!seen.insert(name).second) continue;
+    if (context.name_occurrences.at(name) >
+        context.name_declarations.at(name)) {
+      continue;
+    }
+    report(file, "unreferenced-api", line,
+           "'" + name +
+               "' is named only where it is declared or defined; delete it, "
+               "or justify a suppression for a hook the language or a "
+               "library calls by name",
+           findings);
+  }
+}
+
+/// One input file and where it sits below its scan root.
+struct Input {
+  fs::path path;
+  bool under_src = false;    // below a src/ directory
+  bool under_tests = false;  // below a tests/ directory
+};
+
+bool load(const Input& input, SourceFile& file, LintContext& context,
           std::vector<Finding>& findings) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(input.path, std::ios::binary);
   if (!in) {
-    std::cerr << "wrt_lint: cannot read " << path << '\n';
+    std::cerr << "wrt_lint: cannot read " << input.path << '\n';
     return false;
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  file.path = path.generic_string();
+  file.path = input.path.generic_string();
   file.raw = buffer.str();
   file.code = strip_comments_and_strings(file.raw);
-  file.is_header = path.extension() == ".hpp" || path.extension() == ".h";
-  parse_suppressions(file, context, findings);
-  parse_shared_types(file, context);
+  file.is_header =
+      input.path.extension() == ".hpp" || input.path.extension() == ".h";
+  file.uses_only = input.under_tests;
+  file.api_header = file.is_header && input.under_src && !file.uses_only;
+  if (!file.uses_only) {
+    parse_suppressions(file, context, findings);
+    parse_shared_types(file, context);
+  }
+  scan_names(file, context);
   return true;
 }
 
-void collect(const fs::path& root, std::vector<fs::path>& files) {
+/// Adds the source files below `root`.  Where a file sits (under src/,
+/// under tests/) is read from the root's own name down, never from the
+/// directories above the root, so the checkout's location cannot change a
+/// finding.  Lint fixtures are skipped unless named as a root.
+void collect(const fs::path& root, std::vector<Input>& files) {
   if (fs::is_regular_file(root)) {
-    files.push_back(root);
+    files.push_back({root});
     return;
   }
-  for (const auto& entry : fs::recursive_directory_iterator(root)) {
-    if (!entry.is_regular_file()) continue;
-    const fs::path& p = entry.path();
-    if (p.extension() == ".hpp" || p.extension() == ".cpp" ||
-        p.extension() == ".h") {
-      files.push_back(p);
+  fs::path base = root.lexically_normal();
+  if (!base.has_filename()) base = base.parent_path();
+  const fs::path top = base.filename();
+  for (auto it = fs::recursive_directory_iterator(root);
+       it != fs::recursive_directory_iterator(); ++it) {
+    const fs::path& p = it->path();
+    if (it->is_directory() && p.filename() == "fixtures") {
+      it.disable_recursion_pending();
+      continue;
     }
+    if (!it->is_regular_file()) continue;
+    if (p.extension() != ".hpp" && p.extension() != ".cpp" &&
+        p.extension() != ".h") {
+      continue;
+    }
+    Input input{p, top == "src", top == "tests"};
+    for (const fs::path& part : p.lexically_relative(root).parent_path()) {
+      input.under_src = input.under_src || part == "src";
+      input.under_tests = input.under_tests || part == "tests";
+    }
+    files.push_back(input);
   }
-  std::sort(files.begin(), files.end());
+  std::sort(files.begin(), files.end(),
+            [](const Input& a, const Input& b) { return a.path < b.path; });
 }
 
 }  // namespace
@@ -845,9 +1215,13 @@ int main(int argc, char** argv) {
     }
     roots.emplace_back(arg);
   }
-  if (roots.empty()) roots.emplace_back("src");
+  if (roots.empty()) {
+    for (const char* root : {"src", "tools", "bench", "examples", "tests"}) {
+      roots.emplace_back(root);
+    }
+  }
 
-  std::vector<fs::path> files;
+  std::vector<Input> files;
   for (const fs::path& root : roots) {
     if (!fs::exists(root)) {
       std::cerr << "wrt_lint: no such path: " << root << '\n';
@@ -886,6 +1260,7 @@ int main(int argc, char** argv) {
 
   // Pass 2: the rules.
   for (SourceFile& file : sources) {
+    if (file.uses_only) continue;
     rule_hot_path_assoc(file, findings);
     rule_hot_path_front_erase(file, findings);
     rule_by_value_frame_param(file, findings);
@@ -896,6 +1271,7 @@ int main(int argc, char** argv) {
     rule_mutable_global_state(file, findings);
     rule_cross_shard_handle(file, findings);
     rule_unguarded_shared_field(file, context, findings);
+    rule_unreferenced_api(file, context, findings);
   }
 
   for (const Finding& finding : findings) {
