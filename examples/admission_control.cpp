@@ -62,7 +62,7 @@ int main() {
   std::cout << "\nresulting per-station quotas:\n";
   for (std::size_t p = 0; p < engine.virtual_ring().size(); ++p) {
     const NodeId node = engine.virtual_ring().station_at(p);
-    const Quota quota = engine.station(node).quota();
+    const Quota quota = engine.station_quota(node);
     std::cout << "  station " << node << ": l=" << quota.l
               << " k=" << quota.k << '\n';
   }

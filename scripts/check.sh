@@ -36,6 +36,11 @@
 #   scripts/check.sh --e2e-smoke    # configure the repo benchmark package
 #                                   # (bench/e2e) into build-e2e/, build it
 #                                   # and run its WrtBenchSmoke ctest
+#   scripts/check.sh --telemetry-gate
+#                                   # build the digest, wrt_chaos and
+#                                   # protocol_trace with telemetry ON
+#                                   # (build/) and OFF (build-notelem/);
+#                                   # exit 1 unless the four outputs match
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,6 +52,7 @@ CHAOS_SMOKE=0
 FEDERATION_SMOKE=0
 VOICE_SMOKE=0
 E2E_SMOKE=0
+TELEMETRY_GATE=0
 for arg in "$@"; do
   case "$arg" in
     --asan) WITH_ASAN=1 ;;
@@ -57,6 +63,7 @@ for arg in "$@"; do
     --federation-smoke) FEDERATION_SMOKE=1 ;;
     --voice-smoke) VOICE_SMOKE=1 ;;
     --e2e-smoke) E2E_SMOKE=1 ;;
+    --telemetry-gate) TELEMETRY_GATE=1 ;;
     *) echo "unknown option: $arg" >&2; exit 2 ;;
   esac
 done
@@ -105,6 +112,44 @@ if [ "$E2E_SMOKE" = 1 ]; then
   cmake --build build-e2e
   ctest --test-dir build-e2e --output-on-failure
   echo "E2E SMOKE PASSED"
+  exit 0
+fi
+
+if [ "$TELEMETRY_GATE" = 1 ]; then
+  echo "== telemetry gate: telemetry must not perturb the protocol =="
+  # Standalone mode: each protocol output of a telemetry-ON build must be
+  # byte-identical to the same output of a -DWRT_TELEMETRY=OFF build.  The
+  # digest runs a clean ring; wrt_chaos also drives the lossy per-hop
+  # visit, SAT loss draws and joins; protocol_trace attaches a journal
+  # before init() and prints its timeline, the protocol's only event
+  # record.  Every pair is diffed; any difference fails the gate.
+  GATE_TARGETS=(bench_engine_hot_path wrt_chaos protocol_trace)
+  configure build
+  configure build-notelem -DWRT_TELEMETRY=OFF
+  cmake --build build --target "${GATE_TARGETS[@]}"
+  cmake --build build-notelem --target "${GATE_TARGETS[@]}"
+  GATE_DIR=build/telemetry_gate
+  rm -rf "$GATE_DIR"
+  mkdir -p "$GATE_DIR"
+  GATE_FAILED=0
+  for output in "bench/bench_engine_hot_path --digest" \
+                "tools/wrt_chaos --json" \
+                "tools/wrt_chaos --flap-matrix" \
+                "examples/protocol_trace"; do
+    name=${output##*/}
+    name=${name// /}
+    # Unquoted: the path and its flags split into separate words.
+    build/$output > "$GATE_DIR/$name.on"
+    build-notelem/$output > "$GATE_DIR/$name.off"
+    if diff -u "$GATE_DIR/$name.on" "$GATE_DIR/$name.off"; then
+      echo "identical: $output"
+    else
+      echo "telemetry gate: '$output' differs with telemetry OFF" >&2
+      GATE_FAILED=1
+    fi
+  done
+  [ "$GATE_FAILED" = 0 ] || exit 1
+  echo "TELEMETRY GATE PASSED"
   exit 0
 fi
 

@@ -7,7 +7,8 @@ Usage, from the repository root:
   python3 scripts/perf_table.py --host > docs/perf/NAME/host.json
 
 A comparison directory holds host.json, the fingerprint of the host the
-runs were taken on (--host prints this host's, from bench/e2e/baseline.py),
+runs were taken on (--host prints this host's, from bench/e2e/baseline.py,
+and refuses until run.py has configured bench/e2e/.build/wrt_bench),
 and runs.jsonl: one object per run.py result line, {"workload", "seed",
 "side": "parent" | "change", "result": <the line>}.  The parent and change
 runs of one workload and seed form a pair.
@@ -28,7 +29,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leave no __pycache__ under bench/e2e
 sys.path.insert(0, str(ROOT / "bench" / "e2e"))
-from baseline import fingerprint, summarize  # noqa: E402
+from baseline import CACHE, fingerprint, summarize  # noqa: E402
 
 
 def load_pairs(directory: pathlib.Path) -> tuple:
@@ -55,6 +56,12 @@ def main() -> int:
                         help="print this host's fingerprint as JSON")
     args = parser.parse_args()
     if args.host:
+        # The compiler and build type come from the benchmark's own build.
+        if not CACHE.is_file():
+            print(f"perf_table.py: no {CACHE.relative_to(ROOT)}, so this "
+                  "host's compiler and build type are unknown; run "
+                  "python3 bench/e2e/run.py first", file=sys.stderr)
+            return 1
         print(json.dumps(fingerprint(), indent=1))
         return 0
     if args.directory is None:

@@ -38,9 +38,9 @@ struct EngineTestHook {
   }
 
   // --- ring-lockstep ------------------------------------------------------
-  /// Swaps two adjacent station slots without touching the ring order.
-  /// Mirrors the old Station-object swap: identity, quotas, Send-algorithm
-  /// counters and queues move; the control-plane timer columns stay put.
+  /// Swaps two adjacent station slots without touching the ring order:
+  /// identity, quotas, Send-algorithm counters and queues move; the
+  /// control-plane timer columns stay put.
   static void swap_adjacent_stations(wrtring::Engine& engine,
                                      std::size_t position) {
     wrtring::SlotKernel& k = engine.kernel_;
@@ -58,6 +58,12 @@ struct EngineTestHook {
     // bitmap coherent for the engine's fast injection scan.
     k.refresh_eligible(a);
     k.refresh_eligible(b);
+  }
+
+  /// Gives the rounds-since-RAP column one entry more than the ring has
+  /// stations, as a membership path that skipped the other columns would.
+  static void desync_station_column(wrtring::Engine& engine) {
+    engine.kernel_.rounds_since_rap_.push_back(0);
   }
 
   /// Gives the SAT arrival ring's count column one entry more than the

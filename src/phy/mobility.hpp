@@ -4,8 +4,8 @@
 // mobility and limited movement space" (Section 1).  BoundedRandomWaypoint
 // confines each node to a small disc around its home position and moves it
 // at pedestrian speed, so the connectivity graph changes slowly — exactly
-// the regime the join/leave/recovery machinery is designed for.  StaticModel
-// keeps nodes fixed for bound-verification runs.
+// the regime the join/leave/recovery machinery is designed for.  A static
+// run passes no mobility model at all.
 #pragma once
 
 #include <vector>
@@ -21,12 +21,6 @@ class MobilityModel {
  public:
   virtual ~MobilityModel() = default;
   virtual void step(Topology& topology, Tick now, Tick dt) = 0;
-};
-
-/// No movement.
-class StaticModel final : public MobilityModel {
- public:
-  void step(Topology&, Tick, Tick) override {}
 };
 
 struct WaypointParams {

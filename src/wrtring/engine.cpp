@@ -61,8 +61,8 @@ util::Status Engine::init() {
   kernel_.configure(config_.queue_capacity);
   kernel_.reserve(ring_.size());
   for (std::size_t p = 0; p < ring_.size(); ++p) {
-    kernel_.push_station(ring_.station_at(p), quota_for_position(p),
-                         config_.k1_assured, now_);
+    kernel_.insert_station(p, ring_.station_at(p), quota_for_position(p),
+                           config_.k1_assured, now_);
   }
   rebuild_position_index();
   reset_data_plane();
@@ -99,6 +99,14 @@ Quota Engine::quota_for_position(std::size_t position) const {
 
 std::int32_t Engine::station_position(NodeId node) const noexcept {
   return node < position_index_.size() ? position_index_[node] : -1;
+}
+
+std::size_t Engine::member_position(NodeId node, const char* accessor) const {
+  const std::int32_t position = station_position(node);
+  if (position < 0) {
+    throw std::out_of_range(std::string(accessor) + ": node not in ring");
+  }
+  return static_cast<std::size_t>(position);
 }
 
 void Engine::rebuild_position_index() {
@@ -157,33 +165,23 @@ void Engine::erase_member(std::size_t position) {
   rebuild_position_index();
 }
 
-Station Engine::station(NodeId node) const {
-  const std::int32_t position = station_position(node);
-  if (position < 0) {
-    throw std::out_of_range("Engine::station: node not in ring");
-  }
-  // The view is handed out for reading; Station's mutators exist for the
-  // engine's own paths and the unit tests, which hold non-const kernels.
-  return Station(const_cast<SlotKernel*>(&kernel_),
-                 static_cast<std::uint32_t>(position));
+Quota Engine::station_quota(NodeId node) const {
+  return kernel_.quotas()[member_position(node, "Engine::station_quota")];
 }
 
 void Engine::set_station_quota(NodeId node, Quota quota) {
-  const std::int32_t position = station_position(node);
-  if (position < 0) {
-    throw std::out_of_range("Engine::set_station_quota: node not in ring");
-  }
-  kernel_.set_quota(static_cast<std::size_t>(position), quota);
+  kernel_.set_quota(member_position(node, "Engine::set_station_quota"),
+                    quota);
   sat_timeout_dirty_ = true;
   sat_timer_guard_valid_ = false;
 }
 
+std::uint32_t Engine::station_split(NodeId node) const {
+  return kernel_.k1_assured(member_position(node, "Engine::station_split"));
+}
+
 void Engine::set_station_split(NodeId node, std::uint32_t k1_assured) {
-  const std::int32_t position = station_position(node);
-  if (position < 0) {
-    throw std::out_of_range("Engine::set_station_split: node not in ring");
-  }
-  const auto p = static_cast<std::size_t>(position);
+  const std::size_t p = member_position(node, "Engine::set_station_split");
   if (k1_assured > kernel_.quotas()[p].k) {
     throw std::invalid_argument(
         "Engine::set_station_split: k1 exceeds the station's k quota");
@@ -242,6 +240,10 @@ std::optional<std::size_t> Engine::queue_depth(
   const std::int32_t position = station_position(node);
   if (position < 0) return std::nullopt;
   return kernel_.queue_depth(static_cast<std::size_t>(position), cls);
+}
+
+std::uint64_t Engine::queue_drops(NodeId node) const {
+  return kernel_.drops(member_position(node, "Engine::queue_drops"));
 }
 
 bool Engine::enqueue(traffic::Packet& packet) {
@@ -752,7 +754,6 @@ void Engine::sat_release(NodeId from) {
   assert(from_position32 >= 0);
   const auto from_position = static_cast<std::size_t>(from_position32);
   kernel_.on_sat_release(from_position);
-  kernel_.last_sat_departure_[from_position] = now_;
   ++kernel_.rounds_since_rap_[from_position];
 
   const std::size_t R = ring_.size();
@@ -818,12 +819,7 @@ void Engine::sat_release(NodeId from) {
         const bool forced = failed == fsm_.forced_station();
         if (fsm_.on_station_cut(failed, failed_quota, from, failed_k1,
                                 forced, now_) == RecoveryFsm::Admit::kNow) {
-          if (station_active(failed)) {
-            PendingJoin rejoin;
-            rejoin.quota = failed_quota;
-            rejoin.requested_at = now_;
-            pending_joins_[failed] = std::move(rejoin);
-          }
+          queue_rejoin(failed, failed_quota);
         }
       }
     }
@@ -1100,8 +1096,8 @@ void Engine::finish_rebuild() {
       new_kernel.adopt_station(kernel_,
                                static_cast<std::size_t>(old_position));
     } else {
-      new_kernel.push_station(node, config_.default_quota,
-                              config_.k1_assured, now_);
+      new_kernel.insert_station(p, node, config_.default_quota,
+                                config_.k1_assured, now_);
       joined.push_back(node);
     }
   }

@@ -27,17 +27,18 @@
 // station at ring_.station_at(p).  The data plane is a rotation calendar
 // over the link columns (see data_plane_step), and check_sat_timers() is a
 // contiguous pass over the timer column, with no associative lookups and
-// no per-station object hops; the OO accessors (station(), Station) are
-// views into the same columns.  Every membership path (init, join, SAT_REC
+// no per-station object hops.  Every membership path (init, join, SAT_REC
 // cut-out, graceful leave, ring re-formation) mutates the kernel columns
 // and the ring order together and then refreshes `position_index_`
 // (NodeId -> position, -1 when not a member), which serves the by-NodeId
-// control-plane accessors.  `membership_epoch_` increments on each such
-// change.  Traffic reaches its station's queues through `position_index_`
-// (one vector index), and the per-position liveness/reachability caches —
-// with the calendar's distance-to-next-barrier table derived from them —
-// are keyed by (topology version, membership epoch, stall epoch), so
-// steady-state stepping does no associative lookup.
+// accessors (station_quota, set_station_split, queue_depth, ...), the only
+// per-station reads and writes outside the engine.  `membership_epoch_`
+// increments on each such change.  Traffic reaches its station's queues
+// through `position_index_` (one vector index), and the per-position
+// liveness/reachability caches — with the calendar's distance-to-next-
+// barrier table derived from them — are keyed by (topology version,
+// membership epoch, stall epoch), so steady-state stepping does no
+// associative lookup.
 #pragma once
 
 #include <array>
@@ -66,7 +67,6 @@
 #include "wrtring/config.hpp"
 #include "wrtring/recovery_fsm.hpp"
 #include "wrtring/soa_kernel.hpp"
-#include "wrtring/station.hpp"
 
 namespace wrt::check {
 class InvariantAuditor;   // runtime invariant auditor (src/check/)
@@ -188,6 +188,10 @@ class WRT_SHARD_CONFINED Engine final {
   [[nodiscard]] std::optional<std::size_t> queue_depth(
       NodeId node, TrafficClass cls) const noexcept;
 
+  /// Packets `node`'s class queues refused because they were full.  Throws
+  /// std::out_of_range when `node` is not in the ring.
+  [[nodiscard]] std::uint64_t queue_drops(NodeId node) const;
+
   // -- execution ----------------------------------------------------------
 
   /// Advances one MAC slot.
@@ -286,10 +290,9 @@ class WRT_SHARD_CONFINED Engine final {
   [[nodiscard]] SatState sat_state() const noexcept { return sat_state_; }
   [[nodiscard]] bool in_rap() const noexcept { return rap_end_ > now_; }
 
-  /// Station accessor (by node id); throws when not in the ring.  Returns a
-  /// value-type view into the slot kernel's arrays — valid until the next
-  /// membership change.
-  [[nodiscard]] Station station(NodeId node) const;
+  /// A member's quota (l, k).  Throws std::out_of_range when `node` is
+  /// not in the ring, as every by-NodeId station accessor here does.
+  [[nodiscard]] Quota station_quota(NodeId node) const;
 
   /// Updates a station's quota at runtime (quota renegotiation after
   /// admissions, releases, or a cut-out's quota being re-assigned,
@@ -300,6 +303,8 @@ class WRT_SHARD_CONFINED Engine final {
   /// station's k quota for Assured traffic.  Independent of the global
   /// Config::k1_assured default and of every other station.
   void set_station_split(NodeId node, std::uint32_t k1_assured);
+  /// The k1 share of a member's k quota reserved for Assured traffic.
+  [[nodiscard]] std::uint32_t station_split(NodeId node) const;
 
   /// Current analytical parameters (S, T_rap, quotas) matching this ring —
   /// feed these to analysis::sat_time_bound & friends.
@@ -468,9 +473,9 @@ class WRT_SHARD_CONFINED Engine final {
   void begin_rap(NodeId ingress);
   void finish_rap();
   void complete_join(NodeId joiner, NodeId ingress);
-  /// RecoveryFsm admission callback: files the auto_rejoin PendingJoin for
-  /// a station whose WTR/WTB hold-off lapsed (no-op if already joining or
-  /// back in the ring).
+  /// Files the auto_rejoin PendingJoin for a station just cut out, or (as
+  /// the RecoveryFsm admission callback) one whose WTR/WTB hold-off lapsed;
+  /// a no-op if it is already joining, back in the ring or not active.
   void queue_rejoin(NodeId node, Quota quota);
 
   // --- helpers ---
@@ -527,6 +532,10 @@ class WRT_SHARD_CONFINED Engine final {
   // --- position-indexed membership maintenance ---
   /// Ring position of `node`, or -1 when it is not a member.
   [[nodiscard]] std::int32_t station_position(NodeId node) const noexcept;
+  /// Ring position of member `node`; throws std::out_of_range naming
+  /// `accessor` when it is not in the ring.
+  [[nodiscard]] std::size_t member_position(NodeId node,
+                                            const char* accessor) const;
   /// Rebuilds position_index_ from ring_ and bumps membership_epoch_.
   void rebuild_position_index();
   /// Re-sizes the link columns to the ring, empties them and marks the

@@ -54,7 +54,7 @@ util::Result<Reservation> Gateway::reserve_lan_to_ring(FlowId flow,
 }
 
 void Gateway::grant_quota(NodeId carrier, std::uint32_t extra_l) {
-  const Quota current = engine_->station(carrier).quota();
+  const Quota current = engine_->station_quota(carrier);
   engine_->set_station_quota(carrier, Quota{current.l + extra_l, current.k});
 }
 
@@ -106,7 +106,7 @@ util::Status Gateway::release(FlowId flow) {
     if (it->lan_to_ring) {
       const NodeId carrier =
           it->carrier == kInvalidNode ? station_ : it->carrier;
-      const Quota current = engine_->station(carrier).quota();
+      const Quota current = engine_->station_quota(carrier);
       const std::uint32_t restored =
           current.l >= it->granted_l ? current.l - it->granted_l : 0;
       engine_->set_station_quota(carrier, Quota{restored, current.k});

@@ -7,11 +7,11 @@
 // check::InvariantAuditor::run tallies every violation of every check and
 // then runs its stateful Theorem 1/2 oracles (src/check/invariants.cpp).
 //
-//   ring-lockstep       station, control, SAT arrival ring and link
-//                       columns sized and ordered exactly like the
-//                       virtual ring; the arrival rows 64 x a stride of at
-//                       least R; no arrival head or count past the ring's
-//                       64 slots
+//   ring-lockstep       every station column (SlotKernel's one list),
+//                       the SAT arrival ring and the link columns sized
+//                       like the virtual ring, the ids ordered like it;
+//                       the arrival rows 64 x a stride of at least R; no
+//                       arrival head or count past the ring's 64 slots
 //   position-bijection  NodeId -> position index is a bijection onto the
 //                       current members
 //   single-sat          exactly one coherent SAT (held at a member, or in
@@ -56,15 +56,21 @@ const std::array<Engine::InvariantCheck, 10> Engine::kInvariantChecks{{
     {"ring-lockstep",
      [](const Engine& e, Details& out) {
        const std::size_t R = e.ring_.size();
-       if (e.kernel_.ids_.size() != R ||
-           e.kernel_.last_sat_arrival_.size() != R) {
-         out.push_back(
-             "station/control columns out of lockstep with ring: ring=" +
-             std::to_string(R) + " stations=" +
-             std::to_string(e.kernel_.ids_.size()) + " control=" +
-             std::to_string(e.kernel_.last_sat_arrival_.size()));
-         return;  // positional comparison below would be meaningless
-       }
+       std::size_t column = 0;
+       bool misfit = false;
+       SlotKernel::for_each_column(
+           [&](const auto& entries) {
+             if (entries.size() != R) {
+               out.push_back("station column " + std::to_string(column) +
+                             " out of lockstep with ring: ring=" +
+                             std::to_string(R) + " entries=" +
+                             std::to_string(entries.size()));
+               misfit = true;
+             }
+             ++column;
+           },
+           e.kernel_);
+       if (misfit) return;  // positional comparison below would be meaningless
        if (e.kernel_.link_columns() != R) {
          out.push_back("link columns out of lockstep with ring: ring=" +
                        std::to_string(R) + " links=" +

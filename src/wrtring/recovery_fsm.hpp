@@ -129,14 +129,6 @@ class RecoveryFsm {
   }
   [[nodiscard]] RecoveryState state() const noexcept { return state_; }
 
-  /// True when any opt-in protection behaviour is enabled; the engine uses
-  /// this to keep the all-defaults hot path free of new branches.
-  [[nodiscard]] bool protective() const noexcept {
-    return tuning_.guard_slots > 0 || tuning_.wtr_slots > 0 ||
-           tuning_.wtb_slots > 0 || tuning_.revertive ||
-           state_ == RecoveryState::kForcedSwitch || !candidates_.empty();
-  }
-
   // -- requests from the engine's recovery paths ---------------------------
 
   /// SAT_TIMER expiry at `detector`.  Returns true when the recovery was

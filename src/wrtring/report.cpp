@@ -32,7 +32,7 @@ util::Table guarantee_report(const Engine& engine) {
   const analysis::RingParams params = engine.ring_params();
   for (std::size_t p = 0; p < engine.virtual_ring().size(); ++p) {
     const NodeId node = engine.virtual_ring().station_at(p);
-    const Quota quota = engine.station(node).quota();
+    const Quota quota = engine.station_quota(node);
     table.add_row({static_cast<std::int64_t>(node),
                    static_cast<std::int64_t>(p),
                    static_cast<std::int64_t>(quota.l),

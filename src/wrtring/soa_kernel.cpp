@@ -8,17 +8,7 @@
 namespace wrt::wrtring {
 
 void SlotKernel::clear() {
-  ids_.clear();
-  quota_.clear();
-  k1_assured_.clear();
-  rt_pck_.clear();
-  nrt_pck_.clear();
-  assured_sent_.clear();
-  drops_.clear();
-  for (auto& column : queues_) column.clear();
-  last_sat_arrival_.clear();
-  last_sat_departure_.clear();
-  rounds_since_rap_.clear();
+  for_each_column([](auto& column) { column.clear(); }, *this);
   arrival_ticks_.clear();
   arrival_stride_ = 0;
   arrival_head_.clear();
@@ -32,17 +22,8 @@ void SlotKernel::clear() {
 }
 
 void SlotKernel::reserve(std::size_t stations) {
-  ids_.reserve(stations);
-  quota_.reserve(stations);
-  k1_assured_.reserve(stations);
-  rt_pck_.reserve(stations);
-  nrt_pck_.reserve(stations);
-  assured_sent_.reserve(stations);
-  drops_.reserve(stations);
-  for (auto& column : queues_) column.reserve(stations);
-  last_sat_arrival_.reserve(stations);
-  last_sat_departure_.reserve(stations);
-  rounds_since_rap_.reserve(stations);
+  for_each_column([stations](auto& column) { column.reserve(stations); },
+                  *this);
   if (stations > arrival_stride_) relayout_arrivals(stations);
   arrival_head_.reserve(stations);
   arrival_count_.reserve(stations);
@@ -69,26 +50,6 @@ void SlotKernel::relayout_arrivals(std::size_t stride) {
   arrival_stride_ = stride;
 }
 
-void SlotKernel::push_station(NodeId id, Quota quota, std::uint32_t k1,
-                              Tick now) {
-  assert(k1 <= quota.k);
-  fit_arrival_stride(size() + 1);
-  ids_.push_back(id);
-  quota_.push_back(quota);
-  k1_assured_.push_back(k1);
-  rt_pck_.push_back(0);
-  nrt_pck_.push_back(0);
-  assured_sent_.push_back(0);
-  drops_.push_back(0);
-  for (auto& column : queues_) column.emplace_back();
-  last_sat_arrival_.push_back(now);
-  last_sat_departure_.push_back(kNeverTick);
-  rounds_since_rap_.push_back(0);
-  arrival_head_.push_back(0);
-  arrival_count_.push_back(0);
-  eligible_bits_dirty_ = true;
-}
-
 void SlotKernel::insert_station(std::size_t position, NodeId id, Quota quota,
                                 std::uint32_t k1, Tick now) {
   assert(position <= size());
@@ -104,19 +65,14 @@ void SlotKernel::insert_station(std::size_t position, NodeId id, Quota quota,
     }
   }
   const auto at = static_cast<std::ptrdiff_t>(position);
-  ids_.insert(ids_.begin() + at, id);
-  quota_.insert(quota_.begin() + at, quota);
-  k1_assured_.insert(k1_assured_.begin() + at, k1);
-  rt_pck_.insert(rt_pck_.begin() + at, 0);
-  nrt_pck_.insert(nrt_pck_.begin() + at, 0);
-  assured_sent_.insert(assured_sent_.begin() + at, 0);
-  drops_.insert(drops_.begin() + at, 0);
-  for (auto& column : queues_) {
-    column.insert(column.begin() + at, traffic::PacketRing{});
-  }
-  last_sat_arrival_.insert(last_sat_arrival_.begin() + at, now);
-  last_sat_departure_.insert(last_sat_departure_.begin() + at, kNeverTick);
-  rounds_since_rap_.insert(rounds_since_rap_.begin() + at, 0);
+  // emplace, not insert(it, {}): a braced {} picks the initializer_list
+  // overload and inserts nothing.
+  for_each_column([at](auto& column) { column.emplace(column.begin() + at); },
+                  *this);
+  ids_[position] = id;
+  quota_[position] = quota;
+  k1_assured_[position] = k1;
+  last_sat_arrival_[position] = now;
   arrival_head_.insert(arrival_head_.begin() + at, 0);
   arrival_count_.insert(arrival_count_.begin() + at, 0);
   eligible_bits_dirty_ = true;
@@ -133,17 +89,8 @@ void SlotKernel::erase_station(std::size_t position) {
     }
   }
   const auto at = static_cast<std::ptrdiff_t>(position);
-  ids_.erase(ids_.begin() + at);
-  quota_.erase(quota_.begin() + at);
-  k1_assured_.erase(k1_assured_.begin() + at);
-  rt_pck_.erase(rt_pck_.begin() + at);
-  nrt_pck_.erase(nrt_pck_.begin() + at);
-  assured_sent_.erase(assured_sent_.begin() + at);
-  drops_.erase(drops_.begin() + at);
-  for (auto& column : queues_) column.erase(column.begin() + at);
-  last_sat_arrival_.erase(last_sat_arrival_.begin() + at);
-  last_sat_departure_.erase(last_sat_departure_.begin() + at);
-  rounds_since_rap_.erase(rounds_since_rap_.begin() + at);
+  for_each_column([at](auto& column) { column.erase(column.begin() + at); },
+                  *this);
   arrival_head_.erase(arrival_head_.begin() + at);
   arrival_count_.erase(arrival_count_.begin() + at);
   eligible_bits_dirty_ = true;
@@ -152,19 +99,11 @@ void SlotKernel::erase_station(std::size_t position) {
 void SlotKernel::adopt_station(SlotKernel& other, std::size_t from) {
   assert(from < other.size());
   fit_arrival_stride(size() + 1);
-  ids_.push_back(other.ids_[from]);
-  quota_.push_back(other.quota_[from]);
-  k1_assured_.push_back(other.k1_assured_[from]);
-  rt_pck_.push_back(other.rt_pck_[from]);
-  nrt_pck_.push_back(other.nrt_pck_[from]);
-  assured_sent_.push_back(other.assured_sent_[from]);
-  drops_.push_back(other.drops_[from]);
-  for (std::size_t cls = 0; cls < 3; ++cls) {
-    queues_[cls].push_back(std::move(other.queues_[cls][from]));
-  }
-  last_sat_arrival_.push_back(other.last_sat_arrival_[from]);
-  last_sat_departure_.push_back(other.last_sat_departure_[from]);
-  rounds_since_rap_.push_back(other.rounds_since_rap_[from]);
+  for_each_column(
+      [from](auto& mine, auto& theirs) {
+        mine.push_back(std::move(theirs[from]));
+      },
+      *this, other);
   // Copies only the valid arrivals, oldest first.
   arrival_head_.push_back(0);
   arrival_count_.push_back(0);
@@ -254,18 +193,6 @@ bool SlotKernel::enqueue(std::size_t p, traffic::Packet&& packet) {
   queue.push_back(std::move(packet));
   refresh_eligible(p);
   return true;
-}
-
-const traffic::Packet* SlotKernel::peek(std::size_t p,
-                                        TrafficClass cls) const {
-  const traffic::PacketRing& queue =
-      queues_[static_cast<std::size_t>(cls)][p];
-  return queue.empty() ? nullptr : &queue.front();
-}
-
-void SlotKernel::clear_queues(std::size_t p) {
-  for (auto& column : queues_) column[p].clear();
-  refresh_eligible(p);
 }
 
 void SlotKernel::set_quota(std::size_t p, Quota quota) noexcept {

@@ -5,11 +5,9 @@
 // queues, SAT timers, SAT arrival ring — lives in its own dense column
 // indexed by ring position, so each pass of data_plane_step() /
 // check_sat_timers() streams exactly the arrays it needs and nothing else.
-//
-// The OO surface survives as views: wrtring::Station is a (kernel,
-// position) handle whose accessors read/write these arrays, so tests and
-// cold-path callers keep the Section-2.2 vocabulary while the hot path
-// indexes the arrays directly.
+// The kernel is the one per-station API: the Send and SAT algorithms of
+// Section 2.2 are its methods, by position; callers outside the engine
+// read a member's state through Engine's by-NodeId accessors.
 //
 // Position discipline: entry p of every station array describes the station
 // at ring position p.  The link columns hold one frame slot per ring link;
@@ -17,8 +15,9 @@
 // the engine's rotation calendar advances every in-flight frame at once by
 // rotating that map (see Engine::data_plane_step).  Membership paths (join,
 // cut-out, leave, re-formation) mutate the arrays and the ring order
-// together — push/insert/erase/adopt keep all station columns in lockstep,
-// and reset_links() re-sizes the link columns to the current station count.
+// together — insert/erase/adopt keep all station columns in lockstep (the
+// columns are named once, in for_each_column), and reset_links() re-sizes
+// the link columns to the current station count.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +39,6 @@ struct EngineTestHook;  // test-only state corruption (src/check/)
 namespace wrt::wrtring {
 
 class Engine;
-class Station;
 
 /// One data frame in flight on a ring link.
 struct LinkFrame {
@@ -86,17 +84,15 @@ class WRT_SHARD_CONFINED SlotKernel final {
   void clear();
 
   /// Reserves every station column for `stations` slots, and lays the SAT
-  /// arrival rows at a stride of `stations` columns, so the pushes of one
+  /// arrival rows at a stride of `stations` columns, so the appends of one
   /// init() or re-formation allocate each column once.
   void reserve(std::size_t stations);
 
   // --- membership (cold path; keeps every column in lockstep) -------------
 
-  /// Appends a station slot with fresh MAC counters and control state; the
-  /// SAT timer starts from `now`.
-  void push_station(NodeId id, Quota quota, std::uint32_t k1, Tick now);
-
-  /// Inserts a fresh station slot at `position`, shifting later slots up.
+  /// Inserts a station slot with fresh MAC counters and control state at
+  /// `position` (size() appends), shifting later slots up; the SAT timer
+  /// starts from `now`.
   void insert_station(std::size_t position, NodeId id, Quota quota,
                       std::uint32_t k1, Tick now);
 
@@ -140,10 +136,6 @@ class WRT_SHARD_CONFINED SlotKernel final {
   /// when the queue is full.  The move commits only on acceptance.
   bool enqueue(std::size_t p, traffic::Packet&& packet);
 
-  [[nodiscard]] const traffic::Packet* peek(std::size_t p,
-                                            TrafficClass cls) const;
-  void clear_queues(std::size_t p);
-
   /// Clamps counters when the quota shrinks below what was already
   /// transmitted this round (otherwise RT_PCK == l could never fire).
   void set_quota(std::size_t p, Quota quota) noexcept;
@@ -156,10 +148,10 @@ class WRT_SHARD_CONFINED SlotKernel final {
   //
   // Bit p mirrors eligible_class(p).has_value().  Every mutator that can
   // change the Send algorithm's answer (enqueue, take_for_transmit,
-  // on_sat_release, set_quota, set_k1_assured, clear_queues) refreshes its
-  // own bit, so the engine's fast injection scan walks set bits instead of
-  // evaluating every position each slot.  Membership ops invalidate the
-  // whole map; rebuild_eligible() recomputes it in one pass.
+  // on_sat_release, set_quota, set_k1_assured) refreshes its own bit, so
+  // the engine's fast injection scan walks set bits instead of evaluating
+  // every position each slot.  Membership ops invalidate the whole map;
+  // rebuild_eligible() recomputes it in one pass.
 
   /// Recomputes bit `p` from eligible_class(p).  No-op while the map is
   /// marked dirty (a full rebuild is pending anyway).
@@ -241,8 +233,8 @@ class WRT_SHARD_CONFINED SlotKernel final {
   // writes one slot, so a full history evicts its oldest arrival without
   // shifting the others.  The SAT visits p, p + 1, ... and their heads
   // move together, so consecutive hops read and write adjacent ticks.
-  // The stride is at least size(): reserve() sets it, and a push, insert
-  // or adopt that outgrows it re-lays the rows at double the stride.
+  // The stride is at least size(): reserve() sets it, and an insert or
+  // adopt that outgrows it re-lays the rows at double the stride.
 
   static constexpr std::size_t kArrivalSlots = 64;
   static_assert((kArrivalSlots & (kArrivalSlots - 1)) == 0);
@@ -295,11 +287,43 @@ class WRT_SHARD_CONFINED SlotKernel final {
   [[nodiscard]] const std::vector<Quota>& quotas() const noexcept {
     return quota_;
   }
+  /// Position p's Diffserv split, round counters (RT_PCK, NRT_PCK) and
+  /// queue-full rejections.
+  [[nodiscard]] std::uint32_t k1_assured(std::size_t p) const noexcept {
+    return k1_assured_[p];
+  }
+  [[nodiscard]] std::uint32_t rt_pck(std::size_t p) const noexcept {
+    return rt_pck_[p];
+  }
+  [[nodiscard]] std::uint32_t nrt_pck(std::size_t p) const noexcept {
+    return nrt_pck_[p];
+  }
+  [[nodiscard]] std::uint64_t drops(std::size_t p) const noexcept {
+    return drops_[p];
+  }
 
  private:
   friend class Engine;
-  friend class Station;
   friend struct ::wrt::check::EngineTestHook;
+
+  /// The station columns, named once: calls `fn` on each column of
+  /// `kernels`, the same column of every kernel in one call (one kernel
+  /// for clear, reserve, insert and erase and the ring-lockstep check; two
+  /// for adopt_station).  The SAT arrival ring is not listed: its rows,
+  /// heads and counts are laid out by their own code beside each walk.
+  template <typename Fn, typename... Kernels>
+  static void for_each_column(Fn&& fn, Kernels&... kernels) {
+    fn(kernels.ids_...);
+    fn(kernels.quota_...);
+    fn(kernels.k1_assured_...);
+    fn(kernels.rt_pck_...);
+    fn(kernels.nrt_pck_...);
+    fn(kernels.assured_sent_...);
+    fn(kernels.drops_...);
+    for (std::size_t cls = 0; cls < 3; ++cls) fn(kernels.queues_[cls]...);
+    fn(kernels.last_sat_arrival_...);
+    fn(kernels.rounds_since_rap_...);
+  }
 
   /// Re-lays the arrival rows when `stations` columns outgrow the stride,
   /// at the larger of `stations` and double the stride, so that growth
@@ -324,7 +348,6 @@ class WRT_SHARD_CONFINED SlotKernel final {
 
   // Control-plane timers and the SAT arrival ring, by ring position.
   std::vector<Tick> last_sat_arrival_;    ///< for SAT_TIMER
-  std::vector<Tick> last_sat_departure_;
   std::vector<std::int64_t> rounds_since_rap_;
   /// kArrivalSlots rows of arrival_stride_ ticks; (h, p) at h * stride + p.
   std::vector<Tick, UninitAllocator<Tick>> arrival_ticks_;

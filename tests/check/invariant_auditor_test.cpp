@@ -100,6 +100,16 @@ TEST_F(InvariantAuditorTest, SwappedStationsTripRingLockstep) {
   expect_only("ring-lockstep");
 }
 
+TEST_F(InvariantAuditorTest, DesyncedStationColumnTripsRingLockstep) {
+  ASSERT_EQ(auditor_.run("baseline"), 0u);
+  EngineTestHook::desync_station_column(harness_.engine);
+  expect_only("ring-lockstep");
+  EXPECT_NE(harness_.engine.check_invariants().error().message.find(
+                "station column 11 out of lockstep"),
+            std::string::npos)
+      << harness_.engine.check_invariants().error().message;
+}
+
 TEST_F(InvariantAuditorTest, DesyncedArrivalCountTripsRingLockstep) {
   ASSERT_EQ(auditor_.run("baseline"), 0u);
   EngineTestHook::desync_arrival_count(harness_.engine);

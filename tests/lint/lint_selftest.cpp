@@ -71,8 +71,8 @@ TEST(LintSelftest, EveryRuleFiresOnItsBadFixtureAndOnlyThere) {
   EXPECT_EQ(result.exit_code, 1) << result.output;
 
   const std::multiset<std::string> expected = {
-      "hot-path-assoc/bad/wrtring/station.hpp:4:hot-path-assoc",
-      "hot-path-assoc/bad/wrtring/station.hpp:11:hot-path-assoc",
+      "hot-path-assoc/bad/wrtring/engine.hpp:4:hot-path-assoc",
+      "hot-path-assoc/bad/wrtring/engine.hpp:11:hot-path-assoc",
       "hot-path-front-erase/bad/wrtring/engine.cpp:7:hot-path-front-erase",
       "by-value-frame-param/bad.hpp:7:by-value-frame-param",
       "stale-include/bad.cpp:2:stale-include",

@@ -5,14 +5,6 @@
 namespace wrt::phy {
 namespace {
 
-TEST(StaticModel, NeverMoves) {
-  Topology t(placement::circle(6, 10.0), RadioParams{12.0, 0.0});
-  const Vec2 before = t.position(3);
-  StaticModel model;
-  model.step(t, 0, slots_to_ticks(100000));
-  EXPECT_EQ(t.position(3), before);
-}
-
 class WaypointTest : public ::testing::Test {
  protected:
   WaypointTest()

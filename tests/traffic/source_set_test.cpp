@@ -453,7 +453,7 @@ Outcome one_saturated_slot(Config config) {
   outcome.depth = engine.queue_depth(0, TrafficClass::kRealTime);
   outcome.invariants_ok = engine.check_invariants().ok();
   if constexpr (std::is_same_v<Engine, wrtring::Engine>) {
-    outcome.refused = engine.station(0).queue_drops();
+    outcome.refused = engine.queue_drops(0);
   } else {
     outcome.refused =
         engine.stats().sink.by_class(TrafficClass::kRealTime).dropped;

@@ -42,10 +42,10 @@ TEST_F(AdmissionTest, AdmitsFeasibleSession) {
 
 TEST_F(AdmissionTest, AppliesQuotaToEngine) {
   ASSERT_TRUE(controller_.admit(session(1, 3, 100, 2, 3000)).ok());
-  EXPECT_GE(harness_.engine.station(3).quota().l, 1u);
+  EXPECT_GE(harness_.engine.station_quota(3).l, 1u);
   // Stations without sessions end up with zero real-time quota.
-  EXPECT_EQ(harness_.engine.station(5).quota().l, 0u);
-  EXPECT_EQ(harness_.engine.station(5).quota().k, 1u);
+  EXPECT_EQ(harness_.engine.station_quota(5).l, 0u);
+  EXPECT_EQ(harness_.engine.station_quota(5).k, 1u);
 }
 
 TEST_F(AdmissionTest, RejectsImpossibleDeadline) {
@@ -80,11 +80,11 @@ TEST_F(AdmissionTest, RejectsBadParameters) {
 TEST_F(AdmissionTest, ReleaseRedistributes) {
   ASSERT_TRUE(controller_.admit(session(1, 0, 100, 2, 4000)).ok());
   ASSERT_TRUE(controller_.admit(session(2, 4, 100, 2, 4000)).ok());
-  const std::uint32_t l_station4 = harness_.engine.station(4).quota().l;
+  const std::uint32_t l_station4 = harness_.engine.station_quota(4).l;
   ASSERT_TRUE(controller_.release(1).ok());
   EXPECT_FALSE(controller_.has_session(1));
   // With the competitor gone, station 4 keeps at least its share.
-  EXPECT_GE(harness_.engine.station(4).quota().l, l_station4);
+  EXPECT_GE(harness_.engine.station_quota(4).l, l_station4);
 }
 
 TEST_F(AdmissionTest, ReleaseUnknownFails) {
@@ -96,7 +96,7 @@ TEST_F(AdmissionTest, MultipleSessionsPerStationAggregate) {
   ASSERT_TRUE(controller_.admit(session(2, 2, 50, 1, 4000)).ok());
   EXPECT_EQ(controller_.session_count(), 2u);
   // Aggregated load 0.03 pkt/slot still fits the budget.
-  EXPECT_GE(harness_.engine.station(2).quota().l, 1u);
+  EXPECT_GE(harness_.engine.station_quota(2).l, 1u);
 }
 
 TEST_F(AdmissionTest, GuaranteedDelayMatchesTheorem3) {

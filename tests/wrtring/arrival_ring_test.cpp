@@ -43,7 +43,7 @@ std::vector<Tick> ticks(Tick first, Tick step, std::size_t count) {
 /// Appends a station and records `arrivals` at it.
 void push_with_history(SlotKernel& kernel, NodeId id,
                        const std::vector<Tick>& arrivals) {
-  kernel.push_station(id, Quota{1, 1}, 0, 0);
+  kernel.insert_station(kernel.size(), id, Quota{1, 1}, 0, 0);
   for (const Tick arrival : arrivals) {
     kernel.record_arrival(kernel.size() - 1, arrival);
   }
@@ -57,7 +57,7 @@ std::vector<Tick> newest(const std::vector<Tick>& arrivals) {
 
 TEST(ArrivalRing, SixtyFifthArrivalEvictsTheOldest) {
   SlotKernel kernel;
-  kernel.push_station(0, Quota{1, 1}, 0, 0);
+  kernel.insert_station(kernel.size(), 0, Quota{1, 1}, 0, 0);
   EXPECT_EQ(kernel.arrivals(0).size(), 0u);
 
   const std::vector<Tick> all = ticks(10, 10, 3 * kSlots + 5);
@@ -198,7 +198,7 @@ TEST(ArrivalRing, MatchesAPerPositionDequeModel) {
   SlotKernel donor;
   ArrivalModel donor_model;
   for (NodeId id = 0; id < 6; ++id) {
-    donor.push_station(id, Quota{1, 1}, 0, 0);
+    donor.insert_station(donor.size(), id, Quota{1, 1}, 0, 0);
     donor_model.insert(donor_model.size());
   }
   Tick now = 0;
@@ -220,7 +220,7 @@ TEST(ArrivalRing, MatchesAPerPositionDequeModel) {
           erase_one();
           break;
         }
-        kernel.push_station(next_id++, Quota{1, 1}, 0, now);
+        kernel.insert_station(kernel.size(), next_id++, Quota{1, 1}, 0, now);
         model.insert(model.size());
         break;
       case 1:

@@ -305,9 +305,13 @@ TEST(EngineAccessDelay, RecordedOnInjection) {
 
 TEST(EngineStation, AccessorThrowsForStranger) {
   Harness h(6, Config{});
-  EXPECT_THROW((void)h.engine.station(42), std::out_of_range);
-  EXPECT_NO_THROW((void)h.engine.station(
-      h.engine.virtual_ring().station_at(2)));
+  EXPECT_THROW((void)h.engine.station_quota(42), std::out_of_range);
+  EXPECT_THROW((void)h.engine.station_split(42), std::out_of_range);
+  EXPECT_THROW((void)h.engine.queue_drops(42), std::out_of_range);
+  const NodeId member = h.engine.virtual_ring().station_at(2);
+  EXPECT_NO_THROW((void)h.engine.station_quota(member));
+  EXPECT_NO_THROW((void)h.engine.station_split(member));
+  EXPECT_NO_THROW((void)h.engine.queue_drops(member));
 }
 
 }  // namespace

@@ -203,13 +203,13 @@ TEST(FederationTest, GatewayBrokersBackboneReservations) {
   Engine& ring = federation.ring_engine(0);
   Gateway gateway(&ring, &backbone, /*gateway_station=*/0);
 
-  const Quota before = ring.station(0).quota();
+  const Quota before = ring.station_quota(0);
   auto granted = gateway.reserve_backbone_to_ring(/*flow=*/501, 0.04);
   ASSERT_TRUE(granted.ok());
   EXPECT_TRUE(granted.value().backbone_premium);
   EXPECT_GT(granted.value().granted_l, 0U);
   EXPECT_NEAR(backbone.reserved_premium(), 0.04, 1e-12);
-  EXPECT_EQ(ring.station(0).quota().l, before.l + granted.value().granted_l);
+  EXPECT_EQ(ring.station_quota(0).l, before.l + granted.value().granted_l);
 
   // Over budget: the backbone leg refuses even though the ring could.
   auto refused = gateway.reserve_backbone_to_ring(/*flow=*/502, 0.04);
@@ -218,7 +218,7 @@ TEST(FederationTest, GatewayBrokersBackboneReservations) {
   // Release restores both the ring quota and the backbone budget.
   ASSERT_TRUE(gateway.release(501).ok());
   EXPECT_NEAR(backbone.reserved_premium(), 0.0, 1e-12);
-  EXPECT_EQ(ring.station(0).quota().l, before.l);
+  EXPECT_EQ(ring.station_quota(0).l, before.l);
 }
 
 TEST(FederationTest, GatewayReservesRingCapacityForCarrier) {
@@ -234,18 +234,18 @@ TEST(FederationTest, GatewayReservesRingCapacityForCarrier) {
   Gateway gateway(&ring, &backbone, 0);
 
   const NodeId carrier = 3;
-  const Quota before = ring.station(carrier).quota();
+  const Quota before = ring.station_quota(carrier);
   auto granted = gateway.reserve_ring_capacity(carrier, /*flow=*/601, 0.05);
   ASSERT_TRUE(granted.ok());
   EXPECT_EQ(granted.value().carrier, carrier);
   EXPECT_FALSE(granted.value().backbone_premium);
-  EXPECT_EQ(ring.station(carrier).quota().l,
+  EXPECT_EQ(ring.station_quota(carrier).l,
             before.l + granted.value().granted_l);
   // The carrier's grant, not G1's.
-  EXPECT_EQ(ring.station(0).quota().l, before.l);
+  EXPECT_EQ(ring.station_quota(0).l, before.l);
 
   ASSERT_TRUE(gateway.release(601).ok());
-  EXPECT_EQ(ring.station(carrier).quota().l, before.l);
+  EXPECT_EQ(ring.station_quota(carrier).l, before.l);
 }
 
 struct FederationCell {

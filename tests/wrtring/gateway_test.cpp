@@ -89,20 +89,20 @@ TEST_F(GatewayTest, StationAccessor) {
 }
 
 TEST_F(GatewayTest, GrantRaisesG1Quota) {
-  const Quota before = harness_.engine.station(gateway_.station()).quota();
+  const Quota before = harness_.engine.station_quota(gateway_.station());
   const auto result = gateway_.reserve_lan_to_ring(7, 0.05);
   ASSERT_TRUE(result.ok());
-  const Quota after = harness_.engine.station(gateway_.station()).quota();
+  const Quota after = harness_.engine.station_quota(gateway_.station());
   EXPECT_EQ(after.l, before.l + result.value().granted_l);
   EXPECT_GE(result.value().granted_l, 1u);
   EXPECT_EQ(after.k, before.k);
 }
 
 TEST_F(GatewayTest, ReleaseRestoresRingQuota) {
-  const Quota before = harness_.engine.station(gateway_.station()).quota();
+  const Quota before = harness_.engine.station_quota(gateway_.station());
   ASSERT_TRUE(gateway_.reserve_lan_to_ring(7, 0.05).ok());
   ASSERT_TRUE(gateway_.release(7).ok());
-  EXPECT_EQ(harness_.engine.station(gateway_.station()).quota(), before);
+  EXPECT_EQ(harness_.engine.station_quota(gateway_.station()), before);
   EXPECT_TRUE(gateway_.reservations().empty());
 }
 
@@ -138,7 +138,9 @@ TEST_F(GatewayTest, GrantedStreamActuallyFitsThroughG1) {
   ASSERT_TRUE(per_flow.contains(7));
   // ~1200 generated; nearly all must be through.
   EXPECT_GT(per_flow.at(7).count(), 1100u);
-  EXPECT_LT(harness_.engine.station(gateway_.station()).rt_queue_depth(),
+  EXPECT_LT(harness_.engine
+                .queue_depth(gateway_.station(), TrafficClass::kRealTime)
+                .value(),
             20u);
 }
 

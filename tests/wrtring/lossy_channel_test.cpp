@@ -108,7 +108,7 @@ TEST(QuotaRenegotiation, SetStationQuotaTakesEffect) {
   Harness h(6, Config{});
   const NodeId station = h.engine.virtual_ring().station_at(2);
   h.engine.set_station_quota(station, {5, 3});
-  EXPECT_EQ(h.engine.station(station).quota(), (Quota{5, 3}));
+  EXPECT_EQ(h.engine.station_quota(station), (Quota{5, 3}));
   const auto params = h.engine.ring_params();
   EXPECT_EQ(params.quotas[2], (Quota{5, 3}));
   EXPECT_THROW(h.engine.set_station_quota(99, {1, 1}), std::out_of_range);

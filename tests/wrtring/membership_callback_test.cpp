@@ -92,7 +92,7 @@ TEST(MembershipCallback, BoundAdmissionControllerDropsSessions) {
   EXPECT_EQ(controller.session_count(), 1u);
   EXPECT_FALSE(controller.has_session(1));
   EXPECT_TRUE(controller.has_session(2));
-  EXPECT_GE(h.engine.station(other.station).quota().l, 1u);
+  EXPECT_GE(h.engine.station_quota(other.station).l, 1u);
 }
 
 }  // namespace

@@ -27,7 +27,7 @@ TEST(PerStationSplit, SetterValidates) {
   config.default_quota = {1, 3};
   Harness h(6, config);
   EXPECT_NO_THROW(h.engine.set_station_split(0, 2));
-  EXPECT_EQ(h.engine.station(0).k1_assured(), 2u);
+  EXPECT_EQ(h.engine.station_split(0), 2u);
   EXPECT_THROW(h.engine.set_station_split(0, 4), std::invalid_argument);
   EXPECT_THROW(h.engine.set_station_split(99, 1), std::out_of_range);
 }

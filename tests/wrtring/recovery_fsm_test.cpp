@@ -185,7 +185,6 @@ TEST(RecoveryFsmTable, ClearForcedRoutesThroughWtb) {
 TEST(RecoveryFsmDetached, DefaultsMirrorLegacyPaths) {
   RecoveryFsm fsm;
   fsm.bind(nullptr, tuning(0, 0, 0, false));
-  EXPECT_FALSE(fsm.protective());
   EXPECT_EQ(fsm.on_station_cut(3, Quota{1, 1}, 2, 0, false,
                                slots_to_ticks(10)),
             RecoveryFsm::Admit::kNow);
@@ -212,7 +211,6 @@ TEST(RecoveryFsmDetached, DefaultsMirrorLegacyPaths) {
 TEST(RecoveryFsmDetached, GuardWindowLifecycle) {
   RecoveryFsm fsm;
   fsm.bind(nullptr, tuning(32, 0, 0, false));
-  EXPECT_TRUE(fsm.protective());
 
   EXPECT_TRUE(fsm.on_signal_fail(4, 3, slots_to_ticks(0)));
   fsm.on_recovery_complete(slots_to_ticks(10), 10.0);
@@ -280,7 +278,6 @@ TEST(RecoveryFsmDetached, WtbZeroAdmitsImmediatelyOnClear) {
 TEST(RecoveryFsmDetached, RevertiveMemoryRoundTrips) {
   RecoveryFsm fsm;
   fsm.bind(nullptr, tuning(0, 0, 0, true));
-  EXPECT_TRUE(fsm.protective());
   EXPECT_EQ(fsm.on_station_cut(4, Quota{3, 2}, 2, 7, false,
                                slots_to_ticks(0)),
             RecoveryFsm::Admit::kHeld);

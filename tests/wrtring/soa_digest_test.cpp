@@ -110,7 +110,7 @@ std::string engine_digest(Engine& engine) {
   digest += field("ctrl_lost", stats.control_messages_lost);
   std::uint64_t queue_drops = 0;
   for (const NodeId node : engine.virtual_ring().order()) {
-    queue_drops += engine.station(node).queue_drops();
+    queue_drops += engine.queue_drops(node);
   }
   digest += field("qdrops", queue_drops);
   digest += field_milli("delay", stats.access_delay_slots.mean());

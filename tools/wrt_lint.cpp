@@ -32,7 +32,7 @@
 //                        --list-suppressions.
 //   cross-shard-handle   Ring/engine code (wrtring/, tpt/) may not declare
 //                        raw pointer/reference variables or fields to
-//                        Engine / SlotKernel / Station: a stored handle
+//                        Engine / SlotKernel: a stored handle
 //                        into another shard's mutable core bypasses the
 //                        epoch-synchronized gateway-message path.  Handles
 //                        to *own-shard* objects get a justified
@@ -155,8 +155,8 @@ struct LintContext {
 // lookups.  The slot kernel's link columns, busy-link bitmap and
 // Send-eligibility bitmap run in every slot.
 const std::vector<std::string> kHotPathFiles = {
-    "wrtring/engine.hpp", "wrtring/engine.cpp", "wrtring/station.hpp",
-    "wrtring/station.cpp", "wrtring/soa_kernel.hpp", "wrtring/soa_kernel.cpp",
+    "wrtring/engine.hpp", "wrtring/engine.cpp",
+    "wrtring/soa_kernel.hpp", "wrtring/soa_kernel.cpp",
     "traffic/traffic.hpp", "traffic/traffic.cpp",
     "traffic/source_set.hpp", "traffic/source_set.cpp",
     "traffic/trace.hpp",   "traffic/trace.cpp",
@@ -484,7 +484,7 @@ void rule_kernel_aos_access(const SourceFile& file,
     report(file, "kernel-aos-access",
            line_of(file.code, static_cast<std::size_t>(it->position())),
            "per-station object indexing 'stations_[...]' in a kernel file; "
-           "go through the SlotKernel arrays (or a Station view) instead",
+           "go through the SlotKernel arrays instead",
            findings);
   }
 }
@@ -612,8 +612,8 @@ void rule_mutable_global_state(const SourceFile& file,
 }
 
 /// cross-shard-handle applies to the ring/engine trees: a stored pointer or
-/// reference to another shard's Engine/SlotKernel/Station would let one
-/// worker thread reach into a second shard's mutable core.
+/// reference to another shard's Engine or SlotKernel would let one worker
+/// thread reach into a second shard's mutable core.
 bool is_ring_code(const std::string& path) {
   return path.find("wrtring/") != std::string::npos ||
          path.find("tpt/") != std::string::npos;
@@ -622,8 +622,8 @@ bool is_ring_code(const std::string& path) {
 /// cross-shard-handle, detector 2: `*Frame` structs in ring code must be
 /// pure value types.  Mailbox frames cross shard boundaries by design
 /// (wrtring/mailbox.hpp), so ANY pointer or reference member — not just
-/// the Engine/SlotKernel/Station trio — would hand the receiving shard a
-/// live handle into the sender's mutable state.
+/// the Engine/SlotKernel pair — would hand the receiving shard a live
+/// handle into the sender's mutable state.
 void rule_frame_value_type(const SourceFile& file,
                            std::vector<Finding>& findings) {
   static const std::regex kFrameType(R"(\bstruct\s+(\w*Frame)\b[^;{]*\{)");
@@ -693,7 +693,7 @@ void rule_cross_shard_handle(const SourceFile& file,
   if (!is_ring_code(file.path)) return;
   rule_frame_value_type(file, findings);
   static const std::regex kHandle(
-      R"((?:\bconst\s+)?(?:\w+::)*\b(Engine|SlotKernel|Station)\s*[*&]+\s*(\w+)\s*(?:=[^;{}()]*)?;)");
+      R"((?:\bconst\s+)?(?:\w+::)*\b(Engine|SlotKernel)\s*[*&]+\s*(\w+)\s*(?:=[^;{}()]*)?;)");
   const std::string& code = file.code;
   for (auto it = std::sregex_iterator(code.begin(), code.end(), kHandle);
        it != std::sregex_iterator(); ++it) {
