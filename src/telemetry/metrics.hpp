@@ -1,6 +1,6 @@
 // Telemetry macro layer and metric catalogue.
 //
-// The engines are instrumented with WRT_COUNT / WRT_OBSERVE / WRT_SPAN at
+// The engines are instrumented with WRT_COUNT / WRT_OBSERVE at
 // the protocol's observable moments (SAT handoff, slot transmit, membership
 // churn, SAT_REC recovery).  In a WRT_TELEMETRY=ON build each WRT_COUNT is
 // exactly one relaxed atomic increment into a cache-line-padded slot of the
@@ -74,7 +74,6 @@ enum class HistogramId : std::uint16_t {
   kJoinLatencySlots,      ///< join request -> in ring
   kSatRecSlots,           ///< SAT loss -> SAT restored
   kSatDetectSlots,        ///< SAT loss -> SAT_TIMER detection (MTTD)
-  kSpanNanos,             ///< WRT_SPAN wall-clock durations (cold paths)
   kRecoveryMttrSlots,     ///< RecoveryFsm MTTR: loss -> ring restored
   kCount_,                ///< sentinel — number of histograms
 };
@@ -114,8 +113,6 @@ struct HistogramLayout {
     // Detection latency is bounded by SAT_TIME (Theorem 1); finer buckets
     // than kSatRecSlots since MTTD excludes the rebuild tail.
     case HistogramId::kSatDetectSlots: return {0.0, 16.0, 64};
-    // Wall-clock spans: 1us buckets up to 64us; slower spans overflow.
-    case HistogramId::kSpanNanos: return {0.0, 1000.0, 64};
     // MTTR spans detection + SAT_REC circuit (and, worst case, a rebuild);
     // wider buckets than kSatRecSlots to keep the rebuild tail resolved.
     case HistogramId::kRecoveryMttrSlots: return {0.0, 32.0, 64};
@@ -133,11 +130,6 @@ struct HistogramLayout {
 //   WRT_COUNT(kSatHandoffs);              // += 1
 //   WRT_COUNT_N(kTxRealTime, burst);      // += burst
 //   WRT_OBSERVE(kSatRotationSlots, 42.0); // histogram sample
-//   { WRT_SPAN(); heavy_cold_work(); }    // wall-clock ns -> kSpanNanos
-//
-// WRT_SPAN measures host wall-clock, not simulated time, so it belongs on
-// cold paths (rebuilds, exports) where real cost matters and determinism
-// doesn't — simulated-time spans live in the telemetry::Journal instead.
 //
 // The WRT_BATCH_* variants route through an engine-owned TelemetryBatch
 // (plain integer bumps, no atomics) instead of the shared registry; the
@@ -159,10 +151,6 @@ struct HistogramLayout {
   ::wrt::telemetry::MetricRegistry::instance()   \
       .observe(::wrt::telemetry::HistogramId::id, \
                static_cast<double>(value))
-#define WRT_TELEM_CAT2(a, b) a##b
-#define WRT_TELEM_CAT(a, b) WRT_TELEM_CAT2(a, b)
-#define WRT_SPAN() \
-  ::wrt::telemetry::ScopedSpan WRT_TELEM_CAT(wrt_span_, __LINE__) {}
 #define WRT_BATCH_COUNT(batch, id) \
   (batch).count(::wrt::telemetry::CounterId::id)
 #define WRT_BATCH_COUNT_N(batch, id, n)        \
@@ -178,7 +166,6 @@ struct HistogramLayout {
 #define WRT_COUNT(id) ((void)0)
 #define WRT_COUNT_N(id, n) ((void)(n))
 #define WRT_OBSERVE(id, value) ((void)(value))
-#define WRT_SPAN() ((void)0)
 #define WRT_BATCH_COUNT(batch, id) ((void)0)
 #define WRT_BATCH_COUNT_N(batch, id, n) ((void)(n))
 #define WRT_BATCH_OBSERVE(batch, id, value) ((void)(value))

@@ -52,7 +52,6 @@ const char* histogram_name(HistogramId id) noexcept {
     case HistogramId::kJoinLatencySlots: return "join_latency_slots";
     case HistogramId::kSatRecSlots: return "sat_rec_slots";
     case HistogramId::kSatDetectSlots: return "sat_detect_slots";
-    case HistogramId::kSpanNanos: return "span_nanos";
     case HistogramId::kRecoveryMttrSlots: return "recovery_mttr_slots";
     case HistogramId::kCount_: break;
   }

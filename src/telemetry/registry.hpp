@@ -11,7 +11,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -253,26 +252,6 @@ class WRT_SHARD_CONFINED TelemetryBatch {
 
   std::array<std::uint64_t, kCounterCount> counters_{};
   std::array<Histogram, kHistogramCount> histograms_{};
-};
-
-/// RAII wall-clock span for WRT_SPAN: observes elapsed nanoseconds into
-/// HistogramId::kSpanNanos on destruction.  Cold paths only.
-class ScopedSpan {
- public:
-  ScopedSpan() noexcept : start_(std::chrono::steady_clock::now()) {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  ~ScopedSpan() {
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    MetricRegistry::instance().observe(
-        HistogramId::kSpanNanos,
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                .count()));
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace wrt::telemetry

@@ -253,13 +253,6 @@ TEST_F(RegistryTest, MacrosHitTheRegistry) {
   EXPECT_EQ(reg.snapshot().histogram(HistogramId::kSatRecSlots).total, 1u);
 }
 
-TEST_F(RegistryTest, ScopedSpanObservesWallClock) {
-  { WRT_SPAN(); }
-  { ScopedSpan span; }
-  const RegistrySnapshot snap = MetricRegistry::instance().snapshot();
-  EXPECT_EQ(snap.histogram(HistogramId::kSpanNanos).total, 2u);
-}
-
 #endif  // WRT_TELEMETRY_LEVEL
 
 }  // namespace
