@@ -290,8 +290,8 @@ class WRT_SHARD_CONFINED Engine final {
   [[nodiscard]] SatState sat_state() const noexcept { return sat_state_; }
   [[nodiscard]] bool in_rap() const noexcept { return rap_end_ > now_; }
 
-  /// A member's quota (l, k).  Throws std::out_of_range when `node` is
-  /// not in the ring, as every by-NodeId station accessor here does.
+  /// A member's quota (l, k); throws std::out_of_range when `node` is not
+  /// in the ring.
   [[nodiscard]] Quota station_quota(NodeId node) const;
 
   /// Updates a station's quota at runtime (quota renegotiation after
@@ -303,7 +303,8 @@ class WRT_SHARD_CONFINED Engine final {
   /// station's k quota for Assured traffic.  Independent of the global
   /// Config::k1_assured default and of every other station.
   void set_station_split(NodeId node, std::uint32_t k1_assured);
-  /// The k1 share of a member's k quota reserved for Assured traffic.
+  /// The k1 share of a member's k quota reserved for Assured traffic;
+  /// throws std::out_of_range when `node` is not in the ring.
   [[nodiscard]] std::uint32_t station_split(NodeId node) const;
 
   /// Current analytical parameters (S, T_rap, quotas) matching this ring —
