@@ -91,7 +91,8 @@ int main(int argc, char** argv) {
   diffserv::EdgePolicy policy;
   policy.premium_rate = 0.08;
   diffserv::LanModel lan(policy, 2, 1.0, 256);
-  wrtring::Gateway g1(&engine, &lan, engine.virtual_ring().station_at(0));
+  wrtring::Gateway g1(&engine, &lan.links(),
+                      engine.virtual_ring().station_at(0));
 
   const auto record = [&](const char* direction, double rate,
                           const util::Result<wrtring::Reservation>& result) {

@@ -39,13 +39,13 @@ int main() {
                          /*queue_capacity=*/512);
 
   const NodeId g1 = engine.virtual_ring().station_at(0);
-  wrtring::Gateway gateway(&engine, &lan, g1);
+  wrtring::Gateway gateway(&engine, &lan.links(), g1);
   std::cout << "gateway G1 is ring station " << g1 << "\n\n";
 
   // --- Reservation phase (the Section 2.3 handshake) ---
   struct Ask {
     const char* what;
-    bool lan_to_ring;
+    bool into_ring;
     double rate;
   };
   const Ask asks[] = {
@@ -58,7 +58,7 @@ int main() {
   FlowId next_flow = 1;
   for (const Ask& ask : asks) {
     const auto result =
-        ask.lan_to_ring
+        ask.into_ring
             ? gateway.reserve_lan_to_ring(next_flow, ask.rate)
             : gateway.reserve_ring_to_lan(next_flow, ask.rate);
     ++next_flow;
@@ -95,7 +95,7 @@ int main() {
         packet.flow = 100;
         packet.cls = TrafficClass::kRealTime;
         packet.created = engine.now();
-        gateway.forward_to_lan(packet, engine.now());
+        lan.inject(packet, engine.now());
         ++ring_delivered_before;
         ++forwarded;
       }

@@ -7,8 +7,9 @@ Usage, from the repository root:
   python3 scripts/perf_table.py --host > docs/perf/NAME/host.json
 
 A comparison directory holds host.json, the fingerprint of the host the
-runs were taken on (--host prints this host's, from bench/e2e/baseline.py,
-and refuses until run.py has configured bench/e2e/.build/wrt_bench),
+runs were taken on (--host prints this host's, from bench/e2e/baseline.py;
+it refuses until run.py has configured bench/e2e/.build/wrt_bench, and
+outside a git clone, where the fingerprint would name no commit),
 and runs.jsonl: one object per run.py result line, {"workload", "seed",
 "side": "parent" | "change", "result": <the line>}.  The parent and change
 runs of one workload and seed form a pair.
@@ -62,7 +63,15 @@ def main() -> int:
                   "host's compiler and build type are unknown; run "
                   "python3 bench/e2e/run.py first", file=sys.stderr)
             return 1
-        print(json.dumps(fingerprint(), indent=1))
+        host = fingerprint()
+        # The commit comes from `git rev-parse` in this checkout.
+        if host["git_rev"] == "unknown":
+            print(f"perf_table.py: {ROOT} is not a git clone, so host.json "
+                  "would name no commit; run --host in a git clone whose "
+                  "python3 bench/e2e/run.py build is configured (the "
+                  "parent's clone of the comparison)", file=sys.stderr)
+            return 1
+        print(json.dumps(host, indent=1))
         return 0
     if args.directory is None:
         parser.error("a comparison directory is required")

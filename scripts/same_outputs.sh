@@ -12,6 +12,8 @@
 #   - bench_engine_hot_path --digest
 #   - bench_federation --determinism
 #   - bench_sat_nround_bound
+#   - bench_diffserv_classes (E10 per-class ring service, E10b gateway
+#     reservation verdicts and reasons)
 #   - wrt_chaos, --json, --flap-matrix and --print-plan
 #   - every example, run without arguments
 #   - telemetry_demo into a fresh directory, and every file it writes there
@@ -63,7 +65,8 @@ build() {
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   # shellcheck disable=SC2086  # one target per example name
   if ! cmake --build "$dir" -j "$(nproc)" --target bench_engine_hot_path \
-      bench_federation bench_sat_nround_bound wrt_chaos $examples \
+      bench_federation bench_sat_nround_bound bench_diffserv_classes \
+      wrt_chaos $examples \
       > "$dir.log" 2>&1; then
     tail -n 30 "$dir.log" >&2
     echo "same_outputs: the build in $dir failed (log: $dir.log)" >&2
@@ -98,6 +101,7 @@ compare() {
 compare "bench_engine_hot_path --digest" bench/bench_engine_hot_path --digest
 compare "bench_federation --determinism" bench/bench_federation --determinism
 compare "bench_sat_nround_bound" bench/bench_sat_nround_bound
+compare "bench_diffserv_classes" bench/bench_diffserv_classes
 compare "wrt_chaos" tools/wrt_chaos
 compare "wrt_chaos --json" tools/wrt_chaos --json
 compare "wrt_chaos --flap-matrix" tools/wrt_chaos --flap-matrix

@@ -97,13 +97,9 @@ std::uint64_t PriorityLink::tail_drops(TrafficClass cls) const {
 
 LanModel::LanModel(const EdgePolicy& policy, std::size_t hops,
                    double service_rate_per_slot, std::size_t queue_capacity)
-    : edge_(policy), policy_(policy) {
-  assert(hops >= 1);
-  hops_.reserve(hops);
-  for (std::size_t i = 0; i < hops; ++i) {
-    hops_.emplace_back(service_rate_per_slot, queue_capacity);
-  }
-}
+    : edge_(policy),
+      links_(hops, service_rate_per_slot, queue_capacity,
+             policy.premium_rate) {}
 
 void LanModel::inject(const traffic::Packet& packet, Tick now) {
   const std::optional<TrafficClass> cls = edge_.condition(packet, now);
@@ -113,26 +109,13 @@ void LanModel::inject(const traffic::Packet& packet, Tick now) {
   }
   traffic::Packet marked = packet;
   marked.cls = *cls;
-  hops_.front().enqueue(std::move(marked));
+  links_.inject(marked);
 }
 
 void LanModel::step(Tick now) {
-  // Serve from the last hop backwards so a packet crosses one hop per slot.
-  for (std::size_t h = hops_.size(); h-- > 0;) {
-    std::vector<traffic::Packet> served;
-    hops_[h].step(served);
-    for (auto& packet : served) {
-      if (h + 1 == hops_.size()) {
-        sink_.record_delivery(packet, now);
-      } else {
-        hops_[h + 1].enqueue(std::move(packet));
-      }
-    }
-  }
-}
-
-bool LanModel::can_reserve_premium(double rate_per_slot) const noexcept {
-  return reserved_premium_ + rate_per_slot <= policy_.premium_rate;
+  std::vector<traffic::Packet> delivered;
+  links_.step(delivered);
+  for (const auto& packet : delivered) sink_.record_delivery(packet, now);
 }
 
 BackboneSegment::BackboneSegment(std::size_t hops,
@@ -152,8 +135,8 @@ void BackboneSegment::inject(const traffic::Packet& packet) {
 }
 
 void BackboneSegment::step(std::vector<traffic::Packet>& egress) {
-  // Serve from the last hop backwards so a packet crosses one hop per slot
-  // (same discipline as LanModel::step); the last hop feeds the caller.
+  // Serve from the last hop backwards so a packet crosses one hop per slot;
+  // the last hop feeds the caller.
   for (std::size_t h = hops_.size(); h-- > 0;) {
     std::vector<traffic::Packet> served;
     hops_[h].step(served);

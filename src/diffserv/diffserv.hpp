@@ -101,9 +101,57 @@ class PriorityLink {
   std::array<std::uint64_t, 3> drops_{};
 };
 
+/// A chain of strict-priority links (one per hop) and its Premium
+/// reservation budget (packets/slot): the Diffserv network on the far side
+/// of a ring gateway, which wrtring::Gateway charges for every Premium leg.
+/// Packets that cross the last hop are handed back through `step()`'s
+/// egress parameter: the federation backbone re-injects them into their
+/// destination ring, LanModel absorbs them in its sink.  No edge
+/// conditioner: federation crossings are already policed by the rings'
+/// l-quota grants, and rejected ones travel best-effort.
+class BackboneSegment {
+ public:
+  BackboneSegment(std::size_t hops, double service_rate_per_slot,
+                  std::size_t queue_capacity, double premium_capacity);
+
+  /// Enqueues a packet at the ingress hop.
+  void inject(const traffic::Packet& packet);
+
+  /// Advances all hops one slot; appends packets leaving the last hop to
+  /// `egress`.
+  void step(std::vector<traffic::Packet>& egress);
+
+  /// Admission query for a Premium leg: can the chain carry an extra
+  /// Premium stream of `rate_per_slot` within its Premium capacity?
+  [[nodiscard]] bool can_reserve_premium(double rate_per_slot) const noexcept {
+    return reserved_premium_ + rate_per_slot <= premium_capacity_;
+  }
+  void reserve_premium(double rate_per_slot) noexcept {
+    reserved_premium_ += rate_per_slot;
+  }
+  void release_premium(double rate_per_slot) noexcept {
+    reserved_premium_ -= rate_per_slot;
+    if (reserved_premium_ < 0.0) reserved_premium_ = 0.0;
+  }
+  [[nodiscard]] double reserved_premium() const noexcept {
+    return reserved_premium_;
+  }
+
+  [[nodiscard]] std::size_t queue_depth() const;
+
+  /// Total per-class tail drops summed over every hop.
+  [[nodiscard]] std::uint64_t tail_drops() const;
+
+ private:
+  std::vector<PriorityLink> hops_;
+  double premium_capacity_;
+  double reserved_premium_ = 0.0;
+};
+
 /// Minimal Diffserv LAN: an edge conditioner feeding a chain of priority
-/// links (one per LAN hop).  Models the wired network on the far side of
-/// gateway G1 in Figure 2.
+/// links (one per LAN hop), whose last hop delivers into a sink.  Models
+/// the wired network on the far side of gateway G1 in Figure 2; its
+/// Premium capacity is the policy's `premium_rate`.
 class LanModel {
  public:
   LanModel(const EdgePolicy& policy, std::size_t hops,
@@ -118,81 +166,13 @@ class LanModel {
   [[nodiscard]] const traffic::Sink& sink() const noexcept { return sink_; }
   [[nodiscard]] const EdgeConditioner& edge() const noexcept { return edge_; }
 
-  /// Admission query: can the LAN carry an extra Premium stream of
-  /// `rate_per_slot` without exceeding the configured Premium capacity?
-  [[nodiscard]] bool can_reserve_premium(double rate_per_slot) const noexcept;
-
-  /// Registers a granted Premium reservation.
-  void reserve_premium(double rate_per_slot) noexcept {
-    reserved_premium_ += rate_per_slot;
-  }
-
-  /// Returns a previously granted Premium reservation to the pool.
-  void release_premium(double rate_per_slot) noexcept {
-    reserved_premium_ -= rate_per_slot;
-    if (reserved_premium_ < 0.0) reserved_premium_ = 0.0;
-  }
-
-  [[nodiscard]] double reserved_premium() const noexcept {
-    return reserved_premium_;
-  }
+  /// The LAN's links and Premium budget: the far side of a LAN gateway.
+  [[nodiscard]] BackboneSegment& links() noexcept { return links_; }
 
  private:
   EdgeConditioner edge_;
-  EdgePolicy policy_;
+  BackboneSegment links_;
   traffic::Sink sink_;
-  std::vector<PriorityLink> hops_;
-  double reserved_premium_ = 0.0;
-};
-
-/// Federation backbone segment: the Diffserv cloud between ring gateways.
-/// Same strict-priority per-hop behaviour as LanModel, but transit instead
-/// of terminal — packets that cross the last hop are handed back through
-/// `step()`'s egress parameter for re-injection into the destination ring
-/// rather than absorbed by a sink — and it carries its own Premium
-/// reservation budget (packets/slot), the backbone leg of the three-way
-/// inter-ring admission check (source ring, backbone class, destination
-/// ring).  No edge conditioner: admitted crossings are already policed by
-/// the rings' l-quota grants, and rejected ones travel best-effort.
-class BackboneSegment {
- public:
-  BackboneSegment(std::size_t hops, double service_rate_per_slot,
-                  std::size_t queue_capacity, double premium_capacity);
-
-  /// Enqueues a packet at the ingress hop.
-  void inject(const traffic::Packet& packet);
-
-  /// Advances all hops one slot; appends packets leaving the last hop to
-  /// `egress` (the caller routes them to their destination ring).
-  void step(std::vector<traffic::Packet>& egress);
-
-  /// Admission query for the backbone leg of a crossing reservation.
-  [[nodiscard]] bool can_reserve_premium(double rate_per_slot) const noexcept {
-    return reserved_premium_ + rate_per_slot <= premium_capacity_;
-  }
-  void reserve_premium(double rate_per_slot) noexcept {
-    reserved_premium_ += rate_per_slot;
-  }
-  void release_premium(double rate_per_slot) noexcept {
-    reserved_premium_ -= rate_per_slot;
-    if (reserved_premium_ < 0.0) reserved_premium_ = 0.0;
-  }
-  [[nodiscard]] double reserved_premium() const noexcept {
-    return reserved_premium_;
-  }
-  [[nodiscard]] double premium_capacity() const noexcept {
-    return premium_capacity_;
-  }
-
-  [[nodiscard]] std::size_t queue_depth() const;
-
-  /// Total per-class tail drops summed over every hop.
-  [[nodiscard]] std::uint64_t tail_drops() const;
-
- private:
-  std::vector<PriorityLink> hops_;
-  double premium_capacity_;
-  double reserved_premium_ = 0.0;
 };
 
 }  // namespace wrt::diffserv

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <numbers>
-#include <queue>
 #include <stdexcept>
 
 namespace wrt::phy {
@@ -152,36 +151,32 @@ bool Topology::hidden_pair(NodeId a, NodeId c, NodeId receiver) const {
   return reachable(a, receiver) && reachable(c, receiver) && !reachable(a, c);
 }
 
-bool Topology::connected() const {
-  const std::size_t n = positions_.size();
-  std::size_t alive_count = 0;
-  NodeId start = kInvalidNode;
-  for (NodeId i = 0; i < n; ++i) {
-    if (alive_[i]) {
-      ++alive_count;
-      if (start == kInvalidNode) start = i;
-    }
-  }
-  if (alive_count <= 1) return true;
-
+std::vector<std::vector<NodeId>> Topology::components() const {
   const NeighborTable table = neighbor_table();
-  std::vector<bool> seen(n, false);
-  std::queue<NodeId> frontier;
-  frontier.push(start);
-  seen[start] = true;
-  std::size_t visited = 1;
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop();
-    for (const NodeId v : table.row(u)) {
-      if (!seen[v]) {
-        seen[v] = true;
-        ++visited;
-        frontier.push(v);
+  std::vector<bool> seen(positions_.size(), false);
+  std::vector<std::vector<NodeId>> components;
+  // Each search starts at the smallest node not yet seen, so the
+  // components come out in order of their smallest member.
+  for (NodeId start = 0; start < positions_.size(); ++start) {
+    if (seen[start] || !alive_[start]) continue;
+    std::vector<NodeId> component;
+    std::vector<NodeId> frontier{start};
+    seen[start] = true;
+    while (!frontier.empty()) {
+      const NodeId u = frontier.back();
+      frontier.pop_back();
+      component.push_back(u);
+      for (const NodeId v : table.row(u)) {
+        if (!seen[v]) {
+          seen[v] = true;
+          frontier.push_back(v);
+        }
       }
     }
+    std::sort(component.begin(), component.end());
+    components.push_back(std::move(component));
   }
-  return visited == alive_count;
+  return components;
 }
 
 bool Topology::min_degree_at_least(std::size_t min_degree) const {

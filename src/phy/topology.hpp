@@ -100,8 +100,12 @@ class Topology {
   /// a and c reach b but a and c do not reach each other.
   [[nodiscard]] bool hidden_pair(NodeId a, NodeId c, NodeId receiver) const;
 
+  /// Every connected component of the alive subgraph, each sorted, in
+  /// order of its smallest member.
+  [[nodiscard]] std::vector<std::vector<NodeId>> components() const;
+
   /// True iff the alive subgraph is connected.
-  [[nodiscard]] bool connected() const;
+  [[nodiscard]] bool connected() const { return components().size() <= 1; }
 
   /// True iff every alive node has at least `min_degree` alive neighbours
   /// (the paper requires >= 2 for ring formation).

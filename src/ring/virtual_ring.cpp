@@ -233,30 +233,12 @@ util::Result<VirtualRing> build_ring(const phy::Topology& topology,
 }
 
 std::vector<NodeId> largest_component(const phy::Topology& topology) {
-  const std::size_t n = topology.node_count();
-  const phy::NeighborTable table = topology.neighbor_table();
-  std::vector<bool> seen(n, false);
-  std::vector<NodeId> best;
-  for (NodeId start = 0; start < n; ++start) {
-    if (seen[start] || !topology.alive(start)) continue;
-    std::vector<NodeId> component;
-    std::vector<NodeId> frontier{start};
-    seen[start] = true;
-    while (!frontier.empty()) {
-      const NodeId u = frontier.back();
-      frontier.pop_back();
-      component.push_back(u);
-      for (const NodeId v : table.row(u)) {
-        if (!seen[v]) {
-          seen[v] = true;
-          frontier.push_back(v);
-        }
-      }
-    }
-    if (component.size() > best.size()) best = std::move(component);
-  }
-  std::sort(best.begin(), best.end());
-  return best;
+  std::vector<std::vector<NodeId>> components = topology.components();
+  if (components.empty()) return {};
+  // max_element keeps the first of equally large components.
+  return std::move(*std::max_element(
+      components.begin(), components.end(),
+      [](const auto& a, const auto& b) { return a.size() < b.size(); }));
 }
 
 util::Result<VirtualRing> build_ring_over(const phy::Topology& topology,

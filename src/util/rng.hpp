@@ -21,6 +21,16 @@ namespace wrt::util {
   return z ^ (z >> 31);
 }
 
+/// Per-ring seed: `seed` mixed through splitmix64 with a stable key of the
+/// ring (a federation ring's global index, a coordinator ring's smallest
+/// member), so each ring's stream is independent and does not depend on
+/// the order in which rings are built.  Distinct keys give distinct seeds.
+[[nodiscard]] constexpr std::uint64_t mix_seed(std::uint64_t seed,
+                                               std::uint64_t key) noexcept {
+  std::uint64_t state = seed ^ (0x9e3779b97f4a7c15ULL * (key + 1ULL));
+  return splitmix64(state);
+}
+
 /// xoshiro256** by Blackman & Vigna: fast, high-quality, 2^256-1 period.
 /// Satisfies std::uniform_random_bit_generator.
 class Xoshiro256 {

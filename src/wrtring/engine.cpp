@@ -723,7 +723,7 @@ void Engine::sat_arrive(NodeId at) {
     sat_.rec_failed = leave_pending_;
     rec_deadline_ = now_ + slots_to_ticks(effective_sat_timeout(at));
     leave_pending_ = kInvalidNode;
-    fsm_.on_graceful_leave(at, sat_.rec_failed, now_);
+    fsm_.on_graceful_leave(sat_.rec_failed, now_);
   }
 
   // RAP entry (Section 2.4.1): one station per round, guarded by the mutex.

@@ -35,16 +35,6 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
-/// Stable per-ring seed: mixes the federation seed with the ring's global
-/// index through splitmix64, so ring streams are independent and do not
-/// depend on construction order.
-[[nodiscard]] std::uint64_t ring_seed(std::uint64_t federation_seed,
-                                      std::uint32_t ring_index) {
-  std::uint64_t state =
-      federation_seed ^ (0x9e3779b97f4a7c15ULL * (ring_index + 1ULL));
-  return util::splitmix64(state);
-}
-
 }  // namespace
 
 util::Status FederationConfig::validate() const {
@@ -116,9 +106,10 @@ util::Status FederationEngine::build_rings() {
 
   for (std::uint32_t r = 0; r < config_.rings; ++r) {
     auto topology = std::make_unique<phy::Topology>(
-        phy::placement::circle(n, radius), radio, ring_seed(seed_, r) | 1U);
+        phy::placement::circle(n, radius), radio,
+        util::mix_seed(seed_, r) | 1U);
     auto engine = std::make_unique<Engine>(topology.get(), config_.ring,
-                                           ring_seed(seed_, r));
+                                           util::mix_seed(seed_, r));
     if (util::Status status = engine->init(); !status.ok()) return status;
 
     // Local best-effort backlog: `saturated_per_ring` always-backlogged

@@ -1,12 +1,12 @@
-// Gateway between the WRT-Ring ad hoc network and a Diffserv LAN
+// Gateway between the WRT-Ring ad hoc network and a Diffserv network
 // (Section 2.3, Figure 2).
 //
 // Station G1 belongs to the ring like any other station; what makes it a
 // gateway is the reservation bookkeeping: before a real-time stream crosses
 // the boundary, the requesting side asks G1 for bandwidth and G1 checks the
-// *other* network — the ring's Theorem-1 bound for LAN->ring streams, the
-// LAN's Premium capacity for ring->LAN streams.  Only if the check passes is
-// the reservation installed and the stream admitted.
+// *other* network — the ring's Theorem-1 bound for a stream entering the
+// ring, the far side's Premium capacity for a stream leaving it.  Only if
+// every check passes is the reservation installed and the stream admitted.
 #pragma once
 
 #include <cstdint>
@@ -19,33 +19,27 @@
 
 namespace wrt::wrtring {
 
-/// A real-time stream reservation crossing the gateway.
+/// A real-time stream reservation crossing the gateway, with the resources
+/// it holds.
 struct Reservation {
   FlowId flow = kInvalidFlow;
   double rate_per_slot = 0.0;  ///< packets per slot
-  bool lan_to_ring = true;     ///< direction
-  std::uint32_t granted_l = 0; ///< extra l quota applied to the carrier
-  /// The in-ring station whose l quota carries the stream: G1 for
-  /// ring-bound reservations, the source station for federation egress
-  /// reservations made with reserve_ring_capacity().
+  /// The in-ring station whose l quota carries the stream: G1 for streams
+  /// entering the ring, the source station for federation egress legs, and
+  /// kInvalidNode when the reservation holds no ring quota.
   NodeId carrier = kInvalidNode;
-  /// True when the reservation also holds backbone Premium budget
-  /// (federation ingress reservations).
-  bool backbone_premium = false;
+  std::uint32_t granted_l = 0;  ///< extra l quota applied to the carrier
+  /// True when the reservation holds `rate_per_slot` of the far side's
+  /// Premium budget.
+  bool premium = false;
 };
 
 class Gateway {
  public:
-  /// `engine` and `lan` must outlive the gateway.  `gateway_station` is G1's
-  /// node id in the ring.
-  Gateway(Engine* engine, diffserv::LanModel* lan, NodeId gateway_station);
-
-  /// Federation variant: G1 bridges its ring to a Diffserv backbone
-  /// segment instead of a terminal LAN.  Reservations made through
-  /// reserve_backbone_to_ring() charge both the ring (Theorem-1 check at
-  /// G1) and the segment's Premium budget.  `engine` and `backbone` must
-  /// outlive the gateway.
-  Gateway(Engine* engine, diffserv::BackboneSegment* backbone,
+  /// `engine` and `far_side` must outlive the gateway.  `far_side` is the
+  /// Diffserv network across G1: a LAN's links() or a federation backbone
+  /// segment.  `gateway_station` is G1's node id in the ring.
+  Gateway(Engine* engine, diffserv::BackboneSegment* far_side,
           NodeId gateway_station);
 
   /// LAN -> ring: "the LAN asks G1 for the needed bandwidth to transmit the
@@ -63,49 +57,48 @@ class Gateway {
       FlowId flow, double rate_per_slot);
 
   /// Federation egress leg: admit a crossing stream whose in-ring
-  /// transmitter is `carrier` (the stream's source station).  Same
-  /// Theorem-1 admission check and l-quota grant as reserve_lan_to_ring,
-  /// applied to the carrier instead of G1; the backbone and ingress-ring
-  /// legs are checked by the destination shard's gateway.
+  /// transmitter is `carrier` (the stream's source station).  The ring leg
+  /// of reserve_lan_to_ring, charged to the carrier instead of G1; the
+  /// backbone and ingress-ring legs are checked by the destination shard's
+  /// gateway.
   [[nodiscard]] util::Result<Reservation> reserve_ring_capacity(
       NodeId carrier, FlowId flow, double rate_per_slot);
 
   /// Federation ingress leg: backbone -> ring.  Admits only if the ring
   /// can grant G1 the extra l quota (G1 relays backbone egress into the
   /// ring) AND the backbone segment's Premium class has budget for the
-  /// stream; both are reserved atomically.  Requires the backbone
-  /// constructor.
+  /// stream; both are reserved together.
   [[nodiscard]] util::Result<Reservation> reserve_backbone_to_ring(
       FlowId flow, double rate_per_slot);
 
-  /// Tears a reservation down, returning its resources (G1's extra l quota
-  /// for LAN->ring streams; LAN Premium capacity for ring->LAN streams).
+  /// Tears a reservation down, returning what it holds: the carrier's
+  /// extra l quota and the far side's Premium budget.
   [[nodiscard]] util::Status release(FlowId flow);
-
-  /// Forwards a ring-delivered packet into the LAN (for ring->LAN flows).
-  void forward_to_lan(const traffic::Packet& packet, Tick now);
 
   [[nodiscard]] const std::vector<Reservation>& reservations() const noexcept {
     return reservations_;
   }
 
-  /// Total reserved ring-bound Premium rate (packets/slot).
-  [[nodiscard]] double reserved_into_ring() const noexcept;
-
   [[nodiscard]] NodeId station() const noexcept { return station_; }
 
  private:
-  /// Extra l-quota per SAT round needed to carry `rate_per_slot` through
-  /// G1, using the expected rotation time (Prop 3) as the round length.
-  [[nodiscard]] std::uint32_t quota_for_rate(double rate_per_slot) const;
+  /// Every entry point: checks the rate, then the ring leg when `carrier`
+  /// is a station (Theorem-1 admission of its extra l quota), then the
+  /// Premium leg when `premium` is set (the far side's budget).  Only when
+  /// every leg passes does it grant the quota and hold the Premium.
+  [[nodiscard]] util::Result<Reservation> reserve(FlowId flow,
+                                                  double rate_per_slot,
+                                                  NodeId carrier,
+                                                  bool premium);
 
-  /// Installs `extra_l` additional l quota at `carrier`.
-  void grant_quota(NodeId carrier, std::uint32_t extra_l);
+  /// Extra l-quota per SAT round needed to carry `rate_per_slot` through
+  /// the carrier, using the expected rotation time (Prop 3) as the round
+  /// length.
+  [[nodiscard]] std::uint32_t quota_for_rate(double rate_per_slot) const;
 
   // wrt-lint-allow(cross-shard-handle): gateway bridges its OWN ring; other rings are reached via value-type LAN frames
   Engine* engine_;
-  diffserv::LanModel* lan_;            ///< exactly one of lan_/backbone_ set
-  diffserv::BackboneSegment* backbone_ = nullptr;
+  diffserv::BackboneSegment* far_side_;
   NodeId station_;
   std::vector<Reservation> reservations_;
 };

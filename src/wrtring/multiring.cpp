@@ -8,23 +8,6 @@
 
 namespace wrt::wrtring {
 
-namespace {
-
-/// Per-ring seed: the coordinator seed mixed (splitmix64) with the ring's
-/// smallest member id.  Anchoring on a stable property of the membership —
-/// instead of the old `seed_ + engines_.size() * 7919`, which depended on
-/// component discovery order — keeps each ring's RNG stream identical when
-/// unrelated components appear, vanish, or are enumerated differently.
-/// Disjoint memberships have distinct minima, so streams never collide.
-[[nodiscard]] std::uint64_t ring_seed(std::uint64_t coordinator_seed,
-                                      NodeId anchor) {
-  std::uint64_t state =
-      coordinator_seed ^ (0x9e3779b97f4a7c15ULL * (anchor + 1ULL));
-  return util::splitmix64(state);
-}
-
-}  // namespace
-
 MultiRingCoordinator::MultiRingCoordinator(phy::Topology* topology,
                                            Config config, std::uint64_t seed)
     : topology_(topology), config_(std::move(config)), seed_(seed) {}
@@ -39,10 +22,13 @@ void MultiRingCoordinator::form_rings_over(const phy::NeighborTable& table,
     if (ring::build_ring_over(*topology_, group).ok()) {
       Config ring_config = config_;
       ring_config.members = group;
+      // Seeded by the smallest member: disjoint rings have distinct
+      // minima, and a ring's stream does not depend on the other
+      // components.
       const NodeId anchor = *std::min_element(group.begin(), group.end());
       auto engine = std::make_unique<Engine>(topology_,
                                              std::move(ring_config),
-                                             ring_seed(seed_, anchor));
+                                             util::mix_seed(seed_, anchor));
       if (engine->init().ok()) {
         engines_.push_back(std::move(engine));
         if (!peeled.empty()) form_rings_over(table, std::move(peeled));
@@ -71,26 +57,8 @@ void MultiRingCoordinator::form_rings_over(const phy::NeighborTable& table,
 }
 
 util::Status MultiRingCoordinator::init() {
-  // Enumerate connected components of the alive graph.
   const phy::NeighborTable table = topology_->neighbor_table();
-  std::vector<bool> seen(topology_->node_count(), false);
-  for (NodeId start = 0; start < topology_->node_count(); ++start) {
-    if (seen[start] || !topology_->alive(start)) continue;
-    std::vector<NodeId> component;
-    std::vector<NodeId> frontier{start};
-    seen[start] = true;
-    while (!frontier.empty()) {
-      const NodeId u = frontier.back();
-      frontier.pop_back();
-      component.push_back(u);
-      for (const NodeId v : table.row(u)) {
-        if (!seen[v]) {
-          seen[v] = true;
-          frontier.push_back(v);
-        }
-      }
-    }
-    std::sort(component.begin(), component.end());
+  for (std::vector<NodeId>& component : topology_->components()) {
     form_rings_over(table, std::move(component));
   }
   util::log(util::LogLevel::kInfo,

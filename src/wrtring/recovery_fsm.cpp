@@ -118,18 +118,16 @@ bool RecoveryFsm::on_signal_fail(NodeId detector, NodeId accused, Tick now) {
   }
   if (guard_active(now)) accepted_sf_during_guard_ = true;  // auditor trap
   last_failed_ = accused;
-  last_origin_ = detector;
   enter(d.next, now);
   // wrt-lint-allow(recovery-side-effect): the FSM IS the decision funnel
   if (engine_ != nullptr) engine_->start_recovery(detector);
   return true;
 }
 
-void RecoveryFsm::on_graceful_leave(NodeId origin, NodeId leaver, Tick now) {
+void RecoveryFsm::on_graceful_leave(NodeId leaver, Tick now) {
   const Decision d = transition(state_, RecoveryRequest::kGracefulLeave,
                                 tuning_, guard_active(now));
   last_failed_ = leaver;
-  last_origin_ = origin;
   enter(d.next, now);
 }
 
@@ -138,7 +136,6 @@ void RecoveryFsm::on_recovery_complete(Tick now, double mttr_slots) {
                                 tuning_, guard_active(now));
   record_mttr(mttr_slots);
   last_failed_ = kInvalidNode;
-  last_origin_ = kInvalidNode;
   if (d.action == RecoveryAction::kStartGuard) open_guard(now);
   enter(d.next, now);
 }
@@ -168,7 +165,6 @@ void RecoveryFsm::on_rebuild_complete(Tick now, double mttr_slots) {
                                 tuning_, guard_active(now));
   record_mttr(mttr_slots);
   last_failed_ = kInvalidNode;
-  last_origin_ = kInvalidNode;
   if (d.action == RecoveryAction::kStartGuard) open_guard(now);
   enter(d.next, now);
 }
@@ -177,7 +173,6 @@ void RecoveryFsm::on_stale_rec_cancelled(Tick now) {
   ++stale_rec_suppressed_;
   WRT_COUNT(kStaleRecSuppressed);
   last_failed_ = kInvalidNode;
-  last_origin_ = kInvalidNode;
   // The cancellation ends the protection episode the same way a completion
   // does: guard against the next echo.
   open_guard(now);
@@ -291,7 +286,6 @@ void RecoveryFsm::tick(Tick now) {
     const Decision d = transition(state_, RecoveryRequest::kGuardExpire,
                                   tuning_, false);
     last_failed_ = kInvalidNode;
-    last_origin_ = kInvalidNode;
     enter(d.next, now);
   }
 

@@ -25,9 +25,8 @@
 //     inserted back at its original ring position (after the same
 //     predecessor, with its original quota and Diffserv split), so
 //     rotation history and the Theorem 1/2 bounds survive the blip;
-//   * request de-duplication — the last (failed, origin) request is
-//     tracked so the same failure observed repeatedly generates one
-//     recovery, not N.
+//   * request de-duplication — the last failed station is tracked so
+//     the same failure observed repeatedly generates one recovery, not N.
 //
 // Digest contract: in the all-defaults configuration (guard_slots = 0,
 // wtr_slots = 0, wtb_slots = 0, revertive = false, no forced switches) the
@@ -137,7 +136,7 @@ class RecoveryFsm {
   bool on_signal_fail(NodeId detector, NodeId accused, Tick now);
 
   /// The successor converted the SAT into a graceful-leave SAT_REC.
-  void on_graceful_leave(NodeId origin, NodeId leaver, Tick now);
+  void on_graceful_leave(NodeId leaver, Tick now);
 
   /// SAT_REC returned to its origin; `mttr_slots` is loss -> restored when
   /// a ground-truth loss instant exists (< 0 otherwise).
@@ -267,7 +266,6 @@ class RecoveryFsm {
 
   // Request de-duplication: the last failure this FSM acted on.
   NodeId last_failed_ = kInvalidNode;
-  NodeId last_origin_ = kInvalidNode;
 
   std::vector<RejoinCandidate> candidates_;
   util::FlatMap<NodeId, RejoinCandidate> revertive_memory_;

@@ -169,10 +169,11 @@ TEST(LanModel, PremiumReservationAccounting) {
   EdgePolicy policy;
   policy.premium_rate = 0.1;
   LanModel lan(policy, 1, 1.0, 10);
-  EXPECT_TRUE(lan.can_reserve_premium(0.06));
-  lan.reserve_premium(0.06);
-  EXPECT_TRUE(lan.can_reserve_premium(0.04));
-  EXPECT_FALSE(lan.can_reserve_premium(0.05));
+  BackboneSegment& links = lan.links();
+  EXPECT_TRUE(links.can_reserve_premium(0.06));
+  links.reserve_premium(0.06);
+  EXPECT_TRUE(links.can_reserve_premium(0.04));
+  EXPECT_FALSE(links.can_reserve_premium(0.05));
 }
 
 TEST(LanModel, OutOfProfilePremiumCountedAsDrop) {

@@ -20,7 +20,7 @@ class Figure2Pipeline : public ::testing::Test {
                     analysis::AllocationScheme::kNormalizedProportional, 8,
                     1),
         lan_(policy(), 2, 0.8, 512),
-        gateway_(&harness_.engine, &lan_,
+        gateway_(&harness_.engine, &lan_.links(),
                  harness_.engine.virtual_ring().station_at(0)) {
     harness_.engine.set_max_sat_time_goal(120);
   }
@@ -75,7 +75,7 @@ TEST_F(Figure2Pipeline, AdmittedSessionCrossesRingAndLanInOrder) {
         packet.flow = 7;
         packet.cls = TrafficClass::kRealTime;
         packet.created = harness_.engine.now();
-        gateway_.forward_to_lan(packet, harness_.engine.now());
+        lan_.inject(packet, harness_.engine.now());
         ++forwarded;
       }
     }

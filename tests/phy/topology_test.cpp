@@ -72,8 +72,10 @@ TEST(Topology, ConnectedDetectsPartitions) {
 TEST(Topology, ConnectedIgnoresDeadNodes) {
   Topology t({{0, 0}, {10, 0}, {100, 0}}, RadioParams{12.0, 0.0});
   EXPECT_FALSE(t.connected());
+  EXPECT_EQ(t.components(), (std::vector<std::vector<NodeId>>{{0, 1}, {2}}));
   t.set_alive(2, false);
   EXPECT_TRUE(t.connected());
+  EXPECT_EQ(t.components(), (std::vector<std::vector<NodeId>>{{0, 1}}));
 }
 
 TEST(Topology, MinDegreeCheck) {

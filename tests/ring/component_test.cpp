@@ -20,6 +20,16 @@ TEST(LargestComponent, PicksBiggerSide) {
   const auto component = largest_component(t);
   EXPECT_EQ(component.size(), 4u);
   for (const NodeId n : component) EXPECT_LT(n, 4u);
+
+  // The bigger side wins when the smaller one holds node 0, and of two
+  // equally large sides the one with the smallest member wins.
+  const phy::Topology reversed({{100, 100}, {105, 100}, {0, 0}, {5, 0},
+                                {0, 5}, {5, 5}},
+                               phy::RadioParams{8.0, 0.0});
+  EXPECT_EQ(largest_component(reversed), (std::vector<NodeId>{2, 3, 4, 5}));
+  const phy::Topology tie({{100, 100}, {0, 0}, {105, 100}, {5, 0}},
+                          phy::RadioParams{8.0, 0.0});
+  EXPECT_EQ(largest_component(tie), (std::vector<NodeId>{0, 2}));
 }
 
 TEST(LargestComponent, SkipsDeadNodes) {

@@ -206,7 +206,7 @@ TEST(FederationTest, GatewayBrokersBackboneReservations) {
   const Quota before = ring.station_quota(0);
   auto granted = gateway.reserve_backbone_to_ring(/*flow=*/501, 0.04);
   ASSERT_TRUE(granted.ok());
-  EXPECT_TRUE(granted.value().backbone_premium);
+  EXPECT_TRUE(granted.value().premium);
   EXPECT_GT(granted.value().granted_l, 0U);
   EXPECT_NEAR(backbone.reserved_premium(), 0.04, 1e-12);
   EXPECT_EQ(ring.station_quota(0).l, before.l + granted.value().granted_l);
@@ -238,7 +238,7 @@ TEST(FederationTest, GatewayReservesRingCapacityForCarrier) {
   auto granted = gateway.reserve_ring_capacity(carrier, /*flow=*/601, 0.05);
   ASSERT_TRUE(granted.ok());
   EXPECT_EQ(granted.value().carrier, carrier);
-  EXPECT_FALSE(granted.value().backbone_premium);
+  EXPECT_FALSE(granted.value().premium);
   EXPECT_EQ(ring.station_quota(carrier).l,
             before.l + granted.value().granted_l);
   // The carrier's grant, not G1's.
