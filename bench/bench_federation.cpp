@@ -17,8 +17,10 @@
 //                   host because busy time is per-thread, not per-machine.
 //
 // `--determinism` runs only the worker-count invariance check (same
-// (seed, K) -> same digest for W ∈ {1, 2, 8}) and exits 0/1; scripts/
-// check.sh --federation-smoke and CI use it as the cheap race oracle.
+// (seed, fabric) -> same digest for W ∈ {1, 2, 8}, on two small fabrics
+// and on the shape of bench/e2e's federation workload) and exits 0/1;
+// scripts/check.sh --federation-smoke and CI use it as the cheap race
+// oracle.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -97,31 +99,41 @@ double station_slots_per_sec(const wrtring::FederationStats& stats,
              : 0.0;
 }
 
-/// Same (seed, K) must digest identically for any worker count.
-bool determinism_check(std::uint32_t shards) {
-  const std::int64_t epochs = 6;
+/// Same (seed, fabric) must digest identically for any worker count.
+bool determinism_check(const char* label, std::uint32_t rings,
+                       std::uint32_t stations, std::uint32_t shards,
+                       std::int64_t epoch_slots, std::int64_t epochs) {
   std::uint64_t reference = 0;
   bool first = true;
   for (const std::uint32_t workers : {1U, 2U, 8U}) {
     wrtring::FederationConfig config =
-        make_config(/*rings=*/16, /*stations=*/8, shards, workers);
-    config.epoch_slots = 16;
+        make_config(rings, stations, shards, workers);
+    config.epoch_slots = epoch_slots;
     const RunResult result = run_federation(config, epochs);
     if (!result.ok) return false;
     if (first) {
       reference = result.digest;
       first = false;
     } else if (result.digest != reference) {
-      std::printf("determinism FAIL: K=%u W=%u digest %016llx != %016llx\n",
-                  shards, workers,
+      std::printf("determinism FAIL: %s W=%u digest %016llx != %016llx\n",
+                  label, workers,
                   static_cast<unsigned long long>(result.digest),
                   static_cast<unsigned long long>(reference));
       return false;
     }
   }
-  std::printf("determinism ok: K=%u, W in {1,2,8} -> digest %016llx\n",
-              shards, static_cast<unsigned long long>(reference));
+  std::printf("determinism ok: %s, W in {1,2,8} -> digest %016llx\n", label,
+              static_cast<unsigned long long>(reference));
   return true;
+}
+
+/// Two small fabrics (16 rings of 8 stations, E = 16, 6 epochs), then the
+/// shape of bench/e2e's federation workload (64 rings of 64 stations,
+/// K = 8, E = 64) for 32 epochs, about 8.4 M station-slots per W.
+bool determinism_checks() {
+  return determinism_check("K=2", 16, 8, 2, 16, 6) &&
+         determinism_check("K=8", 16, 8, 8, 16, 6) &&
+         determinism_check("64x64 K=8 E=64", 64, 64, 8, 64, 32);
 }
 
 }  // namespace
@@ -131,8 +143,7 @@ int main(int argc, char** argv) {
   using namespace wrt;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--determinism") == 0) {
-      const bool ok = determinism_check(2) && determinism_check(8);
-      return ok ? 0 : 1;
+      return determinism_checks() ? 0 : 1;
     }
   }
 
@@ -140,7 +151,7 @@ int main(int argc, char** argv) {
   reporter.seed(kSeed);
   const bool csv = reporter.csv();
 
-  const bool ok = determinism_check(2) && determinism_check(8);
+  const bool ok = determinism_checks();
   reporter.metric("determinism_ok", ok ? 1.0 : 0.0, "bool");
   if (!ok) return 1;
 

@@ -27,8 +27,10 @@
 #                                   # build bench_federation only, then run
 #                                   # its --determinism mode: same (seed, K)
 #                                   # must digest identically for worker
-#                                   # counts W in {1,2,8}, and to the two
-#                                   # pinned values
+#                                   # counts W in {1,2,8}, and to the three
+#                                   # pinned values (two small fabrics and
+#                                   # the federation workload's 64x64 K=8
+#                                   # E=64 shape)
 #   scripts/check.sh --tsan         # ThreadSanitizer build (build-tsan/) and
 #                                   # the concurrency suite: K engines on K
 #                                   # threads must be race-free AND digest
@@ -156,7 +158,9 @@ fi
 if [ "$FEDERATION_SMOKE" = 1 ]; then
   echo "== federation smoke: worker-count determinism =="
   # Standalone mode: builds only the federation bench and runs its
-  # determinism oracle (same (seed, K) -> same digest for W in {1,2,8}).
+  # determinism oracle (same (seed, fabric) -> same digest for W in
+  # {1,2,8}) on two small fabrics and on the shape of bench/e2e's
+  # federation workload (64 rings of 64 stations, K=8, E=64, 32 epochs).
   # The full federation scaling run (1M+ stations) happens in the regular
   # bench pass below; this gate is the seconds-cheap CI version.
   configure build
@@ -165,10 +169,11 @@ if [ "$FEDERATION_SMOKE" = 1 ]; then
   echo "$FEDERATION_OUT"
   # Pinned digests: worker-count invariance alone passes a change that
   # alters the fabric the same way for every W.  ROADMAP's fixed-bucket
-  # crossing-delay histogram changes both on purpose; recapture them there
-  # (and tests/wrtring/federation_test.cpp's FederationDigest cells).
+  # crossing-delay histogram changes all three on purpose; recapture them
+  # there (and tests/wrtring/federation_test.cpp's FederationDigest cells).
   for pinned in "K=2, W in {1,2,8} -> digest 200ee8373956970b" \
-                "K=8, W in {1,2,8} -> digest c7362a384ec5fc41"; do
+                "K=8, W in {1,2,8} -> digest c7362a384ec5fc41" \
+                "64x64 K=8 E=64, W in {1,2,8} -> digest 05b2a1c658a19ad1"; do
     if ! grep -qF "$pinned" <<< "$FEDERATION_OUT"; then
       echo "federation smoke: expected '$pinned'" >&2
       exit 1
