@@ -20,7 +20,6 @@
 #include <ctime>
 #include <fstream>
 #include <iostream>
-#include <numbers>
 #include <string>
 #include <vector>
 
@@ -51,13 +50,7 @@ inline void emit(const util::Table& table, bool csv) {
 }
 
 /// N stations on a circle, range covering ~2 ring hops (cut-out capable).
-inline phy::Topology ring_room(std::size_t n, double range_hops = 2.4) {
-  const double radius = 10.0;
-  const double chord =
-      2.0 * radius * std::sin(std::numbers::pi / static_cast<double>(n));
-  return phy::Topology(phy::placement::circle(n, radius),
-                       phy::RadioParams{chord * range_hops, 0.0});
-}
+using phy::ring_room;
 
 /// Dense room: everyone hears everyone (TPT's natural habitat).
 inline phy::Topology dense_room(std::size_t n) {

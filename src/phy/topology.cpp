@@ -245,4 +245,12 @@ std::vector<Vec2> chain(std::size_t n, double spacing, Vec2 origin) {
 
 }  // namespace placement
 
+Topology ring_room(std::size_t n, double range_hops) {
+  const double radius = 10.0;
+  const double chord =
+      2.0 * radius * std::sin(std::numbers::pi / static_cast<double>(n));
+  return Topology(placement::circle(n, radius),
+                  RadioParams{chord * range_hops, 0.0});
+}
+
 }  // namespace wrt::phy

@@ -156,4 +156,11 @@ namespace placement {
 
 }  // namespace placement
 
+/// The ring room: `n` stations evenly spaced on a circle of radius 10 m,
+/// radio range `range_hops` chord lengths.  At 2.4 a station reaches two
+/// ring hops, so the ring always forms and stays repairable after one
+/// station is cut out; just above 1 each station hears only its two ring
+/// neighbours.
+[[nodiscard]] Topology ring_room(std::size_t n, double range_hops = 2.4);
+
 }  // namespace wrt::phy

@@ -22,20 +22,7 @@ util::Status Config::validate() const {
     return util::Error::invalid_argument(
         "k1_assured cannot exceed the k quota");
   }
-  for (const Quota& quota : station_quotas) {
-    if (k1_assured > quota.k) {
-      return util::Error::invalid_argument(
-          "k1_assured exceeds a per-station k quota");
-    }
-  }
   if (const auto status = channel.validate(); !status.ok()) return status;
-  if (join_backoff_base_slots < 1) {
-    return util::Error::invalid_argument(
-        "join_backoff_base_slots must be >= 1");
-  }
-  if (join_max_attempts < 1) {
-    return util::Error::invalid_argument("join_max_attempts must be >= 1");
-  }
   if (auto_rejoin && rap_policy == RapPolicy::kDisabled) {
     return util::Error::invalid_argument(
         "auto_rejoin needs an active RAP policy to re-enter through");

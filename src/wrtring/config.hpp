@@ -17,11 +17,10 @@ enum class RapPolicy : std::uint8_t {
 };
 
 struct Config {
-  /// Default per-station quota (l real-time, k non-real-time packets per
-  /// SAT round, Section 2.2).  Overridden per station by `station_quotas`
-  /// when non-empty (index = ring-construction order).
+  /// Per-station quota every station starts with (l real-time, k
+  /// non-real-time packets per SAT round, Section 2.2); change one
+  /// station's with Engine::set_station_quota.
   Quota default_quota{1, 1};
-  std::vector<Quota> station_quotas;
 
   /// When non-empty, the engine rings exactly these stations rather than
   /// every alive node — used by MultiRingCoordinator to run several
@@ -81,15 +80,6 @@ struct Config {
   /// contract).  Independent per-hop loss with probability p is
   /// `channel.data = fault::GeParams::iid(p)` (likewise `sat`, `control`).
   fault::ChannelConfig channel;
-
-  /// Lossy-join retry policy (Section 2.4.1 under loss).  A joiner whose
-  /// JOIN_REQ or JOIN_ACK is lost observes a RAP round with no acknowledged
-  /// insertion and backs off: it ignores NEXT_FREE broadcasts for
-  /// base << min(attempt-1, 6) slots, then listens again with a cleared
-  /// NEXT_FREE table.  After `join_max_attempts` lost messages the join is
-  /// abandoned cleanly (nothing half-inserted, RAP_mutex free).
-  std::int64_t join_backoff_base_slots = 8;
-  std::uint32_t join_max_attempts = 10;
 
   /// A healthy station cut out by a spurious SAT_REC (the paper blames the
   /// detector's predecessor, which may be innocent after a transient loss)

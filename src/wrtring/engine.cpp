@@ -61,7 +61,7 @@ util::Status Engine::init() {
   kernel_.configure(config_.queue_capacity);
   kernel_.reserve(ring_.size());
   for (std::size_t p = 0; p < ring_.size(); ++p) {
-    kernel_.insert_station(p, ring_.station_at(p), quota_for_position(p),
+    kernel_.insert_station(p, ring_.station_at(p), config_.default_quota,
                            config_.k1_assured, now_);
   }
   rebuild_position_index();
@@ -84,13 +84,6 @@ util::Status Engine::init() {
 
 void Engine::assign_codes() {
   codes_ = cdma::assign_greedy_two_hop(*topology_);
-}
-
-Quota Engine::quota_for_position(std::size_t position) const {
-  if (position < config_.station_quotas.size()) {
-    return config_.station_quotas[position];
-  }
-  return config_.default_quota;
 }
 
 // ---------------------------------------------------------------------------
@@ -1341,6 +1334,14 @@ void Engine::begin_rap(NodeId ingress) {
 }
 
 void Engine::register_join_backoff(NodeId joiner) {
+  // Lossy-join retry policy (Section 2.4.1 under loss).  A joiner whose
+  // JOIN_REQ or JOIN_ACK is lost ignores NEXT_FREE broadcasts for
+  // base << min(attempt-1, cap) slots, then listens again with a cleared
+  // NEXT_FREE table.  After kJoinMaxAttempts lost messages the join is
+  // abandoned cleanly (nothing half-inserted, RAP_mutex free).
+  constexpr std::uint32_t kJoinMaxAttempts = 10;
+  constexpr std::int64_t kJoinBackoffBaseSlots = 8;
+  constexpr std::uint32_t kJoinBackoffExpCap = 6;
   const auto it = pending_joins_.find(joiner);
   if (it == pending_joins_.end()) return;
   PendingJoin& join = it->second;
@@ -1348,19 +1349,16 @@ void Engine::register_join_backoff(NodeId joiner) {
   ++stats_.join_retries;
   WRT_COUNT(kJoinRetries);
   journal_record(joiner, telemetry::JournalKind::kControlLost, join.attempts);
-  if (join.attempts >= config_.join_max_attempts) {
+  if (join.attempts >= kJoinMaxAttempts) {
     ++stats_.joins_abandoned;
     journal_record(joiner, telemetry::JournalKind::kJoinReject, rap_ingress_);
     pending_joins_.erase(it);
     return;
   }
-  // The backoff doubles per lost message up to base << 6, then stays there.
-  constexpr std::uint32_t kJoinBackoffExpCap = 6;
   const std::uint32_t exponent =
       std::min(join.attempts - 1, kJoinBackoffExpCap);
   join.backoff_until =
-      now_ +
-      slots_to_ticks(config_.join_backoff_base_slots << exponent);
+      now_ + slots_to_ticks(kJoinBackoffBaseSlots << exponent);
   // The ring may look completely different by the time the backoff expires;
   // restart the NEXT_FREE table from scratch.
   join.heard.clear();

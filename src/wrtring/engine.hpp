@@ -524,7 +524,6 @@ class WRT_SHARD_CONFINED Engine final {
   /// exponential backoff, abandon cleanly past the attempt budget.
   void register_join_backoff(NodeId joiner);
   [[nodiscard]] std::int64_t effective_sat_timeout(NodeId node) const;
-  [[nodiscard]] Quota quota_for_position(std::size_t position) const;
   void record_rotation(std::size_t position, Tick arrival);
   void assign_codes();
   void deliver(LinkFrame& frame, NodeId at);

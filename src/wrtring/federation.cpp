@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <numbers>
 #include <thread>
 #include <utility>
 
@@ -15,15 +13,6 @@
 namespace wrt::wrtring {
 
 namespace {
-
-/// Crossing-stream flow ids live above every local flow id so the two
-/// spaces cannot collide (local ids are dense from 0).
-constexpr FlowId kCrossingFlowBase = FlowId{1} << 30;
-
-/// Every station is the gateway candidate; by convention node 0 bridges
-/// its ring to the backbone (it exists in every ring and never churns in
-/// a federation run).
-constexpr NodeId kGatewayNode = 0;
 
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
@@ -53,9 +42,9 @@ util::Status FederationConfig::validate() const {
   if (crossing_flows_per_ring > 0 && crossing_rate_per_slot <= 0.0) {
     return util::Error::invalid_argument("crossing rate must be positive");
   }
-  if (!ring.members.empty() || !ring.station_quotas.empty()) {
+  if (!ring.members.empty()) {
     return util::Error::invalid_argument(
-        "ring template must leave members/station_quotas empty");
+        "ring template must leave members empty");
   }
   return util::Status::success();
 }
@@ -74,8 +63,9 @@ util::Status FederationEngine::init() {
   shards_.reserve(K);
   for (std::uint32_t s = 0; s < K; ++s) {
     shards_.push_back(std::make_unique<FederationShard>(
-        s, K, config_.backbone_hops, config_.backbone_service_rate,
-        config_.backbone_queue_capacity, config_.backbone_premium_capacity));
+        s, K, crossing_flows_, config_.backbone_hops,
+        config_.backbone_service_rate, config_.backbone_queue_capacity,
+        config_.backbone_premium_capacity));
   }
   mailboxes_.resize(static_cast<std::size_t>(K) * K);
   for (std::uint32_t s = 0; s < K; ++s) {
@@ -97,17 +87,9 @@ util::Status FederationEngine::init() {
 util::Status FederationEngine::build_rings() {
   const std::uint32_t K = config_.shards;
   const std::size_t n = config_.stations_per_ring;
-  // Same geometry as the bench "ring room": n stations on a circle with
-  // radio range ~2.4 chord lengths (cut-out capable, ring always forms).
-  const double radius = 10.0;
-  const double chord =
-      2.0 * radius * std::sin(std::numbers::pi / static_cast<double>(n));
-  const phy::RadioParams radio{chord * 2.4, 0.0};
 
   for (std::uint32_t r = 0; r < config_.rings; ++r) {
-    auto topology = std::make_unique<phy::Topology>(
-        phy::placement::circle(n, radius), radio,
-        util::mix_seed(seed_, r) | 1U);
+    auto topology = std::make_unique<phy::Topology>(phy::ring_room(n));
     auto engine = std::make_unique<Engine>(topology.get(), config_.ring,
                                            util::mix_seed(seed_, r));
     if (util::Status status = engine->init(); !status.ok()) return status;
@@ -125,8 +107,7 @@ util::Status FederationEngine::build_rings() {
       engine->add_saturated_source(spec, /*backlog=*/4);
     }
 
-    shards_[r % K]->add_ring(r, kGatewayNode, std::move(topology),
-                             std::move(engine));
+    shards_[r % K]->add_ring(r, std::move(topology), std::move(engine));
   }
   return util::Status::success();
 }
@@ -200,20 +181,8 @@ void FederationEngine::install_crossing_flows() {
       spec.deadline_slots = crossing.admitted ? deadline : 0;
       shards_[src_shard]->ring_engine(src_slot).add_source(spec);
 
-      OutboundRoute out;
-      out.src_ring = crossing.src_ring;
-      out.dst_ring = crossing.dst_ring;
-      out.dst_shard = dst_shard;
-      out.dst_station = crossing.dst_station;
-      shards_[src_shard]->add_outbound_route(crossing.flow, out);
-
-      InboundRoute in;
-      in.dst_ring = crossing.dst_ring;
-      in.ring_slot = dst_slot;
-      in.dst_station = crossing.dst_station;
-      in.gateway = kGatewayNode;
-      shards_[dst_shard]->add_inbound_route(crossing.flow, in);
-
+      // The shards find a crossing by flow id with one subtraction.
+      assert(crossing.flow == kCrossingFlowBase + crossing_flows_.size());
       crossing_flows_.push_back(crossing);
     }
   }
@@ -227,28 +196,22 @@ void FederationEngine::run_epochs(std::int64_t epochs) {
   if (W == 0) W = 1;
 
   for (std::int64_t e = 0; e < epochs; ++e) {
-    const Tick epoch_start = slots_to_ticks(now_slots_);
-    if (W == 1) {
-      for (auto& shard : shards_) {
-        shard->run_epoch(epoch_start, config_.epoch_slots);
-      }
-    } else {
-      // Static shard -> worker assignment (s mod W); the assignment has no
-      // semantic weight — shards never observe each other mid-epoch.
-      std::vector<std::thread> workers;
-      workers.reserve(W - 1);
-      for (std::uint32_t w = 1; w < W; ++w) {
-        workers.emplace_back([this, w, W, epoch_start, K] {
-          for (std::uint32_t s = w; s < K; s += W) {
-            shards_[s]->run_epoch(epoch_start, config_.epoch_slots);
-          }
-        });
-      }
-      for (std::uint32_t s = 0; s < K; s += W) {
-        shards_[s]->run_epoch(epoch_start, config_.epoch_slots);
-      }
-      for (std::thread& worker : workers) worker.join();
+    // Static shard -> worker assignment (s mod W); the assignment has no
+    // semantic weight — shards never observe each other mid-epoch.  The
+    // calling thread is worker 0, so W = 1 starts no thread.
+    std::vector<std::thread> workers;
+    workers.reserve(W - 1);
+    for (std::uint32_t w = 1; w < W; ++w) {
+      workers.emplace_back([this, w, W, K] {
+        for (std::uint32_t s = w; s < K; s += W) {
+          shards_[s]->run_epoch(config_.epoch_slots);
+        }
+      });
     }
+    for (std::uint32_t s = 0; s < K; s += W) {
+      shards_[s]->run_epoch(config_.epoch_slots);
+    }
+    for (std::thread& worker : workers) worker.join();
 
     // Barrier passed (threads joined): flip every mailbox serially so this
     // epoch's posts become next epoch's inbound.

@@ -80,7 +80,9 @@ util::Status Gateway::release(FlowId flow) {
   if (it == reservations_.end()) {
     return util::Error::not_found("no reservation for that flow");
   }
-  if (it->carrier != kInvalidNode) {
+  // A carrier that has left the ring took its quota with it.
+  if (it->carrier != kInvalidNode &&
+      engine_->virtual_ring().contains(it->carrier)) {
     const Quota current = engine_->station_quota(it->carrier);
     const std::uint32_t restored =
         current.l >= it->granted_l ? current.l - it->granted_l : 0;

@@ -72,7 +72,8 @@ class Gateway {
       FlowId flow, double rate_per_slot);
 
   /// Tears a reservation down, returning what it holds: the carrier's
-  /// extra l quota and the far side's Premium budget.
+  /// extra l quota (unless the carrier has left the ring, taking its quota
+  /// with it) and the far side's Premium budget.
   [[nodiscard]] util::Status release(FlowId flow);
 
   [[nodiscard]] const std::vector<Reservation>& reservations() const noexcept {

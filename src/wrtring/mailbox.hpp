@@ -24,17 +24,14 @@
 namespace wrt::wrtring {
 
 /// One packet crossing a ring boundary, snapshotted at the source ring's
-/// gateway.  Value type only — enough to rebuild a traffic::Packet at the
-/// destination shard and to account the crossing end to end.
+/// gateway.  Value type only, and packet identity only: the destination
+/// shard rebuilds the traffic::Packet from it and from the flow's record
+/// in the crossing table, which says where the packet re-enters.
 struct FederationFrame {
   FlowId flow = kInvalidFlow;
   TrafficClass cls = TrafficClass::kBestEffort;
-  std::uint32_t src_ring = 0;        ///< global ring index of the egress ring
-  std::uint32_t dst_ring = 0;        ///< global ring index of the ingress ring
-  NodeId dst_station = kInvalidNode; ///< final destination in dst_ring
-  Tick created = 0;                  ///< original packet creation time
-  Tick gateway_out = 0;              ///< delivery time at the egress gateway
-  Tick deadline = kNeverTick;        ///< absolute, carried across the crossing
+  Tick created = 0;            ///< original packet creation time
+  Tick deadline = kNeverTick;  ///< absolute, carried across the crossing
   std::uint64_t sequence = 0;
 };
 
@@ -56,9 +53,6 @@ class Mailbox {
     read_.swap(write_);
     write_.clear();
   }
-
-  /// Frames posted this epoch but not yet published.
-  [[nodiscard]] std::size_t pending() const noexcept { return write_.size(); }
 
  private:
   std::vector<FederationFrame> write_;

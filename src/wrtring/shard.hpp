@@ -1,15 +1,19 @@
 // One federation shard: a worker-thread-confined bundle of rings plus the
 // Diffserv backbone segment that terminates crossings at those rings.
 //
-// A FederationShard owns everything its worker thread touches during an
+// A FederationShard owns everything its worker thread writes during an
 // epoch — the ring engines (each WRT_SHARD_CONFINED per DESIGN.md §11),
-// their private topologies, the backbone segment, the crossing routing
-// tables and the delay accounting.  The only data that leaves the shard
-// is a value-type FederationFrame posted into a Mailbox owned by the
-// coordinator (drained by the destination shard next epoch), and the only
-// data that enters is the read half of those mailboxes.  Everything here
-// is therefore single-threaded by construction; the epoch barrier in
-// FederationEngine::run_epochs is the sole synchronization point.
+// their private topologies, the backbone segment and the delay
+// accounting.  It routes crossings by the coordinator's crossing table,
+// the one record of where each crossing stream leaves and re-enters the
+// fabric: FederationEngine::init writes it before any epoch starts a
+// thread, and during epochs every shard only reads it.  The only data
+// that leaves the shard is a value-type FederationFrame posted into a
+// Mailbox owned by the coordinator (drained by the destination shard next
+// epoch), and the only data that enters is the read half of those
+// mailboxes.  Everything here is therefore single-threaded by
+// construction; the epoch barrier in FederationEngine::run_epochs is the
+// sole synchronization point.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +22,6 @@
 
 #include "diffserv/diffserv.hpp"
 #include "phy/topology.hpp"
-#include "util/flat_map.hpp"
 #include "util/thread_safety.hpp"
 #include "util/types.hpp"
 #include "wrtring/engine.hpp"
@@ -26,23 +29,25 @@
 
 namespace wrt::wrtring {
 
-/// Where a crossing flow leaves its source ring.  Registered on the shard
-/// owning the source ring; consulted by the gateway delivery tap.
-struct OutboundRoute {
-  std::uint32_t src_ring = 0;  ///< global ring index of the egress ring
-  std::uint32_t dst_ring = 0;  ///< global ring index of the ingress ring
-  std::uint32_t dst_shard = 0;
-  NodeId dst_station = kInvalidNode;
-};
+/// Crossing-stream flow ids live above every local flow id so the two
+/// spaces cannot collide (local ids are dense from 0).  Entry i of the
+/// crossing table is flow kCrossingFlowBase + i.
+constexpr FlowId kCrossingFlowBase = FlowId{1} << 30;
 
-/// Where a crossing flow re-enters the ring fabric.  Registered on the
-/// shard owning the destination ring; consulted when draining mailboxes
-/// and when backbone egress is re-injected.
-struct InboundRoute {
-  std::uint32_t dst_ring = 0;  ///< global ring index
-  std::size_t ring_slot = 0;   ///< index into this shard's ring list
+/// Every station is the gateway candidate; by convention node 0 bridges
+/// its ring to the backbone (it exists in every ring and never churns in
+/// a federation run).
+constexpr NodeId kGatewayNode = 0;
+
+/// One brokered crossing stream: the routing record of the crossing table
+/// (written by FederationEngine::init, read-only during epochs).
+struct CrossingFlow {
+  FlowId flow = kInvalidFlow;
+  std::uint32_t src_ring = 0;
+  std::uint32_t dst_ring = 0;
+  NodeId src_station = kInvalidNode;
   NodeId dst_station = kInvalidNode;
-  NodeId gateway = kInvalidNode;  ///< injecting station (G1 of the dst ring)
+  bool admitted = false;  ///< RealTime if true, demoted to best-effort else
 };
 
 /// Integer crossing counters; summed across shards after the epoch loop
@@ -52,7 +57,7 @@ struct ShardCounters {
   std::uint64_t crossings_received = 0;  ///< frames drained into the backbone
   std::uint64_t crossings_injected = 0;  ///< frames injected into a dst ring
   std::uint64_t crossings_delivered = 0; ///< final in-ring deliveries seen
-  std::uint64_t crossing_drops = 0;      ///< unroutable or injection-refused
+  std::uint64_t crossing_drops = 0;      ///< injection refused (queue full)
 };
 
 /// Shard-confined: every method below (other than the serial wiring
@@ -60,7 +65,10 @@ struct ShardCounters {
 /// called from the shard's owning worker thread.
 class WRT_SHARD_CONFINED FederationShard {
  public:
+  /// `crossings` is the coordinator's crossing table; it must outlive the
+  /// shard and is only read during epochs.
   FederationShard(std::uint32_t index, std::uint32_t shard_count,
+                  const std::vector<CrossingFlow>& crossings,
                   std::size_t backbone_hops, double backbone_service_rate,
                   std::size_t backbone_queue_capacity,
                   double backbone_premium_capacity);
@@ -70,7 +78,7 @@ class WRT_SHARD_CONFINED FederationShard {
   /// Transfers ownership of one ring (topology + engine) to the shard and
   /// installs the gateway delivery tap.  Returns the ring's slot index
   /// within this shard.
-  std::size_t add_ring(std::uint32_t ring_index, NodeId gateway,
+  std::size_t add_ring(std::uint32_t ring_index,
                        std::unique_ptr<phy::Topology> topology,
                        std::unique_ptr<Engine> engine);
 
@@ -80,9 +88,6 @@ class WRT_SHARD_CONFINED FederationShard {
   void set_mailboxes(std::vector<Mailbox*> inbound,
                      std::vector<Mailbox*> outbound);
 
-  void add_outbound_route(FlowId flow, const OutboundRoute& route);
-  void add_inbound_route(FlowId flow, const InboundRoute& route);
-
   // -- epoch execution (worker thread) -----------------------------------
 
   /// Runs one epoch: (1) injects last epoch's backbone egress into its
@@ -90,8 +95,9 @@ class WRT_SHARD_CONFINED FederationShard {
   /// order) into the backbone, (3) steps the backbone epoch_slots slots,
   /// buffering egress for next epoch, (4) steps every ring engine
   /// epoch_slots slots (gateway taps post outbound frames).  Touches only
-  /// shard-owned state plus the mailbox halves assigned to this shard.
-  void run_epoch(Tick epoch_start, std::int64_t epoch_slots);
+  /// shard-owned state plus the mailbox halves assigned to this shard and
+  /// the read-only crossing table.
+  void run_epoch(std::int64_t epoch_slots);
 
   // -- accounting (serial, after workers have joined) --------------------
 
@@ -143,16 +149,12 @@ class WRT_SHARD_CONFINED FederationShard {
  private:
   struct RingSlot {
     std::uint32_t ring_index = 0;
-    NodeId gateway = kInvalidNode;
     std::unique_ptr<phy::Topology> topology;
     std::unique_ptr<Engine> engine;
   };
 
-  /// Backbone egress buffered for injection at the next epoch boundary.
-  struct PendingInject {
-    std::size_t ring_slot = 0;
-    traffic::Packet packet;
-  };
+  /// The crossing table's record of `flow`, or nullptr for a local flow.
+  [[nodiscard]] const CrossingFlow* crossing(FlowId flow) const noexcept;
 
   /// Delivery-tap body: posts gateway-delivered crossing packets to the
   /// destination shard's mailbox; records end-to-end delay on final
@@ -160,19 +162,15 @@ class WRT_SHARD_CONFINED FederationShard {
   void on_delivery(std::size_t slot, const traffic::Packet& packet,
                    NodeId at, Tick now);
 
-  [[nodiscard]] traffic::Packet reconstruct(const FederationFrame& frame,
-                                            const InboundRoute& route) const;
-
   std::uint32_t index_;
   std::uint32_t shard_count_;
+  const std::vector<CrossingFlow>& crossings_;
   std::vector<RingSlot> rings_;
   diffserv::BackboneSegment backbone_;
-  util::FlatMap<FlowId, OutboundRoute> outbound_;
-  util::FlatMap<FlowId, InboundRoute> inbound_;
   std::vector<Mailbox*> inbound_mail_;   ///< [p] = shard p -> this shard
   std::vector<Mailbox*> outbound_mail_;  ///< [d] = this shard -> shard d
-  std::vector<PendingInject> pending_;
-  std::vector<traffic::Packet> egress_scratch_;
+  /// Backbone egress buffered for injection at the next epoch boundary.
+  std::vector<traffic::Packet> pending_;
   ShardCounters counters_;
   std::vector<Tick> rt_delay_ticks_;
   std::vector<Tick> be_delay_ticks_;

@@ -2,20 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <numbers>
 
 namespace wrt::cdma {
 namespace {
 
-phy::Topology circle_topology(std::size_t n) {
-  // Range just above the neighbour chord: each station hears exactly its
-  // two ring neighbours, so 2-hop neighbourhoods have 4 members.
-  const double chord =
-      2.0 * 10.0 * std::sin(std::numbers::pi / static_cast<double>(n));
-  return phy::Topology(phy::placement::circle(n, 10.0),
-                       phy::RadioParams{chord * 1.1, 0.0});
-}
+/// Range just above the neighbour chord: each station hears exactly its
+/// two ring neighbours, so 2-hop neighbourhoods have 4 members.
+phy::Topology circle_topology(std::size_t n) { return phy::ring_room(n, 1.1); }
 
 TEST(GreedyAssignment, SatisfiesDistanceTwoOnCircle) {
   for (const std::size_t n : {4u, 8u, 16u, 32u}) {

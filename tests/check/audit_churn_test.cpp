@@ -31,7 +31,7 @@ TEST_P(AuditChurnTest, ChurnHeavyScenarioAuditsClean) {
   const std::uint64_t seed = GetParam();
   constexpr std::size_t kInitial = 12;
 
-  phy::Topology topology = wrtring::testing::circle_topology(kInitial, 2.4);
+  phy::Topology topology = phy::ring_room(kInitial);
   std::vector<NodeId> parked;
   for (std::size_t i = 0; i < 6; ++i) {
     const phy::Vec2 base =

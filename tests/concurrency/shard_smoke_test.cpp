@@ -16,9 +16,7 @@
 // join) and concurrent advisory snapshots while writers run (must be
 // race-free, Section "Snapshots are advisory" in registry.hpp).
 #include <atomic>
-#include <cmath>
 #include <cstdint>
-#include <numbers>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,15 +32,6 @@ namespace {
 
 constexpr std::size_t kShards = 4;
 constexpr std::size_t kStations = 16;
-
-/// Same circle placement the digest suite uses: range covers ~2 ring hops.
-phy::Topology circle_room(std::size_t n) {
-  const double radius = 10.0;
-  const double chord =
-      2.0 * radius * std::sin(std::numbers::pi / static_cast<double>(n));
-  return phy::Topology(phy::placement::circle(n, radius),
-                       phy::RadioParams{chord * 2.4, 0.0});
-}
 
 void saturate(Engine& engine, std::size_t n) {
   for (NodeId node = 0; node < n; ++node) {
@@ -84,7 +73,7 @@ std::string engine_digest(Engine& engine) {
 /// recovery machinery and its telemetry run too), digest at the end.
 /// Everything — topology, engine, RNG — is thread-local by construction.
 std::string run_shard(std::uint64_t seed) {
-  phy::Topology topology = circle_room(kStations);
+  phy::Topology topology = phy::ring_room(kStations);
   Config config;
   config.sat_timeout_slots = static_cast<std::int64_t>(4 * kStations + 64);
   Engine engine(&topology, config, seed);

@@ -20,7 +20,7 @@ TEST_P(ChurnTest, RingAlwaysRecovers) {
   constexpr std::size_t kInitial = 12;
 
   // A pool of extra node slots near the circle for joiners.
-  phy::Topology topology = testing::circle_topology(kInitial, 2.4);
+  phy::Topology topology = phy::ring_room(kInitial);
   std::vector<NodeId> parked;
   for (std::size_t i = 0; i < 6; ++i) {
     const phy::Vec2 base = topology.position(static_cast<NodeId>(
@@ -113,7 +113,7 @@ TEST_P(LossyChurnTest, RingRecoversUnderBurstyLoss) {
   const std::uint64_t seed = GetParam();
   constexpr std::size_t kInitial = 12;
 
-  phy::Topology topology = testing::circle_topology(kInitial, 2.4);
+  phy::Topology topology = phy::ring_room(kInitial);
   std::vector<NodeId> parked;
   for (std::size_t i = 0; i < 4; ++i) {
     const phy::Vec2 base = topology.position(static_cast<NodeId>(

@@ -11,7 +11,6 @@ namespace wrt::wrtring {
 namespace {
 
 using testing::Harness;
-using testing::circle_topology;
 
 Config rap_config() {
   Config config;

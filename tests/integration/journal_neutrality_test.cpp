@@ -74,7 +74,7 @@ std::string wrt_state(const wrtring::Engine& engine) {
 /// a guard window and WTR, under a storm of every fault kind the journal
 /// records; two parked stations join during it.
 std::string run_wrt_storm(telemetry::Journal* journal) {
-  phy::Topology topology = wrtring::testing::circle_topology(kStations);
+  phy::Topology topology = phy::ring_room(kStations);
   const NodeId first_joiner = topology.add_node(topology.position(2) * 1.08);
   const NodeId second_joiner = topology.add_node(topology.position(8) * 1.08);
   topology.set_alive(first_joiner, false);

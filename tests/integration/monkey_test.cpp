@@ -17,7 +17,7 @@ class MonkeyTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(MonkeyTest, RandomOperationSoup) {
   const std::uint64_t seed = GetParam();
   constexpr std::size_t kN = 10;
-  phy::Topology topology = testing::circle_topology(kN, 2.4);
+  phy::Topology topology = phy::ring_room(kN);
   std::vector<NodeId> pool;
   for (int i = 0; i < 4; ++i) {
     const NodeId id = topology.add_node(

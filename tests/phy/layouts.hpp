@@ -17,7 +17,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <numbers>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -59,15 +58,6 @@ inline std::string spec_name(const LayoutSpec& spec) {
          "_" + std::to_string(spec.param);
 }
 
-/// bench::ring_room: N stations on a circle, range covering ~2.4 chords.
-inline phy::Topology ring_layout(std::size_t n) {
-  const double radius = 10.0;
-  const double chord =
-      2.0 * radius * std::sin(std::numbers::pi / static_cast<double>(n));
-  return phy::Topology(phy::placement::circle(n, radius),
-                       phy::RadioParams{chord * 2.4, 0.0});
-}
-
 /// A random connected placement of `n` stations with shadowing, then one
 /// station killed and three links failed, all drawn from `seed`.
 inline phy::Topology random_layout(std::size_t n, std::uint64_t seed) {
@@ -95,7 +85,7 @@ inline phy::Topology random_layout(std::size_t n, std::uint64_t seed) {
 inline phy::Topology make_layout(const LayoutSpec& spec) {
   const std::size_t n = spec.n;
   switch (spec.layout) {
-    case Layout::kRing: return ring_layout(n);
+    case Layout::kRing: return phy::ring_room(n);
     case Layout::kDense:
       return phy::Topology(phy::placement::circle(n, 5.0),
                            phy::RadioParams{100.0, 0.0});
@@ -124,7 +114,7 @@ inline phy::Topology make_layout(const LayoutSpec& spec) {
       return topology;
     }
     case Layout::kAdded: {
-      phy::Topology topology = ring_layout(n);
+      phy::Topology topology = phy::ring_room(n);
       // Just inside the arc between stations 0 and 1, so it is alive and
       // within two hops of several earlier stations.
       const phy::Vec2 a = topology.position(0);
@@ -143,7 +133,7 @@ inline phy::Topology make_layout(const LayoutSpec& spec) {
       return phy::Topology(std::move(positions), phy::RadioParams{5.0, 0.0});
     }
   }
-  return ring_layout(n);
+  return phy::ring_room(n);
 }
 
 /// The layouts both suites run.

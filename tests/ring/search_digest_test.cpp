@@ -78,20 +78,10 @@ std::string enum_token(const char* name) {
   return token;
 }
 
-/// N stations on a circle, range covering ~2 ring hops (the placement the
-/// benches use, inlined to keep tests off the bench headers).
-phy::Topology circle_room(std::size_t n) {
-  const double radius = 10.0;
-  const double chord =
-      2.0 * radius * std::sin(std::numbers::pi / static_cast<double>(n));
-  return phy::Topology(phy::placement::circle(n, radius),
-                       phy::RadioParams{chord * 2.4, 0.0});
-}
-
 /// ring-partition's split: the arc of n/7 stations starting at `offset`
 /// is walled off from the rest.
 phy::Topology partitioned_room(std::size_t n, std::uint64_t offset) {
-  phy::Topology topology = circle_room(n);
+  phy::Topology topology = phy::ring_room(n);
   std::vector<NodeId> arc;
   for (std::size_t i = 0; i < n / 7; ++i) {
     arc.push_back(static_cast<NodeId>((offset + i) % n));
@@ -153,7 +143,7 @@ phy::Topology make_topology(Layout layout, std::size_t n,
     case Layout::kRandom: return random_room(n, param);
     case Layout::kClusters: return cluster_room(n, param);
   }
-  return circle_room(n);
+  return phy::ring_room(n);
 }
 
 std::vector<NodeId> make_members(const phy::Topology& topology,

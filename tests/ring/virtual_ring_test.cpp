@@ -2,20 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <numbers>
 #include <set>
 
 namespace wrt::ring {
 namespace {
-
-phy::Topology circle_topology(std::size_t n, double range_factor = 1.1) {
-  const double radius = 10.0;
-  const double chord = 2.0 * radius * std::sin(std::numbers::pi /
-                                               static_cast<double>(n));
-  return phy::Topology(phy::placement::circle(n, radius),
-                       phy::RadioParams{chord * range_factor, 0.0});
-}
 
 TEST(VirtualRing, PositionArithmetic) {
   const VirtualRing ring({5, 2, 9, 7});
@@ -63,7 +53,7 @@ TEST(VirtualRing, RemoveJoinsNeighbours) {
 }
 
 TEST(VirtualRing, ValidOverRequiresReachableLinks) {
-  const phy::Topology t = circle_topology(6);
+  const phy::Topology t = phy::ring_room(6, 1.1);
   const VirtualRing good({0, 1, 2, 3, 4, 5});
   EXPECT_TRUE(good.valid_over(t));
   const VirtualRing skips({0, 2, 4, 1, 3, 5});  // chords out of range
@@ -71,13 +61,13 @@ TEST(VirtualRing, ValidOverRequiresReachableLinks) {
 }
 
 TEST(VirtualRing, ValidOverRejectsTinyRings) {
-  const phy::Topology t = circle_topology(6);
+  const phy::Topology t = phy::ring_room(6, 1.1);
   EXPECT_FALSE(VirtualRing({0, 1}).valid_over(t));
 }
 
 TEST(BuildRing, CirclePlacements) {
   for (const std::size_t n : {3u, 4u, 8u, 16u, 48u}) {
-    const phy::Topology t = circle_topology(n);
+    const phy::Topology t = phy::ring_room(n, 1.1);
     const auto result = build_ring(t);
     ASSERT_TRUE(result.ok()) << "n = " << n;
     EXPECT_EQ(result.value().size(), n);
@@ -101,7 +91,7 @@ TEST(BuildRing, RandomPlacements) {
 }
 
 TEST(BuildRing, ExcludesDeadStations) {
-  phy::Topology t = circle_topology(8, 1.9);  // range covers 2 hops
+  phy::Topology t = phy::ring_room(8, 1.9);  // range covers 2 hops
   t.set_alive(3, false);
   const auto result = build_ring(t);
   ASSERT_TRUE(result.ok());

@@ -50,14 +50,6 @@ TEST(ConfigValidate, SplitCannotExceedK) {
   EXPECT_TRUE(config.validate().ok());
 }
 
-TEST(ConfigValidate, SplitCheckedAgainstPerStationQuotas) {
-  Config config;
-  config.default_quota = {1, 4};
-  config.k1_assured = 2;
-  config.station_quotas = {{1, 4}, {1, 1}};  // second station's k < k1
-  EXPECT_FALSE(config.validate().ok());
-}
-
 TEST(ConfigValidate, LossProbabilityRange) {
   Config config;
   config.channel.data = fault::GeParams::iid(1.0);
@@ -86,7 +78,7 @@ TEST(ConfigValidate, QueueCapacityPositive) {
 TEST(ConfigValidate, EngineInitRejectsInvalidConfig) {
   Config config;
   config.auto_rejoin = true;  // without RAP: invalid
-  phy::Topology topology = testing::circle_topology(6);
+  phy::Topology topology = phy::ring_room(6);
   Engine engine(&topology, config, 1);
   const auto status = engine.init();
   ASSERT_FALSE(status.ok());

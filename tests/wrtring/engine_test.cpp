@@ -10,7 +10,6 @@ namespace {
 
 using testing::Harness;
 using testing::be_flow;
-using testing::circle_topology;
 using testing::rt_flow;
 
 TEST(EngineInit, BuildsRingAndCodes) {
@@ -32,7 +31,7 @@ TEST(EngineInit, FailsWithoutRing) {
 TEST(EngineInit, RejectsMalformedMemberSet) {
   // Config::validate does not look at members; build_ring_over does, and
   // init returns its error instead of letting an exception escape.
-  phy::Topology topology = circle_topology(8);
+  phy::Topology topology = phy::ring_room(8);
   Config config;
   config.members = {0, 1, 2, 2, 3};
   Engine engine(&topology, config, 1);
@@ -217,9 +216,11 @@ TEST(EngineRing, ParamsTrackConfiguration) {
 }
 
 TEST(EngineRing, PerStationQuotas) {
-  Config config;
-  config.station_quotas = {{1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 1}};
-  Harness h(5, config);
+  Harness h(5, Config{});
+  for (std::uint32_t p = 0; p < 5; ++p) {
+    h.engine.set_station_quota(h.engine.virtual_ring().station_at(p),
+                               Quota{p + 1, 1});
+  }
   const analysis::RingParams params = h.engine.ring_params();
   std::int64_t total = 0;
   for (const Quota& q : params.quotas) total += q.l;

@@ -187,6 +187,51 @@ TEST(FederationTest, ShardCountIsASemanticParameter) {
   EXPECT_GT(four.stats().crossings.crossings_delivered, 0U);
 }
 
+TEST(FederationTest, EveryShardConservesItsCrossings) {
+  // Every frame a shard drains into its backbone is injected, refused at
+  // injection, tail-dropped in the backbone or still in flight there.
+  FederationConfig config;
+  config.rings = 64;
+  config.stations_per_ring = 16;
+  config.epoch_slots = 64;
+  config.saturated_per_ring = 2;
+  config.crossing_flows_per_ring = 1;
+  config.crossing_rate_per_slot = 0.02;
+  config.backbone_service_rate = 8.0;
+  config.backbone_premium_capacity = 2.0;
+  for (const std::uint32_t shards : {1U, 2U, 8U}) {
+    SCOPED_TRACE("K=" + std::to_string(shards));
+    config.shards = shards;
+    FederationEngine federation(config, 17);
+    ASSERT_TRUE(federation.init().ok());
+
+    // The shards find a crossing by flow id: the table's ids are
+    // consecutive from kCrossingFlowBase in table order.
+    const std::vector<CrossingFlow>& table = federation.crossing_flows();
+    ASSERT_EQ(table.size(), config.rings);
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      EXPECT_EQ(table[i].flow, kCrossingFlowBase + i);
+    }
+
+    for (int epoch = 0; epoch < 40; ++epoch) {
+      federation.run_epochs(1);
+      for (std::uint32_t s = 0; s < federation.shard_count(); ++s) {
+        const FederationShard& shard = federation.shard(s);
+        const ShardCounters& counters = shard.counters();
+        EXPECT_EQ(counters.crossings_received,
+                  counters.crossings_injected + counters.crossing_drops +
+                      shard.backbone().tail_drops() + shard.in_flight())
+            << "shard " << s << " after epoch " << epoch;
+      }
+      // Summed over shards: the rest of what was posted is in a mailbox.
+      const ShardCounters sum = federation.stats().crossings;
+      EXPECT_GE(sum.crossings_posted, sum.crossings_received)
+          << "after epoch " << epoch;
+    }
+    EXPECT_GT(federation.stats().crossings.crossings_received, 0U);
+  }
+}
+
 // -- Gateway backbone mode --------------------------------------------------
 
 TEST(FederationTest, GatewayBrokersBackboneReservations) {

@@ -192,6 +192,20 @@ TEST_F(GatewayTest, EachLegHoldsExactlyItsResources) {
   EXPECT_EQ(gateway.reservations().size(), 1u);
 }
 
+TEST_F(GatewayTest, ReleaseAfterTheCarrierLeftFreesThePremium) {
+  // G1 carries the ingress leg's quota.  Once G1 has left the ring, its
+  // quota has gone with it: release returns only the Premium.
+  ASSERT_TRUE(gateway_.reserve_backbone_to_ring(7, 0.02).ok());
+  EXPECT_DOUBLE_EQ(lan_.links().reserved_premium(), 0.02);
+  ASSERT_TRUE(harness_.engine.request_leave(gateway_.station()).ok());
+  harness_.engine.run_slots(2000);
+  ASSERT_FALSE(harness_.engine.virtual_ring().contains(gateway_.station()));
+
+  ASSERT_TRUE(gateway_.release(7).ok());
+  EXPECT_TRUE(gateway_.reservations().empty());
+  EXPECT_DOUBLE_EQ(lan_.links().reserved_premium(), 0.0);
+}
+
 TEST_F(GatewayTest, ReleaseUnknownFlowFails) {
   EXPECT_FALSE(gateway_.release(99).ok());
 }

@@ -124,13 +124,17 @@ TEST(LossyJoin, SingleMessageLossAtEveryPositionStillJoins) {
   }
 }
 
+/// Engine::register_join_backoff's retry policy: a join is abandoned after
+/// 10 lost messages, and the backoff after the a-th loss is
+/// 8 << min(a - 1, 6) slots.
+constexpr std::uint64_t kJoinMaxAttempts = 10;
+constexpr std::int64_t kJoinBackoffBaseSlots = 8;
+
 /// Losing the handshake every single time must end in a clean abandonment
-/// after join_max_attempts: nothing half-inserted, RAP_mutex free, and a
+/// after kJoinMaxAttempts: nothing half-inserted, RAP_mutex free, and a
 /// later retry under a clean channel succeeds.
 TEST(LossyJoin, PersistentLossAbandonsCleanlyWithoutWedgingTheRap) {
-  Config config = rap_config();
-  config.join_max_attempts = 5;
-  Harness h = harness_with_joiner(config, 43);
+  Harness h = harness_with_joiner(rap_config(), 43);
   h.engine.run_slots(100);
   h.engine.request_join(6, {1, 1});
   // Re-arm the drop the moment each one is consumed, so every attempt of
@@ -148,7 +152,7 @@ TEST(LossyJoin, PersistentLossAbandonsCleanlyWithoutWedgingTheRap) {
   }
   const auto& stats = h.engine.stats();
   EXPECT_EQ(stats.joins_abandoned, 1u);
-  EXPECT_EQ(stats.join_retries, config.join_max_attempts);
+  EXPECT_EQ(stats.join_retries, kJoinMaxAttempts);
   EXPECT_EQ(stats.joins_completed, 0u);
   EXPECT_FALSE(h.engine.virtual_ring().contains(6));
   EXPECT_EQ(h.engine.virtual_ring().size(), 6u);
@@ -190,34 +194,31 @@ std::vector<std::int64_t> join_req_loss_slots(const Config& config,
 
 /// Exponential backoff must actually space the retries out: with the
 /// channel losing every control message, later attempts are further apart.
+/// The RAP cadence quantises the short early backoffs; deep in the ladder
+/// (from the 5th loss, base << 4 slots) the doubling dominates it.
 TEST(LossyJoin, BackoffDelaysGrow) {
-  Config config = rap_config();
-  config.join_max_attempts = 4;
-  // Large enough base that the exponential ladder dominates the RAP
-  // cadence quantisation by the final attempt.
-  config.join_backoff_base_slots = 256;
   const std::vector<std::int64_t> loss_slots =
-      join_req_loss_slots(config, 47, 40000);
-  ASSERT_EQ(loss_slots.size(), 4u);
-  // Attempt 3 -> 4 waits at least base << 2 slots; attempt 1 -> 2 only
-  // base << 0 plus RAP cadence, so the last gap dominates the first.
-  const auto first_gap = loss_slots[1] - loss_slots[0];
-  const auto last_gap = loss_slots[3] - loss_slots[2];
-  EXPECT_GE(last_gap, config.join_backoff_base_slots << 2);
-  EXPECT_GT(last_gap, first_gap);
+      join_req_loss_slots(rap_config(), 47, 40000);
+  ASSERT_EQ(loss_slots.size(), kJoinMaxAttempts);
+  // The wait after the a-th loss, at least base << (a - 1) slots.
+  const auto gap = [&loss_slots](std::size_t loss) {
+    return loss_slots[loss] - loss_slots[loss - 1];
+  };
+  for (std::size_t loss = 5; loss <= 7; ++loss) {
+    SCOPED_TRACE(loss);
+    EXPECT_GE(gap(loss), kJoinBackoffBaseSlots << (loss - 1));
+    EXPECT_GT(gap(loss), gap(loss - 1));
+  }
 }
 
 /// The doubling stops at base << 6: from the 7th lost JOIN_REQ on, each
 /// backoff is base << 6 slots, so the gaps after losses 7, 8 and 9 are
 /// equal, at least base << 6 and short of base << 7.
 TEST(LossyJoin, BackoffStopsDoublingAtTheCap) {
-  const Config config = rap_config();
-  ASSERT_EQ(config.join_max_attempts, 10u);
-  ASSERT_EQ(config.join_backoff_base_slots, 8);
   const std::vector<std::int64_t> loss_slots =
-      join_req_loss_slots(config, 47, 40000);
-  ASSERT_EQ(loss_slots.size(), 10u);
-  const std::int64_t base = config.join_backoff_base_slots;
+      join_req_loss_slots(rap_config(), 47, 40000);
+  ASSERT_EQ(loss_slots.size(), kJoinMaxAttempts);
+  const std::int64_t base = kJoinBackoffBaseSlots;
   const auto capped_gap = loss_slots[7] - loss_slots[6];
   for (std::size_t loss = 7; loss <= 9; ++loss) {
     SCOPED_TRACE(loss);

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <numbers>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -56,12 +55,7 @@ constexpr std::int64_t kHorizon = 8000;
 /// Ring members 0..11 on a 2-hop-range circle, then `parked` dead joiner
 /// candidates just outside it (the wrt_chaos placement).
 phy::Topology chaos_topology(std::size_t parked) {
-  const double radius = 10.0;
-  const double chord = 2.0 * radius *
-                       std::sin(std::numbers::pi /
-                                static_cast<double>(kStations));
-  phy::Topology topology(phy::placement::circle(kStations, radius),
-                         phy::RadioParams{chord * 2.4, 0.0});
+  phy::Topology topology = phy::ring_room(kStations);
   for (std::size_t i = 0; i < parked; ++i) {
     const phy::Vec2 base =
         topology.position(static_cast<NodeId>((i * 3) % kStations));

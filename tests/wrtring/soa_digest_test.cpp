@@ -17,11 +17,9 @@
 //   WRT_DIGEST_CAPTURE=1 ./test_wrtring --gtest_filter='*Soa*:*Occupancy*'
 // and paste the printed tables back into kExpected and kOccupancyExpected.
 #include <cctype>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <numbers>
 #include <ostream>
 #include <string>
 
@@ -46,16 +44,6 @@ const char* mode_name(Mode mode) {
     case Mode::kStall: return "stall";
   }
   return "?";
-}
-
-/// N stations on a circle, range covering ~2 ring hops (same placement the
-/// hot-path bench uses, inlined to keep tests off the bench headers).
-phy::Topology circle_room(std::size_t n) {
-  const double radius = 10.0;
-  const double chord =
-      2.0 * radius * std::sin(std::numbers::pi / static_cast<double>(n));
-  return phy::Topology(phy::placement::circle(n, radius),
-                       phy::RadioParams{chord * 2.4, 0.0});
 }
 
 void saturate(Engine& engine, std::size_t n, std::size_t members) {
@@ -126,7 +114,7 @@ std::string engine_digest(Engine& engine) {
 /// bounds on station 2 keep the saturated top-up on its full pass; the kill
 /// moves every later station's ring position under its sources.
 std::string mixed_digest(std::size_t n) {
-  phy::Topology topology = circle_room(n);
+  phy::Topology topology = phy::ring_room(n);
   Config config;
   config.sat_timeout_slots = static_cast<std::int64_t>(4 * n + 64);
   config.queue_capacity = 8;
@@ -142,7 +130,7 @@ std::string mixed_digest(std::size_t n) {
 
 std::string scenario_digest(std::size_t n, Mode mode) {
   if (mode == Mode::kMixed) return mixed_digest(n);
-  phy::Topology topology = circle_room(n);
+  phy::Topology topology = phy::ring_room(n);
   Config config;
   // Explicit SAT timeout: keeps the cut-out recovery length O(n) rather
   // than letting the Theorem-1 default grow the run, and must stay above
@@ -299,7 +287,7 @@ INSTANTIATE_TEST_SUITE_P(Oracle, SoaDigest, ::testing::ValuesIn(kExpected),
 // its collision count and header round trips; with two-hop-distinct codes
 // both must stay 0 whatever order the busy hops transmit in.
 std::string occupancy_digest(std::size_t n, bool fidelity) {
-  phy::Topology topology = circle_room(n);
+  phy::Topology topology = phy::ring_room(n);
   Config config;
   config.sat_timeout_slots = static_cast<std::int64_t>(4 * n + 64);
   config.rap_policy = RapPolicy::kRotating;

@@ -1,9 +1,7 @@
 // Shared fixtures for WRT-Ring engine tests.
 #pragma once
 
-#include <cmath>
 #include <memory>
-#include <numbers>
 #include <utility>
 #include <vector>
 
@@ -13,23 +11,12 @@
 
 namespace wrt::wrtring::testing {
 
-/// N stations on a circle with radio range covering ~2 hops, so the ring is
-/// buildable and stays repairable after one station is cut out.
-inline phy::Topology circle_topology(std::size_t n,
-                                     double range_hops = 2.4) {
-  const double radius = 10.0;
-  const double chord =
-      2.0 * radius * std::sin(std::numbers::pi / static_cast<double>(n));
-  return phy::Topology(phy::placement::circle(n, radius),
-                       phy::RadioParams{chord * range_hops, 0.0});
-}
-
-/// A ring over circle_topology(n, range_hops), initialised.  A `journal`
+/// A ring over phy::ring_room(n, range_hops), initialised.  A `journal`
 /// is attached before init(), so it also holds the init-time SAT launch.
 struct Harness {
   Harness(std::size_t n, Config config, std::uint64_t seed = 1,
           double range_hops = 2.4, telemetry::Journal* journal = nullptr)
-      : topology(circle_topology(n, range_hops)),
+      : topology(phy::ring_room(n, range_hops)),
         engine(&topology, std::move(config), seed) {
     engine.set_journal(journal);
     const auto status = engine.init();

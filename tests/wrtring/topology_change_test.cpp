@@ -10,7 +10,6 @@ namespace wrt::wrtring {
 namespace {
 
 using testing::Harness;
-using testing::circle_topology;
 using testing::rt_flow;
 
 Config rap_config() {

@@ -45,7 +45,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <numbers>
 #include <string>
 #include <vector>
 
@@ -104,14 +103,6 @@ struct Options {
   std::int64_t wtr_slots = 128;
 };
 
-phy::Topology circle_topology(std::size_t n) {
-  const double radius = 10.0;
-  const double chord =
-      2.0 * radius * std::sin(std::numbers::pi / static_cast<double>(n));
-  return phy::Topology(phy::placement::circle(n, radius),
-                       phy::RadioParams{chord * 2.4, 0.0});
-}
-
 traffic::FlowSpec rt_flow(FlowId id, NodeId src, std::size_t n) {
   traffic::FlowSpec spec;
   spec.id = id;
@@ -145,7 +136,7 @@ SeedResult run_seed(std::uint64_t seed, const Options& options,
     result.failures.push_back(std::move(why));
   };
 
-  phy::Topology topology = circle_topology(options.n);
+  phy::Topology topology = phy::ring_room(options.n);
   std::vector<NodeId> parked;
   for (std::size_t i = 0; i < options.parked; ++i) {
     const phy::Vec2 base =
@@ -321,7 +312,7 @@ FlapVariant run_flap_variant(std::uint64_t seed, const Options& options,
     result.failures.push_back(std::move(why));
   };
 
-  phy::Topology topology = circle_topology(options.n);
+  phy::Topology topology = phy::ring_room(options.n);
   wrtring::Config config;
   config.rap_policy = wrtring::RapPolicy::kRotating;
   config.auto_rejoin = true;
