@@ -1,14 +1,14 @@
 // Telemetry demo: a clean 32-station WRT-Ring run with the full observability
-// stack attached — hot-path counters, QoS histograms, a per-station event
-// journal, and periodic registry snapshots — exported in every format the
-// subsystem speaks.
+// stack attached — the engine's hot-path counters and QoS histograms, a
+// per-station event journal, and periodic snapshots of the engine's metrics
+// — exported in every format the subsystem speaks.
 //
 //   $ build/examples/telemetry_demo [out-dir]
 //
 // Writes into out-dir (default "."):
 //   telemetry_demo.jrnl     binary journal   -> feed to build/tools/wrt_report
 //   telemetry_demo.trace.json  Chrome trace  -> open in about://tracing
-//   telemetry_demo.snapshot.json  final registry snapshot (flat JSON)
+//   telemetry_demo.snapshot.json  final metric snapshot (flat JSON)
 //   telemetry_demo.timeline.json  periodic snapshots over the run
 //   telemetry_demo.csv      final snapshot as metric,value CSV
 //
@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
 
   // Attach the journal (large enough that a 20k-slot run never wraps) and
   // sample queue depths every 64 slots.
-  telemetry::MetricRegistry::instance().reset();
   telemetry::Journal journal(/*capacity_per_station=*/8192);
   engine.set_journal(&journal, /*queue_sample_every_slots=*/64);
 
@@ -77,11 +76,11 @@ int main(int argc, char** argv) {
     engine.add_source(data);
   }
 
-  // Run 20,000 slots, capturing a registry snapshot every 2,000.
+  // Run 20,000 slots, capturing a metric snapshot every 2,000.
   telemetry::SnapshotTimeline timeline;
   for (int chunk = 0; chunk < 10; ++chunk) {
     engine.run_slots(2000);
-    timeline.capture(engine.now());
+    timeline.capture(engine.now(), engine.telemetry().snapshot());
   }
   journal.set_meta(engine.journal_meta());
 
@@ -107,7 +106,7 @@ int main(int argc, char** argv) {
             << journal.total_recorded() << " events, "
             << journal.total_dropped() << " dropped)\n";
 
-  const auto snapshot = telemetry::MetricRegistry::instance().snapshot();
+  const auto snapshot = engine.telemetry().snapshot();
   bool ok = true;
   ok = write("telemetry_demo.trace.json",
              [&](std::ostream& o) { telemetry::write_chrome_trace(o, journal); }) && ok;

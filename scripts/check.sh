@@ -85,11 +85,12 @@ if [ "$WITH_TSAN" = 1 ]; then
   # Standalone mode (skips the regular build): builds only the test targets
   # that exercise threads, because a TSan pass over the serial suite spends
   # hours to probe nothing.  The shard smoke test is both the race probe
-  # (engines flush telemetry into the shared registry while running) and
-  # the determinism gate (parallel digests must equal serial digests).
-  # test_concurrency also carries the federation determinism test: worker
-  # threads post/drain the epoch mailboxes and flush telemetry while the
-  # coordinator owns the buffer flips — the PR 8 race surface.
+  # (K engines on K threads, each counting into its own telemetry block,
+  # must share nothing) and the determinism gate (parallel digests must
+  # equal serial digests).  test_concurrency also carries the federation
+  # determinism test: worker threads step their rings and post/drain the
+  # epoch mailboxes while the coordinator owns the buffer flips — the PR 8
+  # race surface.
   TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -g"
   configure build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS"

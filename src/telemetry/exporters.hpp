@@ -8,14 +8,15 @@
 //    with explicit bucket edges; stable schema for dashboards and scripts.
 //  * CSV — `metric,value` rows for spreadsheet-grade consumers.
 //
-// All exporters format from immutable inputs (RegistrySnapshot, Journal)
-// so exporting never perturbs a running engine.  The journal is the
-// engines' only protocol event record, so the Chrome trace shows the
-// recovery steps too (SAT loss, SAT_REC, cut-out, re-formation; TPT's
-// token loss, claim and tree rebuild) as instants.
+// All exporters format from immutable inputs (a RegistrySnapshot of one
+// engine's MetricBlock, a Journal) so exporting never perturbs a running
+// engine.  The journal is the engines' only protocol event record, so the
+// Chrome trace shows the recovery steps too (SAT loss, SAT_REC, cut-out,
+// re-formation; TPT's token loss, claim and tree rebuild) as instants.
 #pragma once
 
 #include <iosfwd>
+#include <utility>
 #include <vector>
 
 #include "telemetry/journal.hpp"
@@ -24,10 +25,10 @@
 
 namespace wrt::telemetry {
 
-/// Writes a registry snapshot as one flat JSON object.
+/// Writes a metric snapshot as one flat JSON object.
 void write_snapshot_json(std::ostream& out, const RegistrySnapshot& snapshot);
 
-/// Writes a registry snapshot as `metric,value` CSV (histograms contribute
+/// Writes a metric snapshot as `metric,value` CSV (histograms contribute
 /// <name>_count / _mean / _p50 / _p99 derived rows).
 void write_snapshot_csv(std::ostream& out, const RegistrySnapshot& snapshot);
 
@@ -39,13 +40,13 @@ void write_snapshot_csv(std::ostream& out, const RegistrySnapshot& snapshot);
 /// is visible in the viewer.
 void write_chrome_trace(std::ostream& out, const Journal& journal);
 
-/// A timestamped sequence of registry snapshots (periodic snapshotting):
-/// call capture() from the loop that steps the engine.
+/// A timestamped sequence of metric snapshots (periodic snapshotting):
+/// the loop that steps an engine calls
+/// capture(engine.now(), engine.telemetry().snapshot()) between chunks.
 class SnapshotTimeline {
  public:
-  void capture(Tick now) {
-    entries_.push_back({now, MetricRegistry::instance().snapshot()});
-    MetricRegistry::instance().count(CounterId::kSnapshots);
+  void capture(Tick now, RegistrySnapshot snapshot) {
+    entries_.push_back({now, std::move(snapshot)});
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }

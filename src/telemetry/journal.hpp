@@ -13,8 +13,9 @@
 //
 // The journal is opt-in: engines take a Journal* and skip every record call
 // when none is attached, which is why the always-on telemetry budget is the
-// registry's counters alone.  save()/load() round-trip the rings plus the
-// RingMeta needed to evaluate the paper's bounds offline (tools/wrt_report).
+// engine's own counters (MetricBlock) alone.  save()/load() round-trip the
+// rings plus the RingMeta needed to evaluate the paper's bounds offline
+// (tools/wrt_report).
 #pragma once
 
 #include <cstdint>
@@ -42,7 +43,7 @@ enum class JournalKind : std::uint16_t {
   kSatRecStart,     ///< this station generated a SAT_REC (arg = suspect)
   kSatRecDone,      ///< SAT_REC returned here; ring re-established
   kQueueDepth,      ///< periodic sample (value = packets queued)
-  kSnapshot,        ///< periodic registry snapshot taken at this tick
+  kSnapshot,        ///< never written; kept for the WRTJRNL1 numbering
   kStall,           ///< this station wedged (fault plane)
   kResume,          ///< this station un-wedged
   kControlLost,     ///< lost JOIN_REQ/JOIN_ACK (arg = attempt number)

@@ -1,13 +1,14 @@
 // Telemetry macro layer and metric catalogue.
 //
-// The engines are instrumented with WRT_COUNT / WRT_OBSERVE at
-// the protocol's observable moments (SAT handoff, slot transmit, membership
-// churn, SAT_REC recovery).  In a WRT_TELEMETRY=ON build each WRT_COUNT is
-// exactly one relaxed atomic increment into a cache-line-padded slot of the
-// process-wide MetricRegistry; WRT_OBSERVE adds one bucket-index computation
-// on top.  With WRT_TELEMETRY=OFF every macro expands to `((void)0)` so the
-// hot path is bit-for-bit the release binary (the check.sh digest oracle
-// and CI's telemetry gate rely on this).
+// The engines are instrumented with WRT_COUNT / WRT_OBSERVE at the
+// protocol's observable moments (SAT handoff, slot transmit, membership
+// churn, SAT_REC recovery).  Each macro names the engine's own
+// MetricBlock (telemetry/registry.hpp): in a WRT_TELEMETRY=ON build a
+// WRT_COUNT is one plain integer add into that block and a WRT_OBSERVE
+// adds one bucket-index computation on top.  With WRT_TELEMETRY=OFF every
+// macro expands to `((void)0)` so the hot path is bit-for-bit the release
+// binary (the check.sh digest oracle and CI's telemetry gate rely on
+// this).
 //
 // The counter/histogram ids are closed enums rather than string keys: the
 // hot path never hashes, and the exporters recover stable snake_case names
@@ -56,7 +57,6 @@ enum class CounterId : std::uint16_t {
   kTptTokenRounds,        ///< TPT: completed token tours
   kTptClaims,             ///< TPT: claim processes started
   kTptTreeRebuilds,       ///< TPT: full tree re-formations
-  kSnapshots,             ///< registry snapshots taken
   kRecoveryFsmTransitions,///< RecoveryFsm state changes
   kStaleRecSuppressed,    ///< stale SAT_REC / SF indications suppressed
   kWtrHoldoffs,           ///< rejoins held back by the WTR timer
@@ -72,7 +72,10 @@ enum class HistogramId : std::uint16_t {
   kBeAccessDelaySlots,    ///< non-real-time packet queue -> first tx
   kQueueDepth,            ///< station queue depth at sample points
   kJoinLatencySlots,      ///< join request -> in ring
-  kSatRecSlots,           ///< SAT loss -> SAT restored
+  kSatRecSlots,           ///< SAT loss -> SAT_REC completion; a
+                          ///< re-formation's restore lands only in
+                          ///< kRecoveryMttrSlots (EngineStats::
+                          ///< recovery_total_slots holds both)
   kSatDetectSlots,        ///< SAT loss -> SAT_TIMER detection (MTTD)
   kRecoveryMttrSlots,     ///< RecoveryFsm MTTR: loss -> ring restored
   kCount_,                ///< sentinel — number of histograms
@@ -97,7 +100,7 @@ struct HistogramLayout {
   std::uint32_t bucket_count = 32;
 };
 
-/// Layout of each histogram.  constexpr, so a WRT_BATCH_OBSERVE folds its
+/// Layout of each histogram.  constexpr, so a WRT_OBSERVE folds its
 /// layout at compile time and a power-of-two width divides by a multiply.
 [[nodiscard]] constexpr HistogramLayout histogram_layout(
     HistogramId id) noexcept {
@@ -127,48 +130,27 @@ struct HistogramLayout {
 // Instrumentation macros
 // ---------------------------------------------------------------------------
 //
-//   WRT_COUNT(kSatHandoffs);              // += 1
-//   WRT_COUNT_N(kTxRealTime, burst);      // += burst
-//   WRT_OBSERVE(kSatRotationSlots, 42.0); // histogram sample
+//   WRT_COUNT(telemetry_, kSatHandoffs);              // += 1
+//   WRT_COUNT_N(telemetry_, kTxRealTime, burst);      // += burst
+//   WRT_OBSERVE(telemetry_, kSatRotationSlots, 42.0); // histogram sample
 //
-// The WRT_BATCH_* variants route through an engine-owned TelemetryBatch
-// (plain integer bumps, no atomics) instead of the shared registry; the
-// owner flushes periodically via WRT_BATCH_FLUSH.  Use them on per-slot /
-// per-frame paths where even an uncontended lock add is measurable.
+// `block` is a telemetry::MetricBlock, normally the engine's own; under
+// WRT_TELEMETRY=OFF it is not evaluated.
 
 #if WRT_TELEMETRY_LEVEL
 
-#include "telemetry/registry.hpp"
-
-#define WRT_COUNT(id)                          \
-  ::wrt::telemetry::MetricRegistry::instance() \
-      .count(::wrt::telemetry::CounterId::id)
-#define WRT_COUNT_N(id, n)                     \
-  ::wrt::telemetry::MetricRegistry::instance() \
-      .count(::wrt::telemetry::CounterId::id,  \
-             static_cast<std::uint64_t>(n))
-#define WRT_OBSERVE(id, value)                   \
-  ::wrt::telemetry::MetricRegistry::instance()   \
-      .observe(::wrt::telemetry::HistogramId::id, \
-               static_cast<double>(value))
-#define WRT_BATCH_COUNT(batch, id) \
-  (batch).count(::wrt::telemetry::CounterId::id)
-#define WRT_BATCH_COUNT_N(batch, id, n)        \
-  (batch).count(::wrt::telemetry::CounterId::id, \
+#define WRT_COUNT(block, id) (block).count(::wrt::telemetry::CounterId::id)
+#define WRT_COUNT_N(block, id, n)                \
+  (block).count(::wrt::telemetry::CounterId::id, \
                 static_cast<std::uint64_t>(n))
-#define WRT_BATCH_OBSERVE(batch, id, value)        \
-  (batch).observe(::wrt::telemetry::HistogramId::id, \
+#define WRT_OBSERVE(block, id, value)                \
+  (block).observe(::wrt::telemetry::HistogramId::id, \
                   static_cast<double>(value))
-#define WRT_BATCH_FLUSH(batch) (batch).flush()
 
 #else
 
-#define WRT_COUNT(id) ((void)0)
-#define WRT_COUNT_N(id, n) ((void)(n))
-#define WRT_OBSERVE(id, value) ((void)(value))
-#define WRT_BATCH_COUNT(batch, id) ((void)0)
-#define WRT_BATCH_COUNT_N(batch, id, n) ((void)(n))
-#define WRT_BATCH_OBSERVE(batch, id, value) ((void)(value))
-#define WRT_BATCH_FLUSH(batch) ((void)0)
+#define WRT_COUNT(block, id) ((void)0)
+#define WRT_COUNT_N(block, id, n) ((void)(n))
+#define WRT_OBSERVE(block, id, value) ((void)(value))
 
 #endif

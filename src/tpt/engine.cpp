@@ -176,7 +176,7 @@ void TptEngine::token_arrive() {
 
   if (tour_index_ == 0) {
     ++stats_.token_rounds;
-    WRT_COUNT(kTptTokenRounds);
+    WRT_COUNT(telemetry_, kTptTokenRounds);
     ++rounds_since_rap_;
     if (config_.rap_every_rounds > 0 &&
         rounds_since_rap_ >=
@@ -246,9 +246,9 @@ void TptEngine::transmit_one(NodeId holder) {
     stats_.access_delay_slots.add(delay);
     if (packet.cls == TrafficClass::kRealTime) {
       stats_.rt_access_delay_slots.add(delay);
-      WRT_OBSERVE(kRtAccessDelaySlots, delay);
+      WRT_OBSERVE(telemetry_, kRtAccessDelaySlots, delay);
     } else {
-      WRT_OBSERVE(kBeAccessDelaySlots, delay);
+      WRT_OBSERVE(telemetry_, kBeAccessDelaySlots, delay);
     }
   }
   ++stats_.data_transmissions;
@@ -326,7 +326,7 @@ void TptEngine::pass_token() {
   state_ = TokenState::kInTransit;
   transit_arrival_ = now_ + slots_to_ticks(config_.t_proc_prop_slots);
   ++stats_.token_hops;
-  WRT_COUNT(kTptTokenPasses);
+  WRT_COUNT(telemetry_, kTptTokenPasses);
 }
 
 void TptEngine::token_step() {
@@ -423,7 +423,7 @@ void TptEngine::check_timers() {
 }
 
 void TptEngine::start_claim(NodeId detector) {
-  WRT_COUNT(kTptClaims);
+  WRT_COUNT(telemetry_, kTptClaims);
   journal_record(detector, telemetry::JournalKind::kClaimStart);
   util::log(util::LogLevel::kInfo,
             "TPT: token loss detected by station " + std::to_string(detector));
@@ -445,7 +445,7 @@ void TptEngine::start_claim(NodeId detector) {
 
 void TptEngine::start_rebuild() {
   ++stats_.tree_rebuilds;
-  WRT_COUNT(kTptTreeRebuilds);
+  WRT_COUNT(telemetry_, kTptTreeRebuilds);
   util::log(util::LogLevel::kInfo, "TPT: tree rebuild started");
   state_ = TokenState::kRebuilding;
   claim_deadline_ = kNeverTick;

@@ -37,6 +37,7 @@
 #include "phy/topology.hpp"
 #include "sim/stats.hpp"
 #include "telemetry/journal.hpp"
+#include "telemetry/registry.hpp"
 #include "tpt/tree.hpp"
 #include "traffic/source_set.hpp"
 #include "traffic/trace.hpp"
@@ -143,6 +144,12 @@ class TptEngine final {
 
   [[nodiscard]] const TptStats& stats() const noexcept { return stats_; }
 
+  /// This engine's counters and histograms (telemetry/metrics.hpp); all
+  /// zero in a WRT_TELEMETRY=OFF build.
+  [[nodiscard]] const telemetry::MetricBlock& telemetry() const noexcept {
+    return telemetry_;
+  }
+
   /// Attaches a telemetry event journal (nullptr detaches) that records
   /// token losses, claims and tree rebuilds (Section 3.1.3).  Observation
   /// only; with no journal attached the per-event cost is one pointer test.
@@ -237,6 +244,7 @@ class TptEngine final {
 
   TptStats stats_;
   telemetry::Journal* journal_ = nullptr;  ///< opt-in; see set_journal
+  telemetry::MetricBlock telemetry_;  ///< WRT_COUNT / WRT_OBSERVE target
 };
 
 }  // namespace wrt::tpt

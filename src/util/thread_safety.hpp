@@ -1,14 +1,18 @@
 // Thread-safety annotation layer (Clang thread-safety analysis).
 //
-// The sharded multi-ring federation (ROADMAP) runs one shard — one engine,
-// one scheduler, one journal — per worker thread, with the process-wide
-// MetricRegistry as the only sanctioned cross-shard state.  That contract
-// is machine-checked on two levels:
+// The sharded multi-ring federation runs one shard — engines with their
+// own telemetry blocks, one scheduler, one journal — per worker thread, and
+// shards share no mutable state; crossings move between them only through
+// the epoch mailboxes, whose buffer flips the coordinator owns between
+// epochs.  That contract is machine-checked on two levels:
 //
-//   1. Clang builds compile with `-Wthread-safety -Werror`, so every mutex
-//      acquisition is checked against the WRT_GUARDED_BY / WRT_REQUIRES
-//      annotations below (GCC compiles the macros to nothing; CI runs the
-//      Clang leg).
+//   1. Clang builds compile with `-Wthread-safety -Werror`, so any lock a
+//      future shared type adds is checked against the WRT_GUARDED_BY /
+//      WRT_REQUIRES annotations below (GCC compiles the macros to nothing;
+//      CI runs the Clang leg).  No type in src/ needs a lock today; a new
+//      one wraps std::mutex in a WRT_CAPABILITY class so the analysis can
+//      see its acquire/release pairs (libstdc++'s mutex carries no
+//      attributes).
 //   2. `tools/wrt_lint` enforces the textual half: shared types register
 //      with `// wrt-lint-shared-type(Name)` and every field must then be
 //      atomic, const, a mutex, or carry a WRT_GUARDED_BY annotation
@@ -92,44 +96,3 @@
 /// Cross-thread use of a shard-confined type is a bug even where TSan
 /// happens not to observe a race.
 #define WRT_SHARD_CONFINED
-
-#include <mutex>
-
-namespace wrt::util {
-
-/// std::mutex with the capability annotations the analysis needs —
-/// libstdc++'s mutex carries no attributes, so guarding a field with a bare
-/// std::mutex silences nothing and proves nothing.  Every lock guarding
-/// shared state in this repo must be a util::Mutex so Clang can see
-/// acquire/release pairs.
-class WRT_CAPABILITY("mutex") Mutex {
- public:
-  Mutex() = default;
-  Mutex(const Mutex&) = delete;
-  Mutex& operator=(const Mutex&) = delete;
-
-  void lock() WRT_ACQUIRE() { mutex_.lock(); }
-  void unlock() WRT_RELEASE() { mutex_.unlock(); }
-  [[nodiscard]] bool try_lock() WRT_TRY_ACQUIRE(true) {
-    return mutex_.try_lock();
-  }
-
- private:
-  std::mutex mutex_;
-};
-
-/// Scoped lock over util::Mutex (annotated std::lock_guard equivalent).
-class WRT_SCOPED_CAPABILITY MutexLock {
- public:
-  explicit MutexLock(Mutex& mutex) WRT_ACQUIRE(mutex) : mutex_(mutex) {
-    mutex_.lock();
-  }
-  MutexLock(const MutexLock&) = delete;
-  MutexLock& operator=(const MutexLock&) = delete;
-  ~MutexLock() WRT_RELEASE() { mutex_.unlock(); }
-
- private:
-  Mutex& mutex_;
-};
-
-}  // namespace wrt::util

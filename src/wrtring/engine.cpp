@@ -22,17 +22,6 @@ bool sorted_contains(const std::vector<NodeId>& sorted, NodeId node) {
 Engine::Engine(phy::Topology* topology, Config config, std::uint64_t seed)
     : topology_(topology), config_(std::move(config)), seed_(seed) {
   assert(topology_ != nullptr);
-#if WRT_TELEMETRY_LEVEL
-  // Snapshots drain this batch, so registry totals stay exact even for
-  // drivers that call bare step() between flush boundaries.
-  telemetry::MetricRegistry::instance().add_flush_source(&telem_batch_);
-#endif
-}
-
-Engine::~Engine() {
-#if WRT_TELEMETRY_LEVEL
-  telemetry::MetricRegistry::instance().remove_flush_source(&telem_batch_);
-#endif
 }
 
 util::Status Engine::init() {
@@ -290,10 +279,7 @@ void Engine::step() {
   if (journal_queue_sample_slots_ > 0) maybe_sample_queues();
 
   now_ += kTicksPerSlot;
-  WRT_BATCH_COUNT(telem_batch_, kSlotsStepped);
-#if WRT_TELEMETRY_LEVEL
-  if ((now_slots() & (kTelemetryFlushSlots - 1)) == 0) telem_batch_.flush();
-#endif
+  WRT_COUNT(telemetry_, kSlotsStepped);
   WRT_AUDIT(maybe_periodic_audit());
 }
 
@@ -304,7 +290,7 @@ void Engine::maybe_sample_queues() {
         kernel_.queue_depth(p, TrafficClass::kRealTime) +
         kernel_.queue_depth(p, TrafficClass::kAssured) +
         kernel_.queue_depth(p, TrafficClass::kBestEffort);
-    WRT_BATCH_OBSERVE(telem_batch_, kQueueDepth, depth);
+    WRT_OBSERVE(telemetry_, kQueueDepth, depth);
     journal_record(kernel_.ids()[p], telemetry::JournalKind::kQueueDepth, 0,
                    static_cast<std::uint64_t>(depth));
   }
@@ -319,9 +305,6 @@ void Engine::maybe_periodic_audit() {
 
 void Engine::run_slots(std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) step();
-  // Publish staged hot-path telemetry so registry totals are exact whenever
-  // a driving loop has handed control back.
-  WRT_BATCH_FLUSH(telem_batch_);
 }
 
 bool Engine::data_allowed() const noexcept {
@@ -335,8 +318,8 @@ bool Engine::data_allowed() const noexcept {
 // ---------------------------------------------------------------------------
 
 void Engine::deliver(LinkFrame& frame, NodeId at) {
-  // Deliveries are counted per slot (WRT_BATCH_COUNT_N in data_plane_step),
-  // not here: one batched count per slot instead of one per absorbed frame.
+  // Deliveries are counted per slot (WRT_COUNT_N in data_plane_step), not
+  // here: one count per slot instead of one per absorbed frame.
   stats_.sink.record_delivery(frame.packet, now_);
   journal_record(at, telemetry::JournalKind::kDeliver, frame.packet.src);
   if (delivery_tap_) delivery_tap_(frame.packet, at, now_);
@@ -380,9 +363,9 @@ inline traffic::Packet Engine::take_injection(
   stats_.access_delay_slots.add(delay);
   if (packet.cls == TrafficClass::kRealTime) {
     stats_.rt_access_delay_slots.add(delay);
-    WRT_BATCH_OBSERVE(telem_batch_, kRtAccessDelaySlots, delay);
+    WRT_OBSERVE(telemetry_, kRtAccessDelaySlots, delay);
   } else {
-    WRT_BATCH_OBSERVE(telem_batch_, kBeAccessDelaySlots, delay);
+    WRT_OBSERVE(telemetry_, kBeAccessDelaySlots, delay);
   }
   ++tx_by_class[static_cast<std::size_t>(packet.cls)];
   journal_record(node, telemetry::JournalKind::kTransmit,
@@ -641,12 +624,12 @@ void Engine::data_plane_step() {
 
   stats_.busy_links.update(
       now_, static_cast<double>(in_flight_) / static_cast<double>(R));
-  WRT_BATCH_COUNT_N(telem_batch_, kTxRealTime, tx_by_class[0]);
-  WRT_BATCH_COUNT_N(telem_batch_, kTxAssured, tx_by_class[1]);
-  WRT_BATCH_COUNT_N(telem_batch_, kTxBestEffort, tx_by_class[2]);
-  WRT_BATCH_COUNT_N(telem_batch_, kTransitForwards, transit_now);
-  WRT_BATCH_COUNT_N(telem_batch_, kDeliveries, delivered_now);
-  WRT_BATCH_COUNT_N(telem_batch_, kFramesLost, lost_now);
+  WRT_COUNT_N(telemetry_, kTxRealTime, tx_by_class[0]);
+  WRT_COUNT_N(telemetry_, kTxAssured, tx_by_class[1]);
+  WRT_COUNT_N(telemetry_, kTxBestEffort, tx_by_class[2]);
+  WRT_COUNT_N(telemetry_, kTransitForwards, transit_now);
+  WRT_COUNT_N(telemetry_, kDeliveries, delivered_now);
+  WRT_COUNT_N(telemetry_, kFramesLost, lost_now);
 
   if (config_.cdma_fidelity) {
     stats_.cdma_collisions += channel_->end_slot();
@@ -673,10 +656,10 @@ void Engine::record_rotation(std::size_t position, Tick arrival) {
     const double rotation =
         ticks_to_slots_real(arrival - kernel_.newest_arrival(position));
     stats_.sat_rotation_slots.add(rotation);
-    WRT_BATCH_OBSERVE(telem_batch_, kSatRotationSlots, rotation);
+    WRT_OBSERVE(telemetry_, kSatRotationSlots, rotation);
   }
   kernel_.record_arrival(position, arrival);
-  WRT_BATCH_COUNT(telem_batch_, kSatArrivals);
+  WRT_COUNT(telemetry_, kSatArrivals);
   if (kernel_.ids_[position] == rotation_anchor_) ++stats_.sat_rounds;
 }
 
@@ -733,7 +716,7 @@ void Engine::sat_arrive(NodeId at) {
   } else {
     sat_state_ = SatState::kHeld;
     sat_hold_started_ = now_;
-    WRT_BATCH_COUNT(telem_batch_, kSatHolds);
+    WRT_COUNT(telemetry_, kSatHolds);
   }
 }
 
@@ -796,10 +779,10 @@ void Engine::sat_release(NodeId from) {
       util::log(util::LogLevel::kInfo,
                 "WRT-Ring: cut out station " + std::to_string(failed));
       ++stats_.cut_outs;
-      WRT_COUNT(kCutOuts);
+      WRT_COUNT(telemetry_, kCutOuts);
       if (spurious) {
         ++stats_.spurious_cutouts;
-        WRT_COUNT(kSpuriousCutOuts);
+        WRT_COUNT(telemetry_, kSpuriousCutOuts);
       }
       journal_record(failed, telemetry::JournalKind::kCutOut,
                      sat_.rec_origin);
@@ -852,7 +835,7 @@ void Engine::sat_release(NodeId from) {
   sat_arrival_tick_ =
       now_ + slots_to_ticks(config_.sat_hop_latency_slots);
   ++stats_.sat_hops;
-  WRT_BATCH_COUNT(telem_batch_, kSatHandoffs);
+  WRT_COUNT(telemetry_, kSatHandoffs);
   journal_record(from, telemetry::JournalKind::kSatRelease, target);
 }
 
@@ -947,13 +930,14 @@ void Engine::check_sat_timers() {
 
 void Engine::start_recovery(NodeId detector) {
   ++stats_.sat_losses_detected;
-  WRT_COUNT(kSatLossesDetected);
+  WRT_COUNT(telemetry_, kSatLossesDetected);
   journal_record(detector, telemetry::JournalKind::kSatRecStart,
                  ring_.predecessor(detector));
   if (sat_lost_at_ != kNeverTick) {
     stats_.sat_loss_detection_slots.add(
         ticks_to_slots_real(now_ - sat_lost_at_));
-    WRT_OBSERVE(kSatDetectSlots, ticks_to_slots(now_ - sat_lost_at_));
+    WRT_OBSERVE(telemetry_, kSatDetectSlots,
+                ticks_to_slots(now_ - sat_lost_at_));
   }
   util::log(util::LogLevel::kInfo,
             "WRT-Ring: SAT loss detected by station " +
@@ -977,15 +961,15 @@ void Engine::start_recovery(NodeId detector) {
 void Engine::finish_sat_rec(NodeId at) {
   if (sat_.graceful_leave) {
     ++stats_.leaves_completed;
-    WRT_COUNT(kLeaves);
+    WRT_COUNT(telemetry_, kLeaves);
     journal_record(at, telemetry::JournalKind::kLeave, sat_.rec_failed);
   } else {
     ++stats_.sat_recoveries;
-    WRT_COUNT(kSatRecoveries);
+    WRT_COUNT(telemetry_, kSatRecoveries);
     if (sat_lost_at_ != kNeverTick) {
       const double rec = ticks_to_slots_real(now_ - sat_lost_at_);
       stats_.recovery_total_slots.add(rec);
-      WRT_OBSERVE(kSatRecSlots, rec);
+      WRT_OBSERVE(telemetry_, kSatRecSlots, rec);
     }
   }
   journal_record(at, telemetry::JournalKind::kSatRecDone, sat_.rec_failed);
@@ -1009,10 +993,10 @@ void Engine::drop_in_flight_frames(TeardownCause cause) {
   if (dropped > 0) {
     if (cause == TeardownCause::kJoin) {
       stats_.frames_lost_churn += dropped;
-      WRT_COUNT_N(kFramesLostChurn, dropped);
+      WRT_COUNT_N(telemetry_, kFramesLostChurn, dropped);
     } else {
       stats_.frames_lost_rebuild += dropped;
-      WRT_COUNT_N(kFramesLostRebuild, dropped);
+      WRT_COUNT_N(telemetry_, kFramesLostRebuild, dropped);
     }
     if (ring_.size() > 0) {
       journal_record(ring_.station_at(0), telemetry::JournalKind::kRebuildDrop,
@@ -1024,7 +1008,7 @@ void Engine::drop_in_flight_frames(TeardownCause cause) {
 
 void Engine::start_rebuild() {
   ++stats_.ring_rebuilds;
-  WRT_COUNT(kRingRebuilds);
+  WRT_COUNT(telemetry_, kRingRebuilds);
   if (ring_.size() > 0) {
     journal_record(ring_.station_at(0), telemetry::JournalKind::kRebuildStart);
   }
@@ -1231,7 +1215,7 @@ std::uint64_t Engine::frames_in_flight() const noexcept {
 
 void Engine::begin_rap(NodeId ingress) {
   ++stats_.raps_started;
-  WRT_COUNT(kRapsStarted);
+  WRT_COUNT(telemetry_, kRapsStarted);
   journal_record(ingress, telemetry::JournalKind::kRapStart);
   rap_ingress_ = ingress;
   rap_ear_end_ = now_ + slots_to_ticks(config_.t_ear_slots);
@@ -1270,7 +1254,7 @@ void Engine::begin_rap(NodeId ingress) {
     if (next_free_dropped ||
         link_loss_.offer(fault::LossPurpose::kControl, ingress, joiner)) {
       ++stats_.control_messages_lost;
-      WRT_COUNT(kControlMsgsLost);
+      WRT_COUNT(telemetry_, kControlMsgsLost);
       continue;
     }
     // "When the station receives another NEXT_FREE message from the same
@@ -1308,14 +1292,14 @@ void Engine::begin_rap(NodeId ingress) {
   if (take_control_drop(ControlMsg::kJoinReq) ||
       link_loss_.offer(fault::LossPurpose::kControl, joiner, ingress)) {
     ++stats_.control_messages_lost;
-    WRT_COUNT(kControlMsgsLost);
+    WRT_COUNT(telemetry_, kControlMsgsLost);
     register_join_backoff(joiner);
     return;
   }
   // Slot 2: admission check + JOIN_ACK on code(ingress).
   if (!admission_allows(join.quota)) {
     ++stats_.joins_rejected;
-    WRT_COUNT(kJoinsRejected);
+    WRT_COUNT(telemetry_, kJoinsRejected);
     journal_record(joiner, telemetry::JournalKind::kJoinReject, ingress);
     pending_joins_.erase(joiner);
     return;
@@ -1326,7 +1310,7 @@ void Engine::begin_rap(NodeId ingress) {
   if (take_control_drop(ControlMsg::kJoinAck) ||
       link_loss_.offer(fault::LossPurpose::kControl, ingress, joiner)) {
     ++stats_.control_messages_lost;
-    WRT_COUNT(kControlMsgsLost);
+    WRT_COUNT(telemetry_, kControlMsgsLost);
     register_join_backoff(joiner);
     return;
   }
@@ -1347,7 +1331,7 @@ void Engine::register_join_backoff(NodeId joiner) {
   PendingJoin& join = it->second;
   ++join.attempts;
   ++stats_.join_retries;
-  WRT_COUNT(kJoinRetries);
+  WRT_COUNT(telemetry_, kJoinRetries);
   journal_record(joiner, telemetry::JournalKind::kControlLost, join.attempts);
   if (join.attempts >= kJoinMaxAttempts) {
     ++stats_.joins_abandoned;
@@ -1431,8 +1415,8 @@ void Engine::complete_join(NodeId joiner, NodeId ingress) {
   ++stats_.joins_completed;
   const double join_latency = ticks_to_slots_real(now_ - join.requested_at);
   stats_.join_latency_slots.add(join_latency);
-  WRT_COUNT(kJoins);
-  WRT_OBSERVE(kJoinLatencySlots, join_latency);
+  WRT_COUNT(telemetry_, kJoins);
+  WRT_OBSERVE(telemetry_, kJoinLatencySlots, join_latency);
   journal_record(joiner, telemetry::JournalKind::kJoin, ingress);
   util::log(util::LogLevel::kInfo,
             "WRT-Ring: station " + std::to_string(joiner) +

@@ -56,7 +56,7 @@
 #include "ring/virtual_ring.hpp"
 #include "sim/stats.hpp"
 #include "telemetry/journal.hpp"
-#include "telemetry/metrics.hpp"
+#include "telemetry/registry.hpp"
 #include "traffic/source_set.hpp"
 #include "traffic/trace.hpp"
 #include "traffic/traffic.hpp"
@@ -136,8 +136,8 @@ enum class SatState : std::uint8_t {
 };
 
 /// Shard-confined: one engine is one federation shard, driven by exactly
-/// one thread.  Independent engines on independent threads are safe (the
-/// process-wide MetricRegistry they all flush into is atomic/lock-guarded;
+/// one thread.  Independent engines on independent threads are safe: they
+/// share no mutable state, not even telemetry (each owns its MetricBlock;
 /// see tests/concurrency/shard_smoke_test.cpp), but every entry point
 /// below — stepping, membership (request_join / request_leave /
 /// kill_station), and the fault plane (stall_station, degrade_link,
@@ -149,8 +149,6 @@ class WRT_SHARD_CONFINED Engine final {
   /// `topology` must outlive the engine; the engine mutates liveness when
   /// stations are killed and reads reachability every slot.
   Engine(phy::Topology* topology, Config config, std::uint64_t seed);
-
-  ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -368,6 +366,12 @@ class WRT_SHARD_CONFINED Engine final {
   /// evaluation; Journal::set_meta + save make a self-contained artifact.
   [[nodiscard]] telemetry::RingMeta journal_meta() const;
 
+  /// This engine's counters and histograms (telemetry/metrics.hpp), exact
+  /// after every step(); all zero in a WRT_TELEMETRY=OFF build.
+  [[nodiscard]] const telemetry::MetricBlock& telemetry() const noexcept {
+    return telemetry_;
+  }
+
   /// Frames currently travelling ring links.  Closes the accounting
   /// identity the chaos soak asserts:
   /// data_transmissions == delivered + frames_lost_link +
@@ -396,7 +400,8 @@ class WRT_SHARD_CONFINED Engine final {
  private:
   friend class ::wrt::check::InvariantAuditor;
   friend struct ::wrt::check::EngineTestHook;
-  friend class RecoveryFsm;  // sole caller of start_recovery/start_rebuild
+  // The sole caller of start_recovery/start_rebuild; counts into telemetry_.
+  friend class RecoveryFsm;
 
   struct SatSignal {
     bool is_rec = false;          ///< SAT_REC rather than plain SAT
@@ -692,13 +697,8 @@ class WRT_SHARD_CONFINED Engine final {
   telemetry::Journal* journal_ = nullptr;
   std::int64_t journal_queue_sample_slots_ = 0;
 
-#if WRT_TELEMETRY_LEVEL
-  // Engine-local staging for hot-path counters and histograms (plain
-  // integer bumps); published to the process-wide registry every
-  // kTelemetryFlushSlots slots, at run_slots() return, and on destruction.
-  static constexpr std::int64_t kTelemetryFlushSlots = 64;
-  telemetry::TelemetryBatch telem_batch_;
-#endif
+  // Counters and histograms (WRT_COUNT / WRT_OBSERVE, RecoveryFsm's too).
+  telemetry::MetricBlock telemetry_;
 };
 
 }  // namespace wrt::wrtring

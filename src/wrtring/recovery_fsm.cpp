@@ -87,7 +87,9 @@ void RecoveryFsm::enter(RecoveryState next, Tick now) {
   (void)now;
   if (next == state_) return;
   state_ = next;
-  WRT_COUNT(kRecoveryFsmTransitions);
+  if (engine_ != nullptr) {
+    WRT_COUNT(engine_->telemetry_, kRecoveryFsmTransitions);
+  }
 }
 
 void RecoveryFsm::open_guard(Tick now) {
@@ -100,7 +102,9 @@ void RecoveryFsm::record_mttr(double mttr_slots) {
   if (mttr_samples_.size() < kMaxMttrSamples) {
     mttr_samples_.push_back(mttr_slots);
   }
-  WRT_OBSERVE(kRecoveryMttrSlots, mttr_slots);
+  if (engine_ != nullptr) {
+    WRT_OBSERVE(engine_->telemetry_, kRecoveryMttrSlots, mttr_slots);
+  }
 }
 
 bool RecoveryFsm::on_signal_fail(NodeId detector, NodeId accused, Tick now) {
@@ -109,7 +113,9 @@ bool RecoveryFsm::on_signal_fail(NodeId detector, NodeId accused, Tick now) {
                  guard_active(now));
   if (d.action == RecoveryAction::kSuppress) {
     ++stale_rec_suppressed_;
-    WRT_COUNT(kStaleRecSuppressed);
+    if (engine_ != nullptr) {
+      WRT_COUNT(engine_->telemetry_, kStaleRecSuppressed);
+    }
     if (accused == last_failed_ && last_failed_ != kInvalidNode) {
       ++duplicate_requests_dropped_;
     }
@@ -171,7 +177,9 @@ void RecoveryFsm::on_rebuild_complete(Tick now, double mttr_slots) {
 
 void RecoveryFsm::on_stale_rec_cancelled(Tick now) {
   ++stale_rec_suppressed_;
-  WRT_COUNT(kStaleRecSuppressed);
+  if (engine_ != nullptr) {
+    WRT_COUNT(engine_->telemetry_, kStaleRecSuppressed);
+  }
   last_failed_ = kInvalidNode;
   // The cancellation ends the protection episode the same way a completion
   // does: guard against the next echo.
@@ -196,7 +204,9 @@ RecoveryFsm::Admit RecoveryFsm::on_station_cut(NodeId node, Quota quota,
   candidates_.push_back(candidate);
   if (!forced && tuning_.wtr_slots > 0) {
     ++wtr_holdoffs_;
-    WRT_COUNT(kWtrHoldoffs);
+    if (engine_ != nullptr) {
+      WRT_COUNT(engine_->telemetry_, kWtrHoldoffs);
+    }
   }
   (void)now;
   return Admit::kHeld;

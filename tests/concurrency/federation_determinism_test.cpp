@@ -6,12 +6,12 @@
 // 8-shard scenario at W ∈ {1, 2, 8} and compares digests; under
 // `scripts/check.sh --tsan` (which builds and runs this whole binary) it
 // doubles as the race probe for the mailbox double-buffering and the
-// epoch barrier: workers post/drain mailbox halves and flush telemetry
-// into the shared registry while the coordinator owns the flips.
+// epoch barrier: workers post/drain mailbox halves and count into their
+// rings' telemetry blocks while the coordinator owns the flips.
 //
-// It also pins the registry-exactness guarantee from PR 7 at federation
-// scale: after the workers have joined, the process-wide delivery counter
-// moved by exactly the sum of every ring's sink deliveries.
+// It also pins telemetry exactness at federation scale: after the workers
+// have joined, every ring's slot and delivery counters equal its own
+// clock and sink.
 #include <cstdint>
 #include <vector>
 
@@ -58,23 +58,29 @@ TEST(FederationDeterminismTest, DigestIdenticalForWorkerCounts128) {
 }
 
 TEST(FederationDeterminismTest, RegistryCountsExactAfterJoin) {
-  const auto delivery_counter = telemetry::CounterId::kDeliveries;
-  auto& registry = telemetry::MetricRegistry::instance();
-  const std::uint64_t before = registry.counter(delivery_counter);
-
+  if (!telemetry::kTelemetryEnabled) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
   FederationConfig config = eight_shard_config();
   config.worker_threads = 8;
   FederationEngine federation(config, 7);
   ASSERT_TRUE(federation.init().ok());
   federation.run_epochs(8);
 
-  std::uint64_t sink_total = 0;
+  // Each ring's block was written only by its shard's worker; once the
+  // workers have joined it is exact.
   for (std::uint32_t r = 0; r < federation.ring_count(); ++r) {
-    sink_total += federation.ring_engine(r).stats().sink.total_delivered();
+    const Engine& ring = federation.ring_engine(r);
+    const telemetry::MetricBlock& block = ring.telemetry();
+    EXPECT_EQ(block.counter(telemetry::CounterId::kSlotsStepped),
+              static_cast<std::uint64_t>(ring.now_slots()))
+        << "ring " << r;
+    EXPECT_EQ(block.counter(telemetry::CounterId::kDeliveries),
+              ring.stats().sink.total_delivered())
+        << "ring " << r;
+    EXPECT_GT(block.counter(telemetry::CounterId::kDeliveries), 0U)
+        << "ring " << r;
   }
-  // run_slots() flushes every engine's TelemetryBatch at return, so after
-  // the final epoch barrier the shared counter is exact, not advisory.
-  EXPECT_EQ(registry.counter(delivery_counter) - before, sink_total);
 }
 
 TEST(FederationDeterminismTest, RepeatedRunsAreBitIdentical) {

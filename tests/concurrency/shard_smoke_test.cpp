@@ -1,21 +1,14 @@
 // Shard-confinement smoke for the federation pattern (DESIGN.md
 // "Concurrency model & shard-safety contract"): one engine per worker
-// thread, no cross-shard handles, and the process-wide MetricRegistry as
-// the only shared sink.
+// thread, no cross-shard handles, and no shared mutable state — each
+// engine counts into its own telemetry block.
 //
-// The headline test runs K independent engines on K threads, each with its
-// own fixed seed, and asserts every per-engine digest is bit-identical to
-// the digest of the same seed run serially: parallelism must not perturb
+// The test runs K independent engines on K threads, each with its own
+// fixed seed, and asserts every per-engine digest is bit-identical to the
+// digest of the same seed run serially: parallelism must not perturb
 // protocol behaviour in any way.  Under `scripts/check.sh --tsan` the same
-// test doubles as the data-race probe for the whole engine stack — the
-// engines concurrently flush their TelemetryBatch deltas into the registry
-// while they run.
-//
-// The registry tests hammer the sanctioned shared state directly: relaxed
-// atomic counters/histograms from many threads (totals must be exact after
-// join) and concurrent advisory snapshots while writers run (must be
-// race-free, Section "Snapshots are advisory" in registry.hpp).
-#include <atomic>
+// test doubles as the data-race probe for the whole engine stack, its
+// telemetry included.
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -24,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "phy/topology.hpp"
-#include "telemetry/registry.hpp"
 #include "wrtring/engine.hpp"
 
 namespace wrt::wrtring {
@@ -105,62 +97,6 @@ TEST(ShardSmoke, ParallelShardsMatchSerialDigests) {
     EXPECT_EQ(parallel[shard], serial[shard]) << "shard=" << shard;
     EXPECT_NE(serial[shard], "init-failed") << "shard=" << shard;
   }
-}
-
-TEST(ShardSmoke, RegistryTotalsExactAfterConcurrentWriters) {
-  auto& registry = telemetry::MetricRegistry::instance();
-  registry.reset();
-
-  constexpr std::size_t kWriters = 4;
-  constexpr std::uint64_t kPerWriter = 20000;
-  std::vector<std::thread> threads;
-  threads.reserve(kWriters);
-  for (std::size_t writer = 0; writer < kWriters; ++writer) {
-    threads.emplace_back([&registry] {
-      for (std::uint64_t i = 0; i < kPerWriter; ++i) {
-        registry.count(telemetry::CounterId::kSlotsStepped);
-        registry.observe(telemetry::HistogramId::kQueueDepth,
-                         static_cast<double>(i % 32));
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-
-  // Writers quiesced: totals are exact, not advisory.
-  const telemetry::RegistrySnapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.counter(telemetry::CounterId::kSlotsStepped),
-            kWriters * kPerWriter);
-  EXPECT_EQ(snap.histogram(telemetry::HistogramId::kQueueDepth).total,
-            kWriters * kPerWriter);
-  registry.reset();
-}
-
-TEST(ShardSmoke, AdvisorySnapshotsRaceFreeWhileWritersRun) {
-  auto& registry = telemetry::MetricRegistry::instance();
-  registry.reset();
-
-  // No flush sources are registered here (that would violate the
-  // registry's drain contract); bare count/observe against concurrent
-  // snapshot() must be race-free because every field is atomic.
-  std::atomic<bool> stop{false};
-  std::thread writer([&registry, &stop] {
-    std::uint64_t i = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      registry.count(telemetry::CounterId::kDeliveries);
-      registry.observe(telemetry::HistogramId::kQueueDepth,
-                       static_cast<double>(++i % 16));
-    }
-  });
-  std::uint64_t last = 0;
-  for (int round = 0; round < 50; ++round) {
-    const telemetry::RegistrySnapshot snap = registry.snapshot();
-    const std::uint64_t seen = snap.counter(telemetry::CounterId::kDeliveries);
-    EXPECT_GE(seen, last);  // monotone: counters only grow
-    last = seen;
-  }
-  stop.store(true, std::memory_order_relaxed);
-  writer.join();
-  registry.reset();
 }
 
 }  // namespace

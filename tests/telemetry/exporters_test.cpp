@@ -7,7 +7,6 @@
 
 #include "phy/topology.hpp"
 #include "telemetry/journal.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/registry.hpp"
 #include "wrtring/engine.hpp"
 
@@ -43,17 +42,12 @@ bool balanced(const std::string& text) {
   return braces == 0 && brackets == 0 && !in_string;
 }
 
-class ExportersTest : public ::testing::Test {
- protected:
-  void SetUp() override { MetricRegistry::instance().reset(); }
-};
-
-TEST_F(ExportersTest, SnapshotJsonListsEveryMetric) {
-  auto& reg = MetricRegistry::instance();
-  reg.count(CounterId::kDeliveries, 42);
-  reg.observe(HistogramId::kSatRotationSlots, 33.0);
+TEST(ExportersTest, SnapshotJsonListsEveryMetric) {
+  MetricBlock block;
+  block.count(CounterId::kDeliveries, 42);
+  block.observe(HistogramId::kSatRotationSlots, 33.0);
   std::ostringstream out;
-  write_snapshot_json(out, reg.snapshot());
+  write_snapshot_json(out, block.snapshot());
   const std::string json = out.str();
   EXPECT_TRUE(balanced(json)) << json;
   EXPECT_NE(json.find("\"deliveries\""), std::string::npos);
@@ -66,12 +60,12 @@ TEST_F(ExportersTest, SnapshotJsonListsEveryMetric) {
   }
 }
 
-TEST_F(ExportersTest, SnapshotCsvDerivesHistogramRows) {
-  auto& reg = MetricRegistry::instance();
-  reg.observe(HistogramId::kRtAccessDelaySlots, 4.0);
-  reg.observe(HistogramId::kRtAccessDelaySlots, 6.0);
+TEST(ExportersTest, SnapshotCsvDerivesHistogramRows) {
+  MetricBlock block;
+  block.observe(HistogramId::kRtAccessDelaySlots, 4.0);
+  block.observe(HistogramId::kRtAccessDelaySlots, 6.0);
   std::ostringstream out;
-  write_snapshot_csv(out, reg.snapshot());
+  write_snapshot_csv(out, block.snapshot());
   const std::string csv = out.str();
   EXPECT_NE(csv.find("rt_access_delay_slots_count,2"), std::string::npos)
       << csv;
@@ -81,7 +75,7 @@ TEST_F(ExportersTest, SnapshotCsvDerivesHistogramRows) {
   EXPECT_NE(csv.find("slots_stepped,0"), std::string::npos);
 }
 
-TEST_F(ExportersTest, ChromeTraceRendersSlicesInstantsAndMetadata) {
+TEST(ExportersTest, ChromeTraceRendersSlicesInstantsAndMetadata) {
   Journal journal(64);
   // SAT residency at station 2: arrive at slot 10, release at slot 12.
   journal.record(2, JournalKind::kSatArrive, slots_to_ticks(10));
@@ -98,7 +92,7 @@ TEST_F(ExportersTest, ChromeTraceRendersSlicesInstantsAndMetadata) {
   EXPECT_NE(trace.find("\"tid\":2"), std::string::npos);
 }
 
-TEST_F(ExportersTest, ChromeTraceSurfacesDroppedRecords) {
+TEST(ExportersTest, ChromeTraceSurfacesDroppedRecords) {
   Journal journal(2);
   for (int i = 0; i < 8; ++i) {
     journal.record(0, JournalKind::kQueueDepth, slots_to_ticks(i));
@@ -109,7 +103,7 @@ TEST_F(ExportersTest, ChromeTraceSurfacesDroppedRecords) {
   EXPECT_NE(out.str().find("dropped"), std::string::npos) << out.str();
 }
 
-TEST_F(ExportersTest, EmptyJournalStillProducesValidTrace) {
+TEST(ExportersTest, EmptyJournalStillProducesValidTrace) {
   const Journal journal;
   std::ostringstream out;
   write_chrome_trace(out, journal);
@@ -117,19 +111,17 @@ TEST_F(ExportersTest, EmptyJournalStillProducesValidTrace) {
   EXPECT_NE(out.str().find("\"traceEvents\""), std::string::npos);
 }
 
-TEST_F(ExportersTest, SnapshotTimelineRecordsTicksInOrder) {
-  auto& reg = MetricRegistry::instance();
+TEST(ExportersTest, SnapshotTimelineRecordsTicksInOrder) {
+  MetricBlock block;
   SnapshotTimeline timeline;
-  timeline.capture(slots_to_ticks(100));
-  reg.count(CounterId::kDeliveries, 5);
-  timeline.capture(slots_to_ticks(200));
+  timeline.capture(slots_to_ticks(100), block.snapshot());
+  block.count(CounterId::kDeliveries, 5);
+  timeline.capture(slots_to_ticks(200), block.snapshot());
   ASSERT_EQ(timeline.size(), 2u);
   EXPECT_EQ(timeline.tick_at(0), slots_to_ticks(100));
   EXPECT_EQ(timeline.tick_at(1), slots_to_ticks(200));
   EXPECT_EQ(timeline.at(0).counter(CounterId::kDeliveries), 0u);
   EXPECT_EQ(timeline.at(1).counter(CounterId::kDeliveries), 5u);
-  // capture() itself counts, so the second snapshot has seen one snapshot.
-  EXPECT_EQ(timeline.at(1).counter(CounterId::kSnapshots), 1u);
   std::ostringstream out;
   timeline.write_json(out);
   EXPECT_TRUE(balanced(out.str()));
@@ -138,9 +130,10 @@ TEST_F(ExportersTest, SnapshotTimelineRecordsTicksInOrder) {
 
 #if WRT_TELEMETRY_LEVEL
 
-// End-to-end: a short clean run populates the registry and the journal, and
-// the engine's RingMeta makes the journal a self-contained analysis input.
-TEST_F(ExportersTest, EngineFeedsRegistryAndJournal) {
+// End-to-end: a short clean run populates the engine's metrics and the
+// journal, and the engine's RingMeta makes the journal a self-contained
+// analysis input.
+TEST(ExportersTest, EngineFeedsRegistryAndJournal) {
   phy::Topology topology(phy::placement::circle(8, 20.0),
                          phy::RadioParams{18.0, 0.0});
   wrtring::Config config;
@@ -153,10 +146,10 @@ TEST_F(ExportersTest, EngineFeedsRegistryAndJournal) {
   engine.run_slots(500);
   journal.set_meta(engine.journal_meta());
 
-  auto& reg = MetricRegistry::instance();
-  EXPECT_GE(reg.counter(CounterId::kSlotsStepped), 500u);
-  EXPECT_GT(reg.counter(CounterId::kSatHandoffs), 0u);
-  const RegistrySnapshot snap = reg.snapshot();
+  const MetricBlock& metrics = engine.telemetry();
+  EXPECT_EQ(metrics.counter(CounterId::kSlotsStepped), 500u);
+  EXPECT_GT(metrics.counter(CounterId::kSatHandoffs), 0u);
+  const RegistrySnapshot snap = metrics.snapshot();
   EXPECT_GT(snap.histogram(HistogramId::kSatRotationSlots).total, 0u);
 
   EXPECT_EQ(journal.stations().size(), 8u);

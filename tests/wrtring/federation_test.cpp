@@ -23,11 +23,14 @@
 #include <numbers>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "diffserv/diffserv.hpp"
+#include "fault/gilbert_elliott.hpp"
+#include "telemetry/metrics.hpp"
 #include "wrtring/federation.hpp"
 #include "wrtring/gateway.hpp"
 
@@ -230,6 +233,50 @@ TEST(FederationTest, EveryShardConservesItsCrossings) {
     }
     EXPECT_GT(federation.stats().crossings.crossings_received, 0U);
   }
+}
+
+TEST(FederationTest, TelemetryIsScopedToItsRing) {
+  // Each ring counts into its own engine's block: a lossy hop in one ring
+  // shows in that ring's frames_lost and in no other, on any worker count.
+  if (!telemetry::kTelemetryEnabled) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
+  constexpr std::uint32_t kLossyRing = 37;
+  FederationConfig config;
+  config.shards = 8;
+  config.rings = 64;
+  config.stations_per_ring = 8;
+  // A SAT faded on the lossy hop would cut its upstream station out and
+  // take the hop with it; the guard window cancels that cut-out (the
+  // station is alive and reachable), so the hop keeps carrying frames.
+  config.ring.guard_slots = 64;
+  std::vector<std::vector<std::pair<std::string, std::uint64_t>>> counters[2];
+  for (const std::uint32_t workers : {1U, 4U}) {
+    SCOPED_TRACE("W=" + std::to_string(workers));
+    config.worker_threads = workers;
+    FederationEngine federation(config, 23);
+    ASSERT_TRUE(federation.init().ok());
+    federation.run_epochs(8);
+    // Hop 3 -> 4 is away from the ring's gateway (node 0).
+    federation.ring_engine(kLossyRing)
+        .degrade_link(3, 4, fault::GeParams::iid(0.05));
+    federation.run_epochs(8);
+
+    for (std::uint32_t r = 0; r < federation.ring_count(); ++r) {
+      const Engine& ring = federation.ring_engine(r);
+      const std::uint64_t lost =
+          ring.telemetry().counter(telemetry::CounterId::kFramesLost);
+      EXPECT_EQ(lost, ring.stats().frames_lost_link) << "ring " << r;
+      if (r == kLossyRing) {
+        EXPECT_GT(lost, 0U);
+      } else {
+        EXPECT_EQ(lost, 0U) << "ring " << r;
+      }
+      counters[workers == 1U ? 0 : 1].push_back(
+          ring.telemetry().snapshot().counters);
+    }
+  }
+  EXPECT_EQ(counters[0], counters[1]);
 }
 
 // -- Gateway backbone mode --------------------------------------------------

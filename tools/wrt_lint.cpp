@@ -26,10 +26,9 @@
 //                        variables are banned: a federation shard must own
 //                        its state, and a hidden global is cross-shard
 //                        state nobody annotated.  The sanctioned globals
-//                        (the MetricRegistry singleton, the log sinks)
-//                        carry justified suppressions — the whitelist is
-//                        the suppression list, auditable via
-//                        --list-suppressions.
+//                        (the log level and sink) carry justified
+//                        suppressions — the whitelist is the suppression
+//                        list, auditable via --list-suppressions.
 //   cross-shard-handle   Ring/engine code (wrtring/, tpt/) may not declare
 //                        raw pointer/reference variables or fields to
 //                        Engine / SlotKernel: a stored handle
