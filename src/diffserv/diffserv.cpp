@@ -113,9 +113,9 @@ void LanModel::inject(const traffic::Packet& packet, Tick now) {
 }
 
 void LanModel::step(Tick now) {
-  std::vector<traffic::Packet> delivered;
-  links_.step(delivered);
-  for (const auto& packet : delivered) sink_.record_delivery(packet, now);
+  delivered_.clear();
+  links_.step(delivered_);
+  for (const auto& packet : delivered_) sink_.record_delivery(packet, now);
 }
 
 BackboneSegment::BackboneSegment(std::size_t hops,
@@ -137,16 +137,11 @@ void BackboneSegment::inject(const traffic::Packet& packet) {
 void BackboneSegment::step(std::vector<traffic::Packet>& egress) {
   // Serve from the last hop backwards so a packet crosses one hop per slot;
   // the last hop feeds the caller.
-  for (std::size_t h = hops_.size(); h-- > 0;) {
-    std::vector<traffic::Packet> served;
-    hops_[h].step(served);
-    for (auto& packet : served) {
-      if (h + 1 == hops_.size()) {
-        egress.push_back(std::move(packet));
-      } else {
-        hops_[h + 1].enqueue(std::move(packet));
-      }
-    }
+  hops_.back().step(egress);
+  for (std::size_t h = hops_.size() - 1; h-- > 0;) {
+    served_.clear();
+    hops_[h].step(served_);
+    for (auto& packet : served_) hops_[h + 1].enqueue(std::move(packet));
   }
 }
 

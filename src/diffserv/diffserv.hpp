@@ -144,6 +144,9 @@ class BackboneSegment {
 
  private:
   std::vector<PriorityLink> hops_;
+  /// What an inner hop served this slot, on its way to the next hop; kept
+  /// between slots so a busy hop does not allocate.
+  std::vector<traffic::Packet> served_;
   double premium_capacity_;
   double reserved_premium_ = 0.0;
 };
@@ -172,6 +175,8 @@ class LanModel {
  private:
   EdgeConditioner edge_;
   BackboneSegment links_;
+  /// What the last hop delivered this slot; kept between slots.
+  std::vector<traffic::Packet> delivered_;
   traffic::Sink sink_;
 };
 
