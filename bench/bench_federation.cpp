@@ -1,8 +1,9 @@
 // Federation scaling bench (DESIGN.md §12): sharded multi-ring fabric with
 // epoch-synchronized gateway exchange.
 //
-// Reports aggregate throughput (station-slots/sec), end-to-end RT crossing
-// delay quantiles, and the shard-scaling speedup at 1M+ stations.  Two
+// Reports aggregate throughput (station-slots/sec), the delivered count
+// and end-to-end delay quantiles of admitted (RT) and demoted (BE)
+// crossings side by side, and the shard-scaling speedup at 1M+ stations.  Two
 // throughput figures are emitted side by side:
 //
 //   wall          — station_slots / wall seconds on THIS host.  On a box
@@ -21,7 +22,6 @@
 // and on the shape of bench/e2e's federation workload) and exits 0/1;
 // scripts/check.sh --federation-smoke and CI use it as the cheap race
 // oracle.
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -59,7 +59,8 @@ struct RunResult {
   bool ok = false;
   double wall_seconds = 0.0;
   wrtring::FederationStats stats;
-  std::vector<Tick> rt_delays;
+  std::vector<Tick> rt_delays;  ///< ascending
+  std::vector<Tick> be_delays;  ///< ascending
   std::uint64_t digest = 0;
 };
 
@@ -79,14 +80,14 @@ RunResult run_federation(const wrtring::FederationConfig& config,
       std::chrono::duration<double>(stop - start).count();
   result.stats = federation.stats();
   result.rt_delays = federation.rt_crossing_delay_ticks();
+  result.be_delays = federation.be_crossing_delay_ticks();
   result.digest = federation.digest();
   return result;
 }
 
-/// Exact quantile (nearest-rank on the sorted sample), in slots.
-double delay_quantile_slots(std::vector<Tick> delays, double q) {
+/// Exact quantile (nearest-rank) of an ascending sample, in slots.
+double delay_quantile_slots(const std::vector<Tick>& delays, double q) {
   if (delays.empty()) return 0.0;
-  std::sort(delays.begin(), delays.end());
   const auto index = static_cast<std::size_t>(
       q * static_cast<double>(delays.size() - 1));
   return static_cast<double>(ticks_to_slots(delays[index]));
@@ -174,7 +175,8 @@ int main(int argc, char** argv) {
   util::Table scaling(
       "Federation scaling at K=8 (W=8, E=64): aggregate station-slots/sec",
       {"rings", "stations", "wall s", "Mss/s wall", "Mss/s parallel",
-       "crossings", "RT p50 slots", "RT p99 slots"});
+       "crossings", "RT delivered", "RT p50 slots", "RT p99 slots",
+       "BE delivered", "BE p50 slots", "BE p99 slots"});
   RunResult headline;
   for (const SweepPoint& point : sweep) {
     const RunResult result = run_federation(
@@ -190,8 +192,12 @@ int main(int argc, char** argv) {
                                result.stats.critical_path_seconds) /
              1e6,
          static_cast<std::int64_t>(result.stats.crossings.crossings_delivered),
+         static_cast<std::int64_t>(result.rt_delays.size()),
          delay_quantile_slots(result.rt_delays, 0.5),
-         delay_quantile_slots(result.rt_delays, 0.99)});
+         delay_quantile_slots(result.rt_delays, 0.99),
+         static_cast<std::int64_t>(result.be_delays.size()),
+         delay_quantile_slots(result.be_delays, 0.5),
+         delay_quantile_slots(result.be_delays, 0.99)});
     headline = result;  // last (largest) point is the headline
   }
   bench::emit(scaling, csv);
@@ -216,10 +222,18 @@ int main(int argc, char** argv) {
                   delay_quantile_slots(headline.rt_delays, 0.5), "slots");
   reporter.metric("rt_crossing_delay_p99",
                   delay_quantile_slots(headline.rt_delays, 0.99), "slots");
+  reporter.metric("be_crossing_delay_p50",
+                  delay_quantile_slots(headline.be_delays, 0.5), "slots");
+  reporter.metric("be_crossing_delay_p99",
+                  delay_quantile_slots(headline.be_delays, 0.99), "slots");
   reporter.metric("crossings_delivered",
                   static_cast<double>(
                       headline.stats.crossings.crossings_delivered),
                   "packets");
+  reporter.metric("rt_crossings_delivered",
+                  static_cast<double>(headline.rt_delays.size()), "packets");
+  reporter.metric("be_crossings_delivered",
+                  static_cast<double>(headline.be_delays.size()), "packets");
   const double posted =
       static_cast<double>(headline.stats.crossings.crossings_posted);
   reporter.metric("crossing_drop_fraction",

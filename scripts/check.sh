@@ -169,12 +169,13 @@ if [ "$FEDERATION_SMOKE" = 1 ]; then
   FEDERATION_OUT="$(build/bench/bench_federation --determinism)"
   echo "$FEDERATION_OUT"
   # Pinned digests: worker-count invariance alone passes a change that
-  # alters the fabric the same way for every W.  ROADMAP's fixed-bucket
-  # crossing-delay histogram changes all three on purpose; recapture them
-  # there (and tests/wrtring/federation_test.cpp's FederationDigest cells).
-  for pinned in "K=2, W in {1,2,8} -> digest 200ee8373956970b" \
-                "K=8, W in {1,2,8} -> digest c7362a384ec5fc41" \
-                "64x64 K=8 E=64, W in {1,2,8} -> digest 05b2a1c658a19ad1"; do
+  # alters the fabric the same way for every W.  The digest hashes each
+  # shard's crossing-delay count tables, so a change to the delay record
+  # changes all three; recapture them with
+  # tests/wrtring/federation_test.cpp's FederationDigest cells.
+  for pinned in "K=2, W in {1,2,8} -> digest 6f03c13ddc2c7891" \
+                "K=8, W in {1,2,8} -> digest b5425cb5f6ea4f0d" \
+                "64x64 K=8 E=64, W in {1,2,8} -> digest ee500417671a975b"; do
     if ! grep -qF "$pinned" <<< "$FEDERATION_OUT"; then
       echo "federation smoke: expected '$pinned'" >&2
       exit 1

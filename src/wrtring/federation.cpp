@@ -24,6 +24,36 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
+/// A delay table's entry count, then each (delay, count) pair, ascending.
+void fnv_mix_delays(std::uint64_t& h, const DelayCounts& delays) {
+  fnv_mix(h, delays.size());
+  for (const auto& [delay, count] : delays) {
+    fnv_mix(h, static_cast<std::uint64_t>(delay));
+    fnv_mix(h, count);
+  }
+}
+
+/// One class's delay tables of every shard, merged and expanded into one
+/// delay per delivery, ascending.
+std::vector<Tick> expand_delays(
+    const std::vector<std::unique_ptr<FederationShard>>& shards,
+    const DelayCounts& (FederationShard::*table)() const noexcept) {
+  DelayCounts merged;
+  std::uint64_t total = 0;
+  for (const auto& shard : shards) {
+    for (const auto& [delay, count] : ((*shard).*table)()) {
+      merged[delay] += count;
+      total += count;
+    }
+  }
+  std::vector<Tick> delays;
+  delays.reserve(total);
+  for (const auto& [delay, count] : merged) {
+    delays.insert(delays.end(), count, delay);
+  }
+  return delays;
+}
+
 }  // namespace
 
 util::Status FederationConfig::validate() const {
@@ -236,12 +266,11 @@ Engine& FederationEngine::ring_engine(std::uint32_t ring) {
 }
 
 std::vector<Tick> FederationEngine::rt_crossing_delay_ticks() const {
-  std::vector<Tick> merged;
-  for (const auto& shard : shards_) {
-    const auto& samples = shard->rt_crossing_delay_ticks();
-    merged.insert(merged.end(), samples.begin(), samples.end());
-  }
-  return merged;
+  return expand_delays(shards_, &FederationShard::rt_delay_counts);
+}
+
+std::vector<Tick> FederationEngine::be_crossing_delay_ticks() const {
+  return expand_delays(shards_, &FederationShard::be_delay_counts);
 }
 
 FederationStats FederationEngine::stats() const {
@@ -306,16 +335,8 @@ std::uint64_t FederationEngine::digest() const {
     fnv_mix(h, counters.crossing_drops);
     fnv_mix(h, shard->backbone().tail_drops());
     fnv_mix(h, shard->in_flight());
-    const auto& rt_samples = shard->rt_crossing_delay_ticks();
-    fnv_mix(h, rt_samples.size());
-    for (const Tick tick : rt_samples) {
-      fnv_mix(h, static_cast<std::uint64_t>(tick));
-    }
-    const auto& be_samples = shard->be_crossing_delay_ticks();
-    fnv_mix(h, be_samples.size());
-    for (const Tick tick : be_samples) {
-      fnv_mix(h, static_cast<std::uint64_t>(tick));
-    }
+    fnv_mix_delays(h, shard->rt_delay_counts());
+    fnv_mix_delays(h, shard->be_delay_counts());
   }
   fnv_mix(h, rt_admitted_);
   fnv_mix(h, rt_rejected_);

@@ -118,15 +118,18 @@ class FederationEngine {
     return *shards_.at(index);
   }
 
-  /// End-to-end RT crossing delays in ticks, merged in shard order
-  /// (deterministic).
+  /// End-to-end delays in ticks of the admitted (RT) crossings delivered
+  /// so far, one entry per delivery, ascending: every shard's count table
+  /// merged and expanded.
   [[nodiscard]] std::vector<Tick> rt_crossing_delay_ticks() const;
+  /// The same for the crossings demoted to best-effort at brokering.
+  [[nodiscard]] std::vector<Tick> be_crossing_delay_ticks() const;
 
   [[nodiscard]] FederationStats stats() const;
 
   /// FNV-1a digest over every ring's integer protocol counters (global
-  /// ring order), every shard's crossing counters and delay samples, and
-  /// the brokering outcome.  Integer-only inputs; bit-identical for a
+  /// ring order), every shard's crossing counters and delay count tables,
+  /// and the brokering outcome.  Integer-only inputs; bit-identical for a
   /// fixed (seed, shard count) regardless of worker-thread count.
   [[nodiscard]] std::uint64_t digest() const;
 

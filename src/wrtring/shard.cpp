@@ -78,12 +78,9 @@ void FederationShard::on_delivery(std::size_t slot,
     ++counters_.crossings_posted;
   } else if (at == route->dst_station && ring == route->dst_ring) {
     ++counters_.crossings_delivered;
-    const Tick delay = now - packet.created;
-    if (packet.cls == TrafficClass::kRealTime) {
-      rt_delay_ticks_.push_back(delay);
-    } else {
-      be_delay_ticks_.push_back(delay);
-    }
+    DelayCounts& delays =
+        packet.cls == TrafficClass::kRealTime ? rt_delays_ : be_delays_;
+    ++delays[now - packet.created];
   }
 }
 

@@ -22,6 +22,7 @@
 
 #include "diffserv/diffserv.hpp"
 #include "phy/topology.hpp"
+#include "util/flat_map.hpp"
 #include "util/thread_safety.hpp"
 #include "util/types.hpp"
 #include "wrtring/engine.hpp"
@@ -49,6 +50,11 @@ struct CrossingFlow {
   NodeId dst_station = kInvalidNode;
   bool admitted = false;  ///< RealTime if true, demoted to best-effort else
 };
+
+/// One class's crossing-delay record: delivered crossings counted per
+/// end-to-end delay in ticks, ascending.  Exact at every delay, and it
+/// grows with the number of distinct delays, not with the deliveries.
+using DelayCounts = util::FlatMap<Tick, std::uint64_t>;
 
 /// Integer crossing counters; summed across shards after the epoch loop
 /// (exact — workers have joined) and folded into the federation digest.
@@ -121,15 +127,14 @@ class WRT_SHARD_CONFINED FederationShard {
     return counters_;
   }
   /// End-to-end crossing delays (packet creation in the source ring to
-  /// final delivery in the destination ring), integer ticks, in
-  /// deterministic observation order.
-  [[nodiscard]] const std::vector<Tick>& rt_crossing_delay_ticks()
-      const noexcept {
-    return rt_delay_ticks_;
+  /// final delivery in the destination ring) of admitted (RT) and demoted
+  /// (best-effort) crossings: the counts of each class sum to
+  /// counters().crossings_delivered.
+  [[nodiscard]] const DelayCounts& rt_delay_counts() const noexcept {
+    return rt_delays_;
   }
-  [[nodiscard]] const std::vector<Tick>& be_crossing_delay_ticks()
-      const noexcept {
-    return be_delay_ticks_;
+  [[nodiscard]] const DelayCounts& be_delay_counts() const noexcept {
+    return be_delays_;
   }
   /// Thread-CPU nanoseconds this shard spent inside run_epoch, total and
   /// for the most recent epoch.  CLOCK_THREAD_CPUTIME_ID, so preemption
@@ -172,8 +177,8 @@ class WRT_SHARD_CONFINED FederationShard {
   /// Backbone egress buffered for injection at the next epoch boundary.
   std::vector<traffic::Packet> pending_;
   ShardCounters counters_;
-  std::vector<Tick> rt_delay_ticks_;
-  std::vector<Tick> be_delay_ticks_;
+  DelayCounts rt_delays_;
+  DelayCounts be_delays_;
   std::int64_t busy_ns_total_ = 0;
   std::int64_t last_epoch_busy_ns_ = 0;
 };

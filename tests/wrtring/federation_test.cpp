@@ -13,10 +13,11 @@
 // after a *deliberate* behaviour change:
 //   WRT_DIGEST_CAPTURE=1 ./test_wrtring --gtest_filter='*FederationDigest*'
 // and paste the printed cells into kFederationCells.  The digest hashes
-// every crossing-delay sample, so the fixed-bucket delay histogram planned
-// in ROADMAP ("Federation on the wall clock") changes every cell on
-// purpose, together with the two values scripts/check.sh
+// each shard's crossing-delay count tables (entry count, then every
+// (delay, count) pair), so a change to what the delay record keeps
+// changes every cell, together with the three values scripts/check.sh
 // --federation-smoke pins; recapture all of them in that change.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -57,6 +58,13 @@ std::uint64_t run_digest(FederationConfig config, std::uint64_t seed,
   EXPECT_TRUE(federation.init().ok());
   federation.run_epochs(epochs);
   return federation.digest();
+}
+
+/// Deliveries counted in one shard's delay table.
+std::uint64_t deliveries(const DelayCounts& delays) {
+  std::uint64_t total = 0;
+  for (const auto& [delay, count] : delays) total += count;
+  return total;
 }
 
 TEST(FederationTest, ValidatesConfig) {
@@ -118,6 +126,14 @@ TEST(FederationTest, RecordsEndToEndRtDelay) {
     EXPECT_LT(ticks_to_slots(delay),
               federation.now_slots());  // sane upper bound
   }
+  // The shards' count tables expand into one delay per RT delivery, in
+  // ascending order.
+  EXPECT_TRUE(std::is_sorted(delays.begin(), delays.end()));
+  std::uint64_t rt_deliveries = 0;
+  for (std::uint32_t s = 0; s < federation.shard_count(); ++s) {
+    rt_deliveries += deliveries(federation.shard(s).rt_delay_counts());
+  }
+  EXPECT_EQ(delays.size(), rt_deliveries);
 }
 
 TEST(FederationTest, DigestInvariantUnderWorkerCount) {
@@ -154,6 +170,8 @@ TEST(FederationTest, ZeroBackboneBudgetDemotesEveryCrossing) {
   // Demoted crossings still travel — as best-effort.
   EXPECT_TRUE(federation.rt_crossing_delay_ticks().empty());
   EXPECT_GT(stats.crossings.crossings_delivered, 0U);
+  EXPECT_EQ(federation.be_crossing_delay_ticks().size(),
+            stats.crossings.crossings_delivered);
 }
 
 TEST(FederationTest, GenerousBudgetAdmitsEveryCrossing) {
@@ -192,7 +210,8 @@ TEST(FederationTest, ShardCountIsASemanticParameter) {
 
 TEST(FederationTest, EveryShardConservesItsCrossings) {
   // Every frame a shard drains into its backbone is injected, refused at
-  // injection, tail-dropped in the backbone or still in flight there.
+  // injection, tail-dropped in the backbone or still in flight there, and
+  // every crossing it delivers is counted once in one class's delay table.
   FederationConfig config;
   config.rings = 64;
   config.stations_per_ring = 16;
@@ -224,6 +243,10 @@ TEST(FederationTest, EveryShardConservesItsCrossings) {
         EXPECT_EQ(counters.crossings_received,
                   counters.crossings_injected + counters.crossing_drops +
                       shard.backbone().tail_drops() + shard.in_flight())
+            << "shard " << s << " after epoch " << epoch;
+        EXPECT_EQ(deliveries(shard.rt_delay_counts()) +
+                      deliveries(shard.be_delay_counts()),
+                  counters.crossings_delivered)
             << "shard " << s << " after epoch " << epoch;
       }
       // Summed over shards: the rest of what was posted is in a mailbox.
@@ -347,10 +370,10 @@ struct FederationCell {
 };
 
 constexpr FederationCell kFederationCells[] = {
-    {1, 1, 0xa1fe2d889ce27485ULL},
-    {7, 2, 0x0e9f2da70fe6998cULL},
-    {42, 4, 0x05a9eacfa6de01ffULL},
-    {99, 2, 0x9abd47b80eb96be4ULL},
+    {1, 1, 0x9891e836c5bdb3fdULL},
+    {7, 2, 0xfcae5af2fb65d0b3ULL},
+    {42, 4, 0x6a329a9b8e6f965fULL},
+    {99, 2, 0x61a2ce9852047abbULL},
 };
 
 // Prints the cell, not its bytes (padding included), into the listed test
