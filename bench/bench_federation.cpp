@@ -3,8 +3,8 @@
 //
 // Reports aggregate throughput (station-slots/sec), the delivered count
 // and end-to-end delay quantiles of admitted (RT) and demoted (BE)
-// crossings side by side, and the shard-scaling speedup at 1M+ stations.  Two
-// throughput figures are emitted side by side:
+// crossings side by side, and the shard-scaling speedup at 1M+ stations.
+// Two throughput figures are emitted side by side:
 //
 //   wall          — station_slots / wall seconds on THIS host.  On a box
 //                   with fewer cores than shards the workers time-share,
@@ -14,8 +14,10 @@
 //                   thread-CPU busy time (CLOCK_THREAD_CPUTIME_ID, immune
 //                   to preemption).  This is the wall time a host with
 //                   ≥ K free cores would observe; the speedup_8v1_parallel
-//                   metric is the shard-scaling figure and is exact on any
-//                   host because busy time is per-thread, not per-machine.
+//                   metric is the shard-scaling figure.  Busy time is
+//                   per-thread, so time-sharing does not inflate it, but
+//                   shards running side by side share caches and memory
+//                   bandwidth, so it depends on how many run at once.
 //
 // `--determinism` runs only the worker-count invariance check (same
 // (seed, fabric) -> same digest for W ∈ {1, 2, 8}, on two small fabrics

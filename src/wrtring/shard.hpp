@@ -128,7 +128,7 @@ class WRT_SHARD_CONFINED FederationShard {
   }
   /// End-to-end crossing delays (packet creation in the source ring to
   /// final delivery in the destination ring) of admitted (RT) and demoted
-  /// (best-effort) crossings: the counts of each class sum to
+  /// (best-effort) crossings; the two tables' counts together sum to
   /// counters().crossings_delivered.
   [[nodiscard]] const DelayCounts& rt_delay_counts() const noexcept {
     return rt_delays_;
